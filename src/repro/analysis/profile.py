@@ -35,8 +35,9 @@ class Profile:
                 max_steps: int = 50_000_000) -> "Profile":
         """Run the program on training inputs and gather a profile.
 
-        Uses the fastpath interpreter (no trace is needed); its
-        block/branch profiles are bit-identical to the legacy loop's.
+        Uses the vector engine's Python interpreter rung (no trace is
+        needed); its block/branch profiles are bit-identical to the
+        legacy loop's.
         """
         from repro.fastpath.interp import run_program_fast
         return cls.from_execution(run_program_fast(program, inputs=inputs,

@@ -99,7 +99,7 @@ kernel crash, 26 cluster worker lost mid-shard, 27 shard lease fenced
 (a newer lease superseded this worker's claim).  Codes 13, 14, 17,
 19, 20, 23, 25 and 26 are transient (retry, honouring any Retry-After
 hint — the native-engine supervisor demotes before raising, so a
-retry lands on the Python engines); the rest are permanent — in
+retry lands on the Python rung); the rest are permanent — in
 particular 27 means another worker owns the shard now, so the right
 response is to claim new work, not to retry the old lease.
 """
@@ -113,6 +113,7 @@ import sys
 from repro.analysis.profile import Profile
 from repro.emu.memory import EmulationFault
 from repro.engine.store import ArtifactStore
+from repro.engines import DEFAULT_ENGINE, ENGINES
 from repro.experiments.render import render_all
 from repro.experiments.runner import ExperimentSuite
 from repro.ir.function import IRError
@@ -179,14 +180,12 @@ def _default_cache_dir() -> str:
 
 
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--engine",
-                        choices=("legacy", "fastpath", "stream",
-                                 "vector"),
-                        default="fastpath",
-                        help="execution backend (default fastpath); "
-                             "every engine is byte-identical — vector "
-                             "is the fastest and shards its trace "
-                             "across --jobs workers")
+    parser.add_argument("--engine", choices=ENGINES,
+                        default=DEFAULT_ENGINE,
+                        help=f"execution engine (default "
+                             f"{DEFAULT_ENGINE}); both are "
+                             "byte-identical — legacy is the readable "
+                             "reference, vector runs native kernels")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="fan pipeline work across N pool processes "
                              "(default 1: serial, in-process)")
@@ -218,11 +217,7 @@ def _add_perf_args(parser: argparse.ArgumentParser) -> None:
                         help="compare stage wall times against a "
                              "baseline bench JSON; exit "
                              f"{_BENCH_REGRESSION_EXIT} if any stage "
-                             "regresses by more than 25%%.  With "
-                             "--engine vector, additionally require "
-                             f"emulate/simulate to run "
-                             f"{_VECTOR_MIN_SPEEDUP}x faster per "
-                             "invocation than the baseline")
+                             "regresses by more than 25%%")
     parser.add_argument("--profile", action="store_true",
                         help="cProfile each pipeline stage; write "
                              "per-stage .pstats and a top-20 cumulative "
@@ -237,11 +232,6 @@ def _cache_dir(args) -> str | None:
 
 #: exit code for a >threshold stage-walltime regression (--compare)
 _BENCH_REGRESSION_EXIT = 3
-
-#: per-invocation emulate/simulate speedup the vector engine must
-#: sustain over the committed fastpath baseline (--engine vector
-#: --compare)
-_VECTOR_MIN_SPEEDUP = 2.5
 
 
 def _attach_profiler(suite, args):
@@ -272,8 +262,7 @@ def _print_metrics(metrics, args, profiler=None) -> int:
             print(f"wrote {path}", file=sys.stderr)
     baseline_path = getattr(args, "compare", None)
     if baseline_path:
-        from repro.engine.metrics import (compare_stage_walltimes,
-                                          vector_speedup_floor)
+        from repro.engine.metrics import compare_stage_walltimes
         import json as _json
         with open(baseline_path) as handle:
             baseline = _json.load(handle)
@@ -287,21 +276,6 @@ def _print_metrics(metrics, args, profiler=None) -> int:
             return _BENCH_REGRESSION_EXIT
         print(f"no stage regressions vs {baseline_path}",
               file=sys.stderr)
-        if getattr(args, "engine", None) == "vector":
-            # The vector engine additionally owes a speedup *floor*
-            # over the committed fastpath baseline, not just absence
-            # of regression.
-            floor = vector_speedup_floor(current, baseline,
-                                         min_speedup=_VECTOR_MIN_SPEEDUP)
-            if floor:
-                print(f"vector engine below its "
-                      f"{_VECTOR_MIN_SPEEDUP:.1f}x speedup floor vs "
-                      f"{baseline_path}:", file=sys.stderr)
-                for line in floor:
-                    print(f"  {line}", file=sys.stderr)
-                return _BENCH_REGRESSION_EXIT
-            print(f"vector speedup floor ({_VECTOR_MIN_SPEEDUP:.1f}x) "
-                  f"met vs {baseline_path}", file=sys.stderr)
     return 0
 
 
@@ -383,11 +357,8 @@ def _cmd_run(args) -> int:
     options = _options(args)
     compiled = compile_for_model(base, model, profile, machine, options)
     _print_degradations(compiled)
-    engine = args.engine
-    if engine is None and args.stream:
-        engine = "stream"
     result = run_compiled(compiled, inputs=None, watchdog=_watchdog(args),
-                          engine=engine)
+                          engine=args.engine)
     scalar = run_compiled(
         compile_for_model(base, Model.SUPERBLOCK, profile,
                           scalar_machine(), options),
@@ -451,8 +422,7 @@ def _cmd_bench(args) -> int:
 
 
 def _run_differential(workload, machine, args) -> None:
-    """Prove legacy, fastpath, streaming and vector agree on every
-    observable.
+    """Prove the legacy and vector engines agree on every observable.
 
     Raises :class:`~repro.robustness.errors.ModelDivergenceError` (CLI
     exit code 15) on the first divergence.
@@ -468,8 +438,8 @@ def _run_differential(workload, machine, args) -> None:
         assert_fastpath_equivalent(compiled, inputs=inputs,
                                    machine=machine,
                                    workload=workload.name)
-        print(f"differential {workload.name}/{model.value}: legacy, "
-              f"fastpath, streaming and vector agree", file=sys.stderr)
+        print(f"differential {workload.name}/{model.value}: legacy "
+              f"and vector agree", file=sys.stderr)
 
 
 def _cmd_report(args) -> int:
@@ -983,15 +953,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="compile, emulate and simulate a file")
     p.add_argument("file", help="MiniC source file, or - for stdin")
     p.add_argument("--model", choices=sorted(_MODELS), default="fullpred")
-    p.add_argument("--engine",
-                   choices=("legacy", "fastpath", "stream", "vector"),
-                   default=None,
-                   help="execution backend (default fastpath; all "
-                        "engines are byte-identical)")
-    p.add_argument("--stream", action="store_true",
-                   help="stream emulation chunks straight into the "
-                        "cycle simulator (no full trace in memory); "
-                        "same as --engine stream")
+    p.add_argument("--engine", choices=ENGINES, default=DEFAULT_ENGINE,
+                   help=f"execution engine (default {DEFAULT_ENGINE}; "
+                        "both are byte-identical)")
     _add_machine_args(p)
     _add_robustness_args(p)
     p.set_defaults(func=_cmd_run)
@@ -1007,9 +971,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeat", type=int, default=3,
                    help="timeit repetitions for --micro (default 3)")
     p.add_argument("--differential", action="store_true",
-                   help="after benchmarking, prove the legacy, "
-                        "fastpath, streaming and vector engines agree "
-                        "on every observable")
+                   help="after benchmarking, prove the legacy and "
+                        "vector engines agree on every observable")
     _add_machine_args(p)
     _add_robustness_args(p)
     _add_engine_args(p)

@@ -90,8 +90,9 @@ class PipelineMetrics:
     service_jobs_done: int = 0
     #: total service job execution wall time (queue wait excluded)
     service_seconds: float = 0.0
-    #: trace chunks consumed by the vector simulation backend (see
-    #: :mod:`repro.fastpath.vector`); stays 0 on the other engines
+    #: trace chunks consumed by the vector engine's simulator (see
+    #: :mod:`repro.fastpath.vector`); stays 0 on the legacy engine and
+    #: with the native kernels off
     vector_chunks_total: int = 0
     #: design-space sweep points evaluated (see :mod:`repro.sweep`)
     sweep_points_total: int = 0
@@ -108,7 +109,7 @@ class PipelineMetrics:
     hedged_shards: int = 0
     #: campaign workers declared dead after missed heartbeats
     workers_lost: int = 0
-    #: engine-ladder demotions (native→jitc→interpreter) recorded by
+    #: engine-ladder demotions (native→interpreter) recorded by
     #: the native-engine supervisor (see :mod:`repro.fastpath.supervisor`)
     engine_demotions: int = 0
     #: golden-trace parity canary failures (the ``.so`` was quarantined)
@@ -451,42 +452,6 @@ class PipelineMetrics:
 
 #: bound on the trajectory carried inside a bench JSON file
 _HISTORY_LIMIT = 50
-
-
-def vector_speedup_floor(current: dict, baseline: dict,
-                         min_speedup: float = 2.5,
-                         stages: tuple = ("emulate", "simulate"),
-                         min_seconds: float = 0.05) -> list[str]:
-    """Per-invocation speedup floor for the vector engine.
-
-    ``current`` is a bench-JSON dict from a vector-engine run,
-    ``baseline`` the committed fastpath baseline.  Each listed stage
-    must run at least ``min_speedup`` times faster per invocation than
-    the baseline; stages cheaper than ``min_seconds`` total in the
-    baseline are skipped as noise.  Returns one line per stage missing
-    the floor (empty = gate passed).
-    """
-    failures: list[str] = []
-    for name in stages:
-        base = baseline.get("stages", {}).get(name, {})
-        cur = current.get("stages", {}).get(name, {})
-        base_wall = base.get("wall_seconds", 0.0)
-        base_inv = base.get("invocations", 0)
-        cur_wall = cur.get("wall_seconds", 0.0)
-        cur_inv = cur.get("invocations", 0)
-        if base_wall < min_seconds or not base_inv or not cur_inv:
-            continue
-        base_per = base_wall / base_inv
-        cur_per = cur_wall / cur_inv
-        if cur_per <= 0:
-            continue
-        speedup = base_per / cur_per
-        if speedup < min_speedup:
-            failures.append(
-                f"{name}: {speedup:.2f}x per invocation vs baseline "
-                f"({cur_per * 1000:.2f} ms vs {base_per * 1000:.2f} ms; "
-                f"floor {min_speedup:.1f}x)")
-    return failures
 
 
 def compare_stage_walltimes(current: dict, baseline: dict,

@@ -24,12 +24,14 @@ from repro.analysis.profile import Profile
 from repro.emu.interpreter import run_program
 from repro.emu.trace import ExecutionResult
 from repro.engine import keys
+from repro.fastpath import native, vector
 from repro.fastpath.columns import TraceColumns
 from repro.fastpath.decode import DecodedProgram, decode_program
 from repro.fastpath.interp import run_program_fast
 from repro.fastpath.simulate import SimPrep, prepare_sim, simulate_columns
 from repro.engine.metrics import PipelineMetrics
 from repro.engine.store import ArtifactStore
+from repro.engines import DEFAULT_ENGINE, check_engine
 from repro.ir.function import Program
 from repro.ir.instruction import ensure_uid_headroom
 from repro.machine.descriptor import MachineDescription
@@ -62,31 +64,20 @@ class PipelineContext:
     wall_clock_budget: float | None = None
     store: ArtifactStore | None = None
     metrics: PipelineMetrics = field(default_factory=PipelineMetrics)
-    #: emulate/simulate through the pre-decoded fastpath (columnar
-    #: traces); False falls back to the legacy object-graph loops,
-    #: which remain the differential oracle
-    fastpath: bool = True
-    #: execution backend by name — "legacy", "fastpath", "stream" or
-    #: "vector"; overrides ``fastpath`` when given.  Every engine
-    #: produces bit-identical artifacts, so cache keys are engine-free
-    #: and warm artifacts are shared across engines.
-    engine: str | None = None
-    #: worker processes for intra-workload trace sharding on the
-    #: vector engine (ignored by the other engines)
-    jobs: int = 1
+    #: execution engine by name (see :mod:`repro.engines`).  Both
+    #: engines produce bit-identical artifacts, so cache keys are
+    #: engine-free and warm artifacts are shared across engines.
+    engine: str = DEFAULT_ENGINE
     #: whether this process may use the native (C) kernels.  Resolved
     #: once from the supervisor's per-process env snapshot, never from
     #: ``os.environ`` mid-run — a mid-run env mutation can't produce
     #: mixed-engine chunks within one workload.  Set False explicitly
-    #: to pin the pure-Python engines regardless of the snapshot.
+    #: to pin the vector engine's Python rung regardless of the
+    #: snapshot.
     native_enabled: bool | None = None
 
     def __post_init__(self):
-        if self.engine is None:
-            self.engine = "fastpath" if self.fastpath else "legacy"
-        if self.engine not in ("legacy", "fastpath", "stream", "vector"):
-            raise ValueError(f"unknown engine {self.engine!r}")
-        self.fastpath = self.engine != "legacy"
+        check_engine(self.engine)
         if self.native_enabled is None:
             from repro.fastpath import supervisor
             self.native_enabled = supervisor.native_enabled()
@@ -104,9 +95,9 @@ class PipelineContext:
         # simulation of that compiled program.
         self._decoded: dict[str, DecodedProgram] = {}
         self._prep: dict[str, SimPrep] = {}
-        # Vector-backend simulator tables (lazy numpy views over the
-        # SimPrep above), keyed the same way.
-        self._vprep: dict[str, object] = {}
+        # Vector-engine simulator tables (the native scan's CSR form of
+        # the SimPrep above), keyed the same way.
+        self._vprep: dict[str, vector.VectorSimPrep] = {}
 
     # ----- keys ---------------------------------------------------------
 
@@ -164,11 +155,10 @@ class PipelineContext:
         return prep
 
     def _vprep_for(self, compile_key: str, compiled: CompiledProgram,
-                   machine: MachineDescription):
+                   machine: MachineDescription) -> vector.VectorSimPrep:
         vprep = self._vprep.get(compile_key)
         if vprep is None:
-            from repro.fastpath.vector import VectorSimPrep
-            vprep = self._vprep[compile_key] = VectorSimPrep(
+            vprep = self._vprep[compile_key] = vector.VectorSimPrep(
                 self._prep_for(compile_key, compiled, machine))
         return vprep
 
@@ -244,32 +234,24 @@ class PipelineContext:
                 watchdog = EmulationWatchdog(
                     wall_clock_budget=self.wall_clock_budget)
             with self.metrics.timer("emulate"):
-                if self.engine == "vector":
-                    from repro.fastpath.native import run_program_native
-                    execution = run_program_native(
-                        compiled.program,
-                        inputs=workload.inputs(self.scale),
-                        collect_trace=True, max_steps=self.max_steps,
-                        watchdog=watchdog,
-                        decoded=self._decoded_for(
-                            self.compile_key(workload, model, machine),
-                            compiled),
-                        native=self.native_enabled)
-                elif self.fastpath:
-                    execution = run_program_fast(
-                        compiled.program,
-                        inputs=workload.inputs(self.scale),
-                        collect_trace=True, max_steps=self.max_steps,
-                        watchdog=watchdog,
-                        decoded=self._decoded_for(
-                            self.compile_key(workload, model, machine),
-                            compiled))
-                else:
+                inputs = workload.inputs(self.scale)
+                if self.engine == "legacy":
                     execution = run_program(
-                        compiled.program,
-                        inputs=workload.inputs(self.scale),
+                        compiled.program, inputs=inputs,
                         collect_trace=True, max_steps=self.max_steps,
                         watchdog=watchdog)
+                else:
+                    decoded = self._decoded_for(
+                        self.compile_key(workload, model, machine),
+                        compiled)
+                    # The native emulator falls back to the
+                    # interpreter by itself (watchdog, demotion).
+                    emulate = native.run_program_native \
+                        if self.native_enabled else run_program_fast
+                    execution = emulate(
+                        compiled.program, inputs=inputs,
+                        collect_trace=True, max_steps=self.max_steps,
+                        watchdog=watchdog, decoded=decoded)
             if self.paranoid:
                 check_trace_integrity(execution, compiled.program)
             if self.store is not None:
@@ -298,54 +280,26 @@ class PipelineContext:
         if summary is None:
             compiled = self.compiled(workload, model, machine)
             compile_key = self.compile_key(workload, model, machine)
-            if self.engine == "stream" and not self.paranoid:
-                # Fused emulate→simulate: the trace never materializes,
-                # so no execution artifact is produced (or stored — a
-                # trace-less execution must not shadow the shared,
-                # engine-free execution key).  Paranoid mode needs the
-                # trace for integrity replay and takes the unfused path.
-                from repro.fastpath.simulate import \
-                    emulate_and_simulate_stream
-                watchdog = None
-                if self.wall_clock_budget is not None:
-                    watchdog = EmulationWatchdog(
-                        wall_clock_budget=self.wall_clock_budget)
-                execution, stats = emulate_and_simulate_stream(
-                    compiled.program, compiled.addresses, machine,
-                    inputs=workload.inputs(self.scale),
-                    max_steps=self.max_steps, watchdog=watchdog,
-                    decoded=self._decoded_for(compile_key, compiled),
-                    prep=self._prep_for(compile_key, compiled, machine),
-                    metrics=self.metrics)
-            else:
-                execution = self.execution(workload, model, machine)
-                if execution.trace is None:
-                    raise TraceIntegrityError(
-                        f"{workload.name}/{model.value}: emulation "
-                        f"produced no trace")
-                with self.metrics.timer("simulate"):
-                    trace = execution.trace
-                    if isinstance(trace, TraceColumns) \
-                            and self.engine == "vector":
-                        from repro.fastpath.vector import \
-                            simulate_columns_vector
-                        stats = simulate_columns_vector(
-                            trace,
-                            self._vprep_for(compile_key, compiled,
-                                            machine),
-                            machine, jobs=self.jobs,
-                            task_key=machine.schedule_digest(),
-                            metrics=self.metrics,
-                            native=self.native_enabled)
-                    elif isinstance(trace, TraceColumns):
-                        stats = simulate_columns(
-                            trace,
-                            self._prep_for(compile_key, compiled,
-                                           machine),
-                            machine)
-                    else:
-                        stats = simulate_trace(trace, compiled.addresses,
-                                               machine)
+            execution = self.execution(workload, model, machine)
+            trace = execution.trace
+            if trace is None:
+                raise TraceIntegrityError(
+                    f"{workload.name}/{model.value}: emulation "
+                    f"produced no trace")
+            with self.metrics.timer("simulate"):
+                if not isinstance(trace, TraceColumns):
+                    stats = simulate_trace(trace, compiled.addresses,
+                                           machine)
+                elif self.native_enabled:
+                    stats = vector.simulate_columns_vector(
+                        trace,
+                        self._vprep_for(compile_key, compiled, machine),
+                        machine, metrics=self.metrics)
+                else:
+                    stats = simulate_columns(
+                        trace,
+                        self._prep_for(compile_key, compiled, machine),
+                        machine)
             self.metrics.add_cycles(stats.cycles)
             summary = RunSummary(stats=stats,
                                  return_value=execution.return_value,

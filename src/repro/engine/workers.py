@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.engine.stages import PipelineContext
 from repro.engine.store import ArtifactStore
+from repro.engines import DEFAULT_ENGINE
 from repro.machine.descriptor import MachineDescription
 from repro.toolchain import Model, ToolchainOptions
 from repro.workloads.base import get_workload
@@ -32,10 +33,8 @@ class JobSpec:
     max_steps: int
     paranoid: bool = False
     wall_clock_budget: float | None = None
-    #: execution backend ("legacy"/"fastpath"/"stream"/"vector");
-    #: workers never shard further (jobs stays 1 — they already run
-    #: inside the pool)
-    engine: str = "fastpath"
+    #: execution engine (see :mod:`repro.engines`)
+    engine: str = DEFAULT_ENGINE
 
     def context(self) -> PipelineContext:
         return PipelineContext(

@@ -35,6 +35,7 @@ from repro.engine.stages import PipelineContext, RunSummary
 from repro.engine.store import ArtifactStore
 from repro.engine.workers import (JobSpec, compile_emulate,
                                   prepare_workload, simulate)
+from repro.engines import DEFAULT_ENGINE
 from repro.ir.function import IRError
 from repro.machine.descriptor import (CacheConfig, MachineDescription,
                                       fig8_machine, fig9_machine,
@@ -117,10 +118,10 @@ class ExperimentSuite:
     wall_clock_budget: float | None = None
     cache_dir: str | None = None
     jobs: int = 1
-    #: execution backend for emulate/simulate ("legacy", "fastpath",
-    #: "stream" or "vector"); artifacts are engine-free, so mixing
-    #: engines over one store is safe and byte-identical
-    engine: str = "fastpath"
+    #: execution engine for emulate/simulate (see :mod:`repro.engines`);
+    #: artifacts are engine-free, so mixing engines over one store is
+    #: safe and byte-identical
+    engine: str = DEFAULT_ENGINE
     run_id: str | None = None
     resume: bool = False
     retry: RetryPolicy | None = None
@@ -142,7 +143,7 @@ class ExperimentSuite:
             scale=self.scale, options=self.options,
             max_steps=self.max_steps, paranoid=self.paranoid,
             wall_clock_budget=self.wall_clock_budget, store=store,
-            engine=self.engine, jobs=self.jobs)
+            engine=self.engine)
         self._by_name = {w.name: w for w in self.workloads}
         self.failures: list[WorkloadFailure] = []
         self._failed: set[str] = set()

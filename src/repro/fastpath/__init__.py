@@ -1,5 +1,5 @@
-"""Fastpath: pre-decoded micro-ops, columnar traces, and streaming
-emulate→simulate.
+"""Fastpath: the ``vector`` engine — pre-decoded micro-ops, columnar
+traces, native kernels and one pure-Python rung.
 
 The legacy object-graph interpreter (``repro.emu.interpreter``) and trace
 simulator (``repro.sim.pipeline``) pay per-dynamic-instruction Python
@@ -7,12 +7,19 @@ overhead: attribute chasing on ``Instruction`` dataclasses, a
 ``TraceEvent`` NamedTuple allocated per fetch, and a fully materialized
 ``list[TraceEvent]`` handed between stages.  This package lowers a
 compiled :class:`~repro.ir.function.Program` into flat, integer-indexed
-structures once (:mod:`repro.fastpath.decode`), executes it with an
-int-dispatched interpreter emitting a columnar trace
-(:mod:`repro.fastpath.interp`, :mod:`repro.fastpath.columns`), and
-simulates straight off the columns — optionally streaming fixed-size
-chunks from emulator to simulator without materializing the full trace
-(:mod:`repro.fastpath.simulate`).
+structures once (:mod:`repro.fastpath.decode`) and runs it two ways,
+byte-identically:
+
+* **native** — C kernels (:mod:`repro.fastpath.native`, trusted through
+  :mod:`repro.fastpath.supervisor`) emulate to columnar trace chunks
+  (:mod:`repro.fastpath.columns`) and scan them through the cycle
+  model (:mod:`repro.fastpath.vector`);
+* **Python rung** — the int-dispatched interpreter
+  (:mod:`repro.fastpath.interp`) and the incremental column simulator
+  (:mod:`repro.fastpath.simulate`), used when no C compiler is present,
+  under ``REPRO_NATIVE=0`` and after a kernel fault (the carried
+  simulator state is handed over mid-run); emulation also runs here
+  under a wall-clock watchdog, which needs in-loop heartbeats.
 
 The legacy path stays untouched as the differential oracle; see
 ``repro.robustness.differential.assert_fastpath_equivalent``.

@@ -1,7 +1,7 @@
 """Timeit microbenchmarks for the hot loops (``repro bench --micro``).
 
-Six benchmarks, each pitting a baseline against its faster replacement
-on identical work:
+Three benchmarks, each pitting the legacy reference against the
+vector engine's pure-Python rung on identical work:
 
 * **dispatch** — full interpreter run of a small predicated kernel
   (:func:`~repro.emu.interpreter.run_program` vs
@@ -12,16 +12,7 @@ on identical work:
 * **issue-loop** — cycle simulation of a recorded trace
   (:func:`~repro.sim.pipeline.simulate_trace` vs
   :func:`~repro.fastpath.simulate.simulate_columns`), normalized per
-  trace event;
-* **chunk-sim** — chunked cycle simulation of the same trace
-  (:class:`~repro.fastpath.simulate.StreamSimulator` vs
-  :class:`~repro.fastpath.vector.VectorSimulator`), normalized per
-  trace event;
-* **stitch** — the same comparison on deliberately tiny chunks, so
-  chunk-boundary state stitching dominates, normalized per chunk;
-* **specialize** — vector-backend specialization (tables rebuilt every
-  run) amortized over a short vs a long trace: the speedup is the
-  amortization factor trace length buys, not an engine comparison.
+  trace event.
 
 Everything runs on :mod:`timeit` from the standard library; the
 ``benchmarks/perf/`` scripts are thin wrappers over this module so the
@@ -155,94 +146,9 @@ def bench_issue_loop(repeat: int = 3) -> MicroResult:
     return MicroResult("issue-loop", "trace event", legacy, fast)
 
 
-def _vector_fixture():
-    """Shared fixture for the vector benches: trace + sim tables."""
-    from repro.fastpath.decode import decode_program
-    from repro.fastpath.interp import run_program_fast
-    from repro.fastpath.simulate import prepare_sim
-    from repro.fastpath.vector import VectorSimPrep
-
-    compiled, machine = _compiled_kernel()
-    decoded = decode_program(compiled.program)
-    cols = run_program_fast(compiled.program, collect_trace=True,
-                            decoded=decoded).trace
-    prep = prepare_sim(decoded, compiled.addresses, machine)
-    return cols, prep, VectorSimPrep(prep), machine
-
-
-def _feed_chunked(sim, cols, chunk_events: int) -> None:
-    for chunk in cols.chunks(chunk_events):
-        sim.feed(chunk)
-    sim.finish()
-
-
-def bench_chunk_simulate(repeat: int = 3) -> MicroResult:
-    """Chunked cycle simulation: stream scalar loop vs vector backend."""
-    from repro.fastpath.simulate import StreamSimulator
-    from repro.fastpath.vector import VectorSimulator
-
-    cols, prep, vprep, machine = _vector_fixture()
-    vprep.native_tables()  # specialize once; chunk-sim measures feeds
-    size = 1 << 14
-    legacy = _time_per_unit(
-        lambda: _feed_chunked(StreamSimulator(prep, machine), cols, size),
-        len(cols), repeat)
-    fast = _time_per_unit(
-        lambda: _feed_chunked(VectorSimulator(vprep, machine), cols,
-                              size),
-        len(cols), repeat)
-    return MicroResult("chunk-sim", "trace event", legacy, fast)
-
-
-def bench_boundary_stitch(repeat: int = 3,
-                          chunk_events: int = 256) -> MicroResult:
-    """Tiny chunks, so per-boundary state stitching dominates."""
-    from repro.fastpath.simulate import StreamSimulator
-    from repro.fastpath.vector import VectorSimulator
-
-    cols, prep, vprep, machine = _vector_fixture()
-    vprep.native_tables()
-    boundaries = max(1, -(-len(cols) // chunk_events))
-    legacy = _time_per_unit(
-        lambda: _feed_chunked(StreamSimulator(prep, machine), cols,
-                              chunk_events),
-        boundaries, repeat)
-    fast = _time_per_unit(
-        lambda: _feed_chunked(VectorSimulator(vprep, machine), cols,
-                              chunk_events),
-        boundaries, repeat)
-    return MicroResult("stitch", "chunk", legacy, fast)
-
-
-def bench_specialize(repeat: int = 3,
-                     short_events: int = 2048) -> MicroResult:
-    """Specialization cost vs trace length.
-
-    Both sides rebuild the vector tables from the bare ``SimPrep``
-    every run; the "legacy" side then simulates only a short prefix
-    while the "fast" side simulates the whole trace.  The speedup is
-    how much the per-event specialization premium shrinks as the trace
-    grows — an amortization factor, not an engine-vs-engine number.
-    """
-    from repro.fastpath.vector import VectorSimPrep, VectorSimulator
-
-    cols, prep, _, machine = _vector_fixture()
-    short = next(cols.chunks(short_events))
-
-    def run(trace):
-        sim = VectorSimulator(VectorSimPrep(prep), machine)
-        sim.feed(trace)
-        sim.finish()
-
-    legacy = _time_per_unit(lambda: run(short), len(short), repeat)
-    fast = _time_per_unit(lambda: run(cols), len(cols), repeat)
-    return MicroResult("specialize", "trace event", legacy, fast)
-
-
 def run_all(repeat: int = 3) -> list[MicroResult]:
     return [bench_dispatch(repeat), bench_trace_append(repeat),
-            bench_issue_loop(repeat), bench_chunk_simulate(repeat),
-            bench_boundary_stitch(repeat), bench_specialize(repeat)]
+            bench_issue_loop(repeat)]
 
 
 def render(results: list[MicroResult]) -> str:

@@ -8,8 +8,10 @@ subprocess canary, the golden parity replay, and the degradation
 ladder all live in :mod:`repro.fastpath.supervisor`.  Every failure is
 typed and demotes the process one rung — no compiler, a failed build,
 a failed probe, a parity mismatch, a kernel crash, or
-``REPRO_NATIVE=0`` all degrade to the pure-Python engines with
-byte-identical results.
+``REPRO_NATIVE=0`` all degrade to the pure-Python rung
+(:func:`~repro.fastpath.interp.run_program_fast` and
+:class:`~repro.fastpath.simulate.StreamSimulator`) with byte-identical
+results.
 
 Two kernels:
 
@@ -23,8 +25,8 @@ Two kernels:
   resumes, so sink chunk boundaries match the serial engine exactly.
 * :func:`sim_scan_chunk` — one ``StreamSimulator.feed`` pass over a
   chunk with all carried state (scoreboard, BTB, cache tags, issue
-  counters) in caller-owned numpy arrays, used by the vector engine's
-  serial path.
+  counters) in caller-owned numpy arrays, driven by
+  :class:`~repro.fastpath.vector.VectorSimulator`.
 
 The emulator marshals a :class:`DecodedProgram` once into flat int32/
 int64/float64 arrays (:class:`NativeProgram`, cached per decoded
@@ -53,6 +55,7 @@ from repro.fastpath.decode import (
     K_BRANCH, K_CALL, K_CMOV, K_CMP, K_DIV, K_FDIV, K_FLOAD, K_JUMP,
     K_LOAD, K_LOAD_B, K_NOP, K_PREDDEF, K_PREDSET, K_REM, K_RET,
     K_STORE, K_STORE_B, K_FSTORE, DecodedProgram, decode_program)
+from repro.fastpath.interp import run_program_fast
 
 if TYPE_CHECKING:
     from repro.fastpath.simulate import SimPrep
@@ -522,28 +525,27 @@ def run_program_native(program: "Program",
 
     Requires tracing (``collect_trace`` or ``sink``) and no watchdog —
     the watchdog contract needs in-loop heartbeats, which stay on the
-    Python engines.  Unsupported modes (and a missing kernel) delegate
-    to :func:`repro.fastpath.jitc.run_program_jit`, which itself falls
-    back further; results are identical on every path.
+    interpreter.  Unsupported modes (and a missing kernel) delegate to
+    :func:`repro.fastpath.interp.run_program_fast`; results are
+    identical on both paths.
 
     ``native=False`` skips the kernel outright — callers thread the
     :class:`~repro.engine.stages.PipelineContext`'s once-per-process
     engine resolution through here instead of re-reading the
     environment.  A kernel fault mid-run (injected or real) demotes
-    the process and either reruns on the next rung (when no chunk
+    the process and either reruns on the interpreter (when no chunk
     left this function yet) or re-raises the typed, transient
     :class:`NativeKernelCrash` for the scheduler's retry.
     """
-    from repro.fastpath.jitc import run_program_jit
     lib = None if native is False else _get_lib()
     tracing = collect_trace or sink is not None
     if lib is None or watchdog is not None or not tracing:
-        return run_program_jit(program, inputs=inputs,
-                               collect_trace=collect_trace,
-                               max_steps=max_steps, watchdog=watchdog,
-                               sink=sink,
-                               chunk_events=chunk_events or (1 << 16),
-                               decoded=decoded)
+        return run_program_fast(program, inputs=inputs,
+                                collect_trace=collect_trace,
+                                max_steps=max_steps, watchdog=watchdog,
+                                sink=sink,
+                                chunk_events=chunk_events or (1 << 16),
+                                decoded=decoded)
     if decoded is None:
         decoded = decode_program(program)
     if chunk_events is None:
@@ -596,11 +598,11 @@ def run_program_native(program: "Program",
         ctypes.POINTER(ctypes.c_int64)))
     if not handle:
         del membuf
-        return run_program_jit(program, inputs=inputs,
-                               collect_trace=collect_trace,
-                               max_steps=max_steps, watchdog=watchdog,
-                               sink=sink, chunk_events=chunk_events,
-                               decoded=decoded)
+        return run_program_fast(program, inputs=inputs,
+                                collect_trace=collect_trace,
+                                max_steps=max_steps, watchdog=watchdog,
+                                sink=sink, chunk_events=chunk_events,
+                                decoded=decoded)
 
     from repro.fastpath import supervisor
     from repro.robustness.errors import NativeKernelCrash
@@ -661,18 +663,18 @@ def run_program_native(program: "Program",
             del membuf
     except NativeKernelCrash as crash:
         # The emulator kernel faulted mid-run.  Demote the process
-        # first; then either rerun from scratch on the next rung (no
+        # first; then either rerun from scratch on the interpreter (no
         # chunk has left this function, so the result is identical) or
         # surface the typed transient error — the sink already
         # consumed chunks, and only the caller can restart the stream.
         supervisor.report_kernel_fault(crash)
         if flushed:
             raise
-        return run_program_jit(program, inputs=inputs,
-                               collect_trace=collect_trace,
-                               max_steps=max_steps, watchdog=watchdog,
-                               sink=sink, chunk_events=chunk_events,
-                               decoded=decoded)
+        return run_program_fast(program, inputs=inputs,
+                                collect_trace=collect_trace,
+                                max_steps=max_steps, watchdog=watchdog,
+                                sink=sink, chunk_events=chunk_events,
+                                decoded=decoded)
 
     wall_time = time.monotonic() - started
     value = float(out_f[0]) if out[2] else int(out[3])

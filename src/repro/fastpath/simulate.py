@@ -9,7 +9,10 @@ BTB, optional blocking I/D caches) but no per-event attribute lookups.
 
 Because the simulator is incremental (``feed`` chunks, then ``finish``),
 it composes with the streaming emulator: :func:`emulate_and_simulate_stream`
-runs emulate→simulate with the trace never materialized.
+runs emulate→simulate with the trace never materialized.  Both are the
+pure-Python rung of the ``vector`` engine (:mod:`repro.fastpath.vector`),
+which hands its carried state to a ``StreamSimulator`` whenever the
+native scan kernel is unavailable or faults.
 
 Register identity note: the legacy simulator keys its ``ready`` table by
 register *objects* across the whole trace, so equal ``VReg``/``PReg``
@@ -19,6 +22,7 @@ reproduces this with one program-wide object→dense-id map.
 
 from __future__ import annotations
 
+import hashlib
 from typing import TYPE_CHECKING
 
 from repro.fastpath.columns import TraceColumns
@@ -265,6 +269,41 @@ class StreamSimulator:
         self.suppressed_n = suppressed_n
         self.branches = branches
         self.mispredictions = mispredictions
+
+    def boundary_snapshot(self) -> dict:
+        """Canonical inter-chunk state, independent of how the trace
+        was chunked.
+
+        Register ready times at or before the current cycle can never
+        delay a later event (issue never happens before ``cur``), so
+        they are dropped — this is what makes the snapshot identical
+        whether the simulator got here in one chunk or many.
+        """
+        cur = self.cur_cycle
+        icache, dcache = self.icache, self.dcache
+        return {
+            "cur_cycle": cur,
+            "slots": self.slots,
+            "branch_slots": self.branch_slots,
+            "fetch_available": self.fetch_available,
+            "mem_busy_until": self.mem_busy_until,
+            "ready": tuple((r, t) for r, t in enumerate(self.ready)
+                           if t > cur),
+            "btb_tags": tuple(self.btb.tags),
+            "btb_counters": tuple(self.btb.counters),
+            "ic_tags": None if icache is None else tuple(icache.tags),
+            "dc_tags": None if dcache is None else tuple(dcache.tags),
+            "counters": (self.dynamic, self.executed_n,
+                         self.suppressed_n, self.branches,
+                         self.mispredictions,
+                         *((icache.accesses, icache.misses,
+                            dcache.accesses, dcache.misses)
+                           if icache is not None else (0, 0, 0, 0))),
+        }
+
+    def boundary_digest(self) -> str:
+        payload = repr(sorted(self.boundary_snapshot().items()))
+        return hashlib.sha256(payload.encode()).hexdigest()
 
     def finish(self) -> SimulationStats:
         stats = SimulationStats(

@@ -30,8 +30,10 @@ compiler.  This module owns everything about *trusting* that code:
   trusts it — a mismatch quarantines and demotes.
 
 * **Degradation ladder.**  Any typed failure demotes the *process*
-  one rung — native → jitc → interpreter — recorded as a structured
-  :class:`DegradationEvent` plus counters (``engine_demotions``,
+  from the native rung to the interpreter (the pure-Python
+  :func:`~repro.fastpath.interp.run_program_fast` and
+  :class:`~repro.fastpath.simulate.StreamSimulator`), recorded as a
+  structured :class:`DegradationEvent` plus counters (``engine_demotions``,
   ``native_parity_failures``, ``native_kernel_crashes``,
   ``kernel_cache_quarantined``) that :func:`drain_into` folds into a
   :class:`~repro.engine.metrics.PipelineMetrics`, so demotions reach
@@ -63,7 +65,7 @@ from repro.robustness.errors import (NativeBuildError, NativeEngineError,
                                      NativeToolchainMissing, ReproError)
 
 #: the degradation ladder, best rung first; every rung is byte-identical
-ENGINE_LADDER = ("native", "jitc", "interpreter")
+ENGINE_LADDER = ("native", "interpreter")
 
 #: compiler names probed in order
 _DEFAULT_COMPILERS = ("cc", "gcc")
@@ -122,7 +124,7 @@ class DegradationEvent:
     """One structured record of the process losing an engine rung."""
 
     at: float                  # time.time() of the demotion
-    from_engine: str           # rung lost ("native", "jitc")
+    from_engine: str           # rung lost ("native")
     to_engine: str             # rung now active
     reason: str                # human-readable cause
     error: str = ""            # taxonomy class name, when one applies
@@ -161,7 +163,7 @@ class _State:
         if not self.enabled:
             # REPRO_NATIVE=0 is a configuration choice, not a failure:
             # start below the native rung without a demotion event.
-            self.engine = "jitc"
+            self.engine = "interpreter"
 
 
 _lock = threading.RLock()
@@ -231,9 +233,9 @@ def native_active() -> bool:
 
 
 def demote(reason: str, error: str = "") -> str:
-    """Drop one rung; record the structured event.  Returns the new
-    rung.  Demoting below the last rung is a no-op (the interpreter
-    cannot fail this way)."""
+    """Drop to the next rung; record the structured event.  Returns
+    the new rung.  Demoting below the last rung is a no-op (the
+    interpreter cannot fail this way)."""
     with _lock:
         state = _get_state()
         idx = ENGINE_LADDER.index(state.engine)
@@ -515,8 +517,9 @@ def golden_digest(native: bool) -> str:
     surface (return value, counts, store-stream signature, memory
     digest, branch outcomes and block counts *in insertion order*, the
     raw trace columns); the simulation side digests the cycle stats
-    plus the simulator's boundary digest.  ``native=True`` runs both
-    kernels; ``native=False`` runs the pure-Python twins.
+    plus the simulator's boundary digest (ready times, BTB, cache tags
+    and counters).  ``native=True`` runs both kernels; ``native=False``
+    runs the pure-Python rung.
     """
     compiled, decoded, machine = _golden_program()
     if native:

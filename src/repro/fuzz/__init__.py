@@ -11,8 +11,8 @@ systematically hunts for them:
   promotion, OR-tree reduction and cmov lowering;
 * :mod:`repro.fuzz.executor` — differential executor: every case is
   compiled under all three models and cross-checked over return value,
-  store stream and memory digest, across the legacy, fastpath and
-  streaming engines, under the emulation watchdog;
+  store stream and memory digest, across the legacy and vector
+  engines, under the emulation watchdog;
 * :mod:`repro.fuzz.triage` — normalized crash signatures (exception
   type + stable frame fingerprint, or divergence kind + first divergent
   store) and finding deduplication;

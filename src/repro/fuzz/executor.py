@@ -1,12 +1,12 @@
 """Differential executor: one fuzz case through all models and engines.
 
 Each case is compiled under SUPERBLOCK, CMOV and FULLPRED.  Every model
-is first self-checked across the four execution engines (legacy
-object-graph, columnar fastpath, streaming, vector) by
+is first self-checked across the two execution engines (the legacy
+reference and vector) by
 :func:`~repro.robustness.differential.assert_fastpath_equivalent`, then
 cross-checked against the SUPERBLOCK reference over return value, store
 stream and memory digest by
-:func:`~repro.robustness.differential.assert_equivalent` — twelve
+:func:`~repro.robustness.differential.assert_equivalent` — six
 executions per case, every one under a fresh wall-clock watchdog so a
 looping miscompile becomes a classified ``hang`` finding instead of a
 stuck campaign.
@@ -46,7 +46,7 @@ class ExecutorConfig:
     """
 
     max_steps: int = 400_000
-    #: wall seconds per engine run (twelve runs per case)
+    #: wall seconds per engine run (six runs per case)
     wall_budget: float = 10.0
     issue_width: int = 8
     branch_issue_limit: int = 1

@@ -397,7 +397,7 @@ def _native_chaos_program():
                                      machine)
         reference = _observables(run_compiled(
             compiled, inputs=CAMPAIGN_INPUTS, machine=machine,
-            engine="fastpath"))
+            engine="legacy"))
         _NATIVE_CHAOS = (compiled, machine, reference)
     return _NATIVE_CHAOS
 

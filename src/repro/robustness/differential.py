@@ -63,8 +63,8 @@ def assert_equivalent(candidate: ExecutionResult,
             workload=workload, model=model, kind="memory-state")
 
 
-#: ExecutionResult fields the fastpath must reproduce *exactly* (no
-#: float tolerance: the two interpreters share arithmetic, so the only
+#: ExecutionResult fields the vector engine must reproduce *exactly*
+#: (no float tolerance: the engines share arithmetic, so the only
 #: acceptable difference is wall time).
 _EXACT_FIELDS = ("return_value", "dynamic_count", "suppressed_count",
                  "branch_outcomes", "block_counts", "output_signature",
@@ -76,27 +76,23 @@ def assert_fastpath_equivalent(compiled, inputs=None, machine=None,
                                *, workload: str = "?",
                                wall_budget: float | None = None
                                ) -> ExecutionResult:
-    """Differential mode for the fastpath: legacy vs fast vs streaming.
+    """Differential mode for the vector engine: legacy vs vector.
 
-    Runs the legacy object-graph emulate+simulate, the columnar
-    fastpath, and the streaming emulate→simulate on ``compiled`` and
-    raises :class:`ModelDivergenceError` unless every execution
-    observable, every trace event, and every ``SimulationStats`` field
-    is identical.  This is the oracle behind the ``--differential``
-    CLI flag and the acceptance gate for the fastpath.
+    Runs the legacy object-graph emulate+simulate and the fused vector
+    emulate→simulate on ``compiled`` and raises
+    :class:`ModelDivergenceError` unless every execution observable and
+    every ``SimulationStats`` field is identical.  This is the oracle
+    behind the ``--differential`` CLI flag.
 
     ``wall_budget`` arms a fresh :class:`EmulationWatchdog` per engine
-    run (fresh, because budgets are per-execution, not per-oracle call).
-    Returns the legacy :class:`ExecutionResult` so callers layering a
-    cross-model comparison on top — the fuzz executor — can reuse it
-    as that model's canonical execution instead of running a fourth
-    time.
+    run (fresh, because budgets are per-execution, not per-oracle
+    call); under a watchdog the vector engine emulates on its Python
+    rung.  Returns the legacy :class:`ExecutionResult` so callers
+    layering a cross-model comparison on top — the fuzz executor — can
+    reuse it as that model's canonical execution.
     """
     from repro.emu.interpreter import run_program
-    from repro.fastpath.decode import decode_program
-    from repro.fastpath.interp import run_program_fast
-    from repro.fastpath.simulate import (emulate_and_simulate_stream,
-                                         prepare_sim, simulate_columns)
+    from repro.fastpath.vector import emulate_and_simulate_vector
     from repro.robustness.watchdog import EmulationWatchdog
     from repro.sim.pipeline import simulate_trace
 
@@ -112,61 +108,11 @@ def assert_fastpath_equivalent(compiled, inputs=None, machine=None,
     legacy = run_program(compiled.program, inputs=inputs,
                          collect_trace=True, max_steps=max_steps,
                          watchdog=watchdog())
-    decoded = decode_program(compiled.program)
-    fast = run_program_fast(compiled.program, inputs=inputs,
-                            collect_trace=True, max_steps=max_steps,
-                            decoded=decoded, watchdog=watchdog())
-    for fname in _EXACT_FIELDS:
-        a, b = getattr(fast, fname), getattr(legacy, fname)
-        if a != b:
-            raise ModelDivergenceError(
-                f"{workload}: fastpath emulation of {model} diverges on "
-                f"{fname}: {a!r} vs legacy {b!r}",
-                workload=workload, model=model, kind=f"fastpath-{fname}")
-    if fast.trace.to_events(decoded) != legacy.trace:
-        raise ModelDivergenceError(
-            f"{workload}: fastpath columnar trace of {model} does not "
-            f"replay to the legacy event sequence",
-            workload=workload, model=model, kind="fastpath-trace")
-
-    prep = prepare_sim(decoded, compiled.addresses, machine)
     legacy_stats = simulate_trace(legacy.trace, compiled.addresses,
                                   machine)
-    fast_stats = simulate_columns(fast.trace, prep, machine)
-    if fast_stats != legacy_stats:
-        raise ModelDivergenceError(
-            f"{workload}: fastpath simulation of {model} diverges: "
-            f"{fast_stats} vs legacy {legacy_stats}",
-            workload=workload, model=model, kind="fastpath-stats")
-
-    streamed, stream_stats = emulate_and_simulate_stream(
-        compiled.program, compiled.addresses, machine, inputs=inputs,
-        max_steps=max_steps, decoded=decoded, prep=prep,
-        watchdog=watchdog())
-    if stream_stats != legacy_stats:
-        raise ModelDivergenceError(
-            f"{workload}: streaming simulation of {model} diverges: "
-            f"{stream_stats} vs legacy {legacy_stats}",
-            workload=workload, model=model, kind="fastpath-stream")
-    for fname in _EXACT_FIELDS:
-        a, b = getattr(streamed, fname), getattr(legacy, fname)
-        if a != b:
-            raise ModelDivergenceError(
-                f"{workload}: streaming emulation of {model} diverges "
-                f"on {fname}: {a!r} vs legacy {b!r}",
-                workload=workload, model=model,
-                kind=f"fastpath-stream-{fname}")
-
-    from repro.fastpath.vector import emulate_and_simulate_vector
     vectored, vector_stats = emulate_and_simulate_vector(
         compiled.program, compiled.addresses, machine, inputs=inputs,
-        max_steps=max_steps, decoded=decoded, prep=prep,
-        watchdog=watchdog())
-    if vector_stats != legacy_stats:
-        raise ModelDivergenceError(
-            f"{workload}: vector simulation of {model} diverges: "
-            f"{vector_stats} vs legacy {legacy_stats}",
-            workload=workload, model=model, kind="fastpath-vector")
+        max_steps=max_steps, watchdog=watchdog())
     for fname in _EXACT_FIELDS:
         a, b = getattr(vectored, fname), getattr(legacy, fname)
         if a != b:
@@ -175,4 +121,9 @@ def assert_fastpath_equivalent(compiled, inputs=None, machine=None,
                 f"on {fname}: {a!r} vs legacy {b!r}",
                 workload=workload, model=model,
                 kind=f"fastpath-vector-{fname}")
+    if vector_stats != legacy_stats:
+        raise ModelDivergenceError(
+            f"{workload}: vector simulation of {model} diverges: "
+            f"{vector_stats} vs legacy {legacy_stats}",
+            workload=workload, model=model, kind="fastpath-vector")
     return legacy

@@ -57,6 +57,7 @@ import threading
 import time
 
 from repro.engine.recovery.journal import journal_path, replay_journal
+from repro.engines import DEFAULT_ENGINE
 from repro.robustness.chaos import _DEADLINE_SECONDS, ChaosReport
 from repro.robustness.errors import (QuotaExceededError,
                                      ServiceOverloadedError)
@@ -395,7 +396,7 @@ def _inject_cluster_worker_loss() -> ChaosReport:
     with tempfile.TemporaryDirectory(prefix="repro-clu-chaos-") as tmp:
         cache = os.path.join(tmp, "cache")
         config = ClusterConfig(worker_grace=5.0, lease_timeout=2.0)
-        open_campaign(cache, spec, config, "fastpath")
+        open_campaign(cache, spec, config, DEFAULT_ENGINE)
         victim = subprocess.Popen(
             [sys.executable, "-c",
              _VICTIM_WORKER.format(src=_repro_src_dir(), cache=cache)],

@@ -52,6 +52,7 @@ from repro.engine.recovery.leases import (ShardLease, ShardLeaseStore,
 from repro.engine.recovery.locks import (FileLock, LeaseObserver,
                                          _pid_alive, new_owner_token)
 from repro.engine.recovery.retry import RetryPolicy, is_transient
+from repro.engines import DEFAULT_ENGINE, check_engine
 from repro.fuzz.runner import shard_ranges
 from repro.machine.descriptor import scalar_machine
 from repro.robustness import errors as _errors
@@ -137,6 +138,7 @@ def open_campaign(cache_dir: str, spec: SweepSpec,
     coordinator finds the manifest, the done markers and the leases
     exactly where its predecessor left them and resumes monitoring.
     """
+    check_engine(engine)
     digest = spec.sweep_digest()
     cdir = campaign_dir(cache_dir, digest)
     cdir.mkdir(parents=True, exist_ok=True)
@@ -435,7 +437,7 @@ def execute_shard(cache_dir: str, work: dict, ops,
     spec = SweepSpec.from_dict(manifest["spec"])
     by_index = {p.index: p for p in spec.expand()}
     indices = shard_points(manifest, work["shard"])
-    engine = manifest.get("engine", "fastpath")
+    engine = check_engine(manifest.get("engine", DEFAULT_ENGINE))
     pump = _HeartbeatPump(ops, work["campaign"], work["lease"],
                           worker_id,
                           float(manifest.get("heartbeat_interval",
@@ -589,7 +591,7 @@ def run_cluster_sweep(spec: SweepSpec, cache_dir: str,
                       retry: RetryPolicy | None = None,
                       wall_clock_budget: float | None = None,
                       metrics: PipelineMetrics | None = None,
-                      engine: str = "fastpath") -> SweepOutcome:
+                      engine: str = DEFAULT_ENGINE) -> SweepOutcome:
     """Coordinate one sweep campaign across registered workers.
 
     Publishes the manifest, waits up to ``worker_grace`` for workers,

@@ -33,6 +33,7 @@ from repro.engine.scheduler import Job
 from repro.engine.stages import PipelineContext
 from repro.engine.store import ArtifactStore
 from repro.engine.workers import compile_emulate, prepare_workload
+from repro.engines import DEFAULT_ENGINE
 from repro.experiments.runner import ExperimentSuite
 from repro.machine.descriptor import MachineDescription, scalar_machine
 from repro.sweep.result import SweepResult, build_point_entry
@@ -65,7 +66,7 @@ class PointJobSpec:
     max_steps: int
     options: ToolchainOptions = field(default_factory=ToolchainOptions)
     wall_clock_budget: float | None = None
-    engine: str = "fastpath"
+    engine: str = DEFAULT_ENGINE
 
 
 def make_point_spec(spec: SweepSpec, cache_dir: str,
@@ -73,7 +74,7 @@ def make_point_spec(spec: SweepSpec, cache_dir: str,
                     model_names: tuple[str, ...] | None = None, *,
                     options: ToolchainOptions | None = None,
                     wall_clock_budget: float | None = None,
-                    engine: str = "fastpath") -> PointJobSpec:
+                    engine: str = DEFAULT_ENGINE) -> PointJobSpec:
     """The :class:`PointJobSpec` for one machine of a sweep campaign.
 
     Shared by the in-process plan builder and the cluster workers
@@ -133,7 +134,7 @@ def run_sweep(spec: SweepSpec, cache_dir: str | None = None,
               resume: bool = False, retry: RetryPolicy | None = None,
               wall_clock_budget: float | None = None,
               metrics: PipelineMetrics | None = None,
-              engine: str = "fastpath") -> SweepOutcome:
+              engine: str = DEFAULT_ENGINE) -> SweepOutcome:
     """Run one sweep campaign to a :class:`SweepResult`.
 
     ``cache_dir``/``jobs``/``run_id``/``resume``/``retry`` have the

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from repro.analysis.profile import Profile
 from repro.emu.interpreter import run_program
 from repro.emu.trace import ExecutionResult
+from repro.engines import DEFAULT_ENGINE, check_engine
 from repro.ir.function import IRError, Program
 from repro.ir.verifier import ISALevel, VerificationError, verify_program
 from repro.lang.lower import compile_minic
@@ -276,9 +277,7 @@ def run_compiled(compiled: CompiledProgram,
                  machine: MachineDescription | None = None,
                  max_steps: int = 50_000_000,
                  watchdog: EmulationWatchdog | None = None,
-                 fastpath: bool = True,
-                 stream: bool = False,
-                 engine: str | None = None) -> RunResult:
+                 engine: str = DEFAULT_ENGINE) -> RunResult:
     """Emulate the compiled program and simulate its trace.
 
     ``machine`` may differ from the compile-time machine in memory
@@ -286,49 +285,18 @@ def run_compiled(compiled: CompiledProgram,
     perfect-vs-real-cache comparisons without recompiling.  An optional
     ``watchdog`` bounds emulation wall-clock time on top of ``max_steps``.
 
-    ``engine`` picks the execution backend by name — ``"legacy"``,
-    ``"fastpath"``, ``"stream"``, or ``"vector"`` — and overrides the
-    older ``fastpath``/``stream`` flags when given.  All engines
-    produce bit-identical observables; they differ only in speed and
-    whether the full trace is materialized (``stream`` and ``vector``
-    leave ``RunResult.execution.trace`` as None).
+    ``engine`` names the execution engine (see :mod:`repro.engines`).
+    Both produce bit-identical observables; ``vector`` streams the
+    trace into the simulator and leaves ``RunResult.execution.trace``
+    as None, ``legacy`` keeps the full event list.
     """
     if machine is None:
         machine = compiled.machine
-    if engine is None:
-        engine = "stream" if stream else (
-            "fastpath" if fastpath else "legacy")
-    if engine == "vector":
+    if check_engine(engine) == "vector":
         from repro.fastpath.vector import emulate_and_simulate_vector
         execution, stats = emulate_and_simulate_vector(
             compiled.program, compiled.addresses, machine, inputs=inputs,
             max_steps=max_steps, watchdog=watchdog)
-        return RunResult(compiled=compiled, execution=execution,
-                         stats=stats)
-    if engine == "stream":
-        from repro.fastpath.simulate import emulate_and_simulate_stream
-        execution, stats = emulate_and_simulate_stream(
-            compiled.program, compiled.addresses, machine, inputs=inputs,
-            max_steps=max_steps, watchdog=watchdog)
-        return RunResult(compiled=compiled, execution=execution,
-                         stats=stats)
-    if engine not in ("fastpath", "legacy"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "fastpath":
-        from repro.fastpath.decode import decode_program
-        from repro.fastpath.interp import run_program_fast
-        from repro.fastpath.simulate import prepare_sim, simulate_columns
-        decoded = decode_program(compiled.program)
-        execution = run_program_fast(compiled.program, inputs=inputs,
-                                     collect_trace=True,
-                                     max_steps=max_steps,
-                                     watchdog=watchdog, decoded=decoded)
-        if execution.trace is None:
-            raise TraceIntegrityError(
-                f"emulation of {compiled.model.value} produced no trace")
-        stats = simulate_columns(
-            execution.trace,
-            prepare_sim(decoded, compiled.addresses, machine), machine)
         return RunResult(compiled=compiled, execution=execution,
                          stats=stats)
     execution = run_program(compiled.program, inputs=inputs,

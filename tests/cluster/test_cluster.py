@@ -16,11 +16,11 @@ import time
 import pytest
 
 from repro.engine.metrics import PipelineMetrics
-from repro.robustness.errors import ReproError
+from repro.robustness.errors import ReproError, SpecError
 from repro.service.cluster import (ClusterConfig, ClusterOps,
-                                   campaign_dir, live_worker_ids,
-                                   open_campaign, run_cluster_sweep,
-                                   workers_dir)
+                                   campaign_dir, execute_shard,
+                                   live_worker_ids, open_campaign,
+                                   run_cluster_sweep, workers_dir)
 from repro.sweep.runner import run_sweep
 from repro.sweep.spec import SweepSpec
 
@@ -51,6 +51,20 @@ def test_zero_workers_degrades_to_local_byte_identical(tmp_path):
                               ClusterConfig(worker_grace=0.1))
     assert again.result.to_json() == out.result.to_json()
     assert again.points_cached == again.points_total
+
+
+def test_unknown_engine_in_a_manifest_is_rejected_typed(tmp_path):
+    """Engine names outside {legacy, vector} — including the removed
+    fastpath/stream engines in a manifest stored by an older version
+    — fail with SpecError before any point runs."""
+    cache = str(tmp_path / "cache")
+    with pytest.raises(SpecError, match="legacy, vector"):
+        open_campaign(cache, SPEC, ClusterConfig(), "stream")
+    manifest = open_campaign(cache, SPEC, ClusterConfig(), "vector")
+    stale = dict(manifest, engine="fastpath")
+    with pytest.raises(SpecError, match="legacy, vector"):
+        execute_shard(cache, {"manifest": stale, "shard": 0},
+                      ops=None, worker_id="stale-reader")
 
 
 def test_require_workers_fails_typed(tmp_path):
@@ -85,7 +99,7 @@ def test_sigkill_mid_shard_reassigns_and_stays_byte_identical(tmp_path):
     single-node result bytes."""
     cache = str(tmp_path / "cache")
     config = ClusterConfig(worker_grace=5.0, lease_timeout=2.0)
-    open_campaign(cache, SPEC, config, "fastpath")
+    open_campaign(cache, SPEC, config, "vector")
 
     victim = subprocess.Popen(
         [sys.executable, "-c", _VICTIM.format(src=_SRC, cache=cache)],

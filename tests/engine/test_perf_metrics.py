@@ -129,3 +129,20 @@ def test_profiler_accumulates_across_invocations(tmp_path):
             stable_digest("x")
     assert metrics.profiler.stages == ["emulate"]
     assert metrics.stages["emulate"].invocations == 3
+
+
+def test_cli_compare_of_a_vector_bench_json_with_itself_exits_zero(
+        tmp_path, capsys):
+    """``--engine vector --compare`` applies only the 25% stage gate: a
+    vector-engine bench JSON compared with itself is clean."""
+    from argparse import Namespace
+
+    from repro.cli import _print_metrics
+    metrics = PipelineMetrics()
+    metrics.record_stage("emulate", 0.4, invocations=4)
+    metrics.record_stage("simulate", 0.2, invocations=4)
+    path = tmp_path / "bench.json"
+    metrics.write_json(str(path))
+    args = Namespace(engine="vector", compare=str(path))
+    assert _print_metrics(metrics, args) == 0
+    assert "no stage regressions" in capsys.readouterr().err

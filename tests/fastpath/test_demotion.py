@@ -1,9 +1,11 @@
-"""Mid-run kernel faults: demote in place, stitch byte-identically.
+"""Mid-run kernel faults: demote in place, hand off byte-identically.
 
 A kernel fault injected after chunk *k* must leave the vector engine's
-stitched output byte-identical to the pure-Python run at every chunk
-size and job count — the degradation ladder is observable in the
-counters, never in the figures.
+output byte-identical to the pure-Python run at every chunk size: the
+simulator hands its carried state to ``StreamSimulator`` at the
+faulting chunk, and an emulator fault reruns the stream on the Python
+rung.  The degradation ladder is observable in the counters, never in
+the figures.
 """
 
 import pytest
@@ -100,10 +102,11 @@ def test_emulator_fault_after_chunk_k_is_byte_identical(
 
 
 @needs_cc
-@pytest.mark.parametrize("jobs", [1, 4])
 @pytest.mark.parametrize("chunk_events", [7, 4096])
-def test_sharded_simulation_with_fault_matches_serial(
-        program, healthy_native, jobs, chunk_events):
+def test_scan_fault_in_unfused_simulation_is_byte_identical(
+        program, healthy_native, chunk_events):
+    """The pipeline's unfused path (emulate, then simulate the stored
+    trace) hands off to the Python rung at the faulting chunk."""
     compiled, decoded, machine = program
     execution = run_program_fast(compiled.program,
                                  inputs=CAMPAIGN_INPUTS,
@@ -111,15 +114,11 @@ def test_sharded_simulation_with_fault_matches_serial(
     prep = prepare_vector(decoded, compiled.addresses, machine)
     ref_stats = simulate_columns_vector(
         execution.trace, prep, machine, chunk_events=chunk_events,
-        jobs=1, native=False)
+        native=False)
     supervisor.set_injection(("scan-fault", 1))
     stats = simulate_columns_vector(
-        execution.trace, prep, machine, chunk_events=chunk_events,
-        jobs=jobs)
+        execution.trace, prep, machine, chunk_events=chunk_events)
     assert repr(stats) == repr(ref_stats)
-    if jobs == 1:
-        # The sharded path pre-passes in workers (Python scan); only
-        # the serial path actually hits the injected kernel fault.
-        counters = supervisor.counters_snapshot()
-        assert counters["native_kernel_crashes"] >= 1
-        assert counters["engine_demotions"] >= 1
+    counters = supervisor.counters_snapshot()
+    assert counters["native_kernel_crashes"] >= 1
+    assert counters["engine_demotions"] >= 1

@@ -1,9 +1,10 @@
-"""Fastpath engine: decode, columnar traces, streaming, equivalence.
+"""The vector engine's Python rung: decode, columnar traces, streaming,
+equivalence.
 
-The fastpath (`src/repro/fastpath/`) re-implements the emulator's and
-simulator's hot loops over dense integer-indexed structures; every test
-here pins it to the legacy object-graph implementations, which remain
-the differential oracle.
+`src/repro/fastpath/` re-implements the emulator's and simulator's hot
+loops over dense integer-indexed structures; every test here pins them
+to the legacy object-graph implementations, which remain the
+differential oracle.
 """
 
 import pytest
@@ -165,18 +166,19 @@ def test_assert_fastpath_equivalent_passes(wc_compiled, machine8):
 
 def test_assert_fastpath_equivalent_catches_semantic_drift(
         wc_compiled, machine8, monkeypatch):
-    """Sanity: a deliberately broken fast interpreter must be caught."""
+    """Sanity: a deliberately broken vector emulator must be caught."""
+    import repro.fastpath.native as native
     import repro.robustness.differential as differential
 
-    real = run_program_fast
+    real = native.run_program_native
 
     def broken(program, **kwargs):
         result = real(program, **kwargs)
         result.output_signature ^= 1
         return result
 
-    monkeypatch.setattr("repro.fastpath.interp.run_program_fast", broken)
-    with pytest.raises(ModelDivergenceError, match="fastpath"):
+    monkeypatch.setattr(native, "run_program_native", broken)
+    with pytest.raises(ModelDivergenceError, match="vector"):
         differential.assert_fastpath_equivalent(
             wc_compiled, inputs=wc_inputs(), machine=machine8,
             workload="wc")

@@ -37,7 +37,7 @@ def test_repro_native_env_is_resolved_once(monkeypatch, tmp_path):
     supervisor.reset_for_testing(cache_dir=str(tmp_path))
     try:
         assert not supervisor.native_enabled()
-        assert supervisor.current_engine() == "jitc"
+        assert supervisor.current_engine() == "interpreter"
         # Disabled-by-config is a choice, not a failure: no event.
         assert supervisor.degradation_events() == []
         assert not native.available()
@@ -83,12 +83,12 @@ def test_missing_toolchain_is_typed_and_demotes(fresh_cache):
     # The supervised acquire path records + demotes instead of raising.
     assert supervisor.acquire_so() is None
     assert isinstance(supervisor.last_error(), NativeToolchainMissing)
-    assert supervisor.current_engine() == "jitc"
+    assert supervisor.current_engine() == "interpreter"
     counters = supervisor.counters_snapshot()
     assert counters["engine_demotions"] == 1
     events = supervisor.degradation_events()
     assert [(e.from_engine, e.to_engine) for e in events] == \
-        [("native", "jitc")]
+        [("native", "interpreter")]
     assert events[0].error == "NativeToolchainMissing"
     assert set(events[0].to_dict()) == {"at", "from", "to", "reason",
                                         "error"}
@@ -155,7 +155,7 @@ def test_sandbox_canary_contains_a_segfault(fresh_cache):
     error = supervisor.last_error()
     assert isinstance(error, NativeKernelCrash)
     assert error.signal == int(_signal.SIGSEGV)
-    assert supervisor.current_engine() == "jitc"
+    assert supervisor.current_engine() == "interpreter"
     counters = supervisor.counters_snapshot()
     assert counters["native_kernel_crashes"] == 1
     assert counters["engine_demotions"] == 1
@@ -183,7 +183,7 @@ def test_in_process_parity_mismatch_quarantines(fresh_cache):
     counters = supervisor.counters_snapshot()
     assert counters["native_parity_failures"] == 1
     assert counters["kernel_cache_quarantined"] == 1
-    assert supervisor.current_engine() == "jitc"
+    assert supervisor.current_engine() == "interpreter"
 
 
 @needs_cc
@@ -205,17 +205,19 @@ def test_drain_moves_deltas_instead_of_copying(fresh_cache):
     supervisor.drain_into(second)
     assert second.engine_demotions == 0
     # Only the delta since the last drain moves.
-    supervisor.demote("probe two")
+    supervisor.report_kernel_fault(NativeKernelCrash("probe two",
+                                                     stage="emu"))
     assert supervisor.current_engine() == "interpreter"
     supervisor.drain_into(second)
-    assert second.engine_demotions == 1
+    assert (second.engine_demotions, second.native_kernel_crashes) == \
+        (0, 1)
+    assert first.native_kernel_crashes == 0
 
 
 def test_demotion_below_interpreter_is_a_noop(fresh_cache):
-    assert supervisor.demote("one") == "jitc"
+    assert supervisor.demote("one") == "interpreter"
     assert supervisor.demote("two") == "interpreter"
-    assert supervisor.demote("three") == "interpreter"
-    assert supervisor.counters_snapshot()["engine_demotions"] == 2
+    assert supervisor.counters_snapshot()["engine_demotions"] == 1
 
 
 # ----- kernel-cache scan (fsck integration) ---------------------------------

@@ -1,10 +1,11 @@
-"""Vector backend: equivalence, chunk invariance, sharding, metrics.
+"""Vector engine: equivalence, chunk invariance, the Python rung, metrics.
 
-The vector engine (native C kernels with a pure-NumPy fallback) must be
-byte-identical to the legacy and fastpath engines on every observable,
-at every chunk size, and at every ``jobs`` level.  The property test
-reuses the differential fuzz generator's stress profiles, so the same
-program shapes that hunt miscompiles also hunt engine drift.
+The vector engine (native C kernels with one pure-Python rung below
+them) must be byte-identical to the legacy reference on every
+observable, at every chunk size, with the native kernels on or off.
+The property test reuses the differential fuzz generator's stress
+profiles, so the same program shapes that hunt miscompiles also hunt
+engine drift.
 """
 
 import dataclasses
@@ -26,6 +27,7 @@ from repro.fastpath.vector import (VectorSimPrep, VectorSimulator,
                                    simulate_columns_vector)
 from repro.fuzz.generator import PROFILE_ORDER, generate_case
 from repro.machine.descriptor import MachineDescription, fig8_machine
+from repro.robustness.errors import SpecError
 from repro.sim.pipeline import simulate_trace
 from repro.toolchain import (Model, compile_for_model, frontend,
                              run_compiled)
@@ -88,43 +90,31 @@ def test_chunk_size_invariance_native(kernel, chunk_events):
     _assert_stats_equal(stats, ref, f"chunk={chunk_events}")
 
 
-@pytest.mark.parametrize("chunk_events", [7, 4096])
+@pytest.mark.parametrize("chunk_events", [1, 7, 4096])
 def test_chunk_size_invariance_python_fallback(kernel, chunk_events):
-    """The pure-NumPy path (no native kernel) is also chunk-invariant."""
+    """The Python rung (no native kernel) is also chunk-invariant."""
     _, _, execution, prep, machine, ref = kernel
-    sim = VectorSimulator(VectorSimPrep(prep), machine, native=False)
-    for chunk in execution.trace.chunks(chunk_events):
-        sim.feed(chunk)
-    _assert_stats_equal(sim.finish(), ref, f"fallback chunk={chunk_events}")
+    stats = simulate_columns_vector(execution.trace, VectorSimPrep(prep),
+                                    machine, chunk_events=chunk_events,
+                                    native=False)
+    _assert_stats_equal(stats, ref, f"fallback chunk={chunk_events}")
 
 
 def test_boundary_digest_chunk_invariant(kernel):
-    """Carried simulator state is identical however the trace is cut."""
-    _, _, execution, prep, machine, _ = kernel
-    cut = len(execution.trace) // 2
-    digests = []
-    for sizes in ((cut,), (97,), (13,)):
-        sim = VectorSimulator(VectorSimPrep(prep), machine)
-        fed = 0
-        for chunk in execution.trace.chunks(sizes[0]):
-            if fed >= cut:
-                break
-            sim.feed(chunk)
-            fed += len(chunk)
-        if fed == cut:
-            digests.append(sim.boundary_digest())
-    assert len(set(digests)) <= 1
-
-
-# ----- sharding -------------------------------------------------------------
-
-def test_sharded_jobs_byte_identical(kernel):
-    compiled, _, execution, prep, machine, ref = kernel
-    for jobs in (2, 4):
-        stats = simulate_columns_vector(
-            execution.trace, VectorSimPrep(prep), machine,
-            chunk_events=512, jobs=jobs, task_key="test")
-        _assert_stats_equal(stats, ref, f"jobs={jobs}")
+    """Carried simulator state — ready times, BTB, cache tags and
+    counters — is identical however the trace is cut, on either rung."""
+    _, _, execution, prep, _, _ = kernel
+    machine = fig8_machine().with_real_caches()
+    prefix = execution.trace.slice(0, len(execution.trace) // 2)
+    digests = set()
+    for native in (True, False):
+        for size in (len(prefix), 97, 13):
+            sim = VectorSimulator(VectorSimPrep(prep), machine,
+                                  native=native)
+            for chunk in prefix.chunks(size):
+                sim.feed(chunk)
+            digests.add(sim.boundary_digest())
+    assert len(digests) == 1
 
 
 # ----- engine selection end-to-end ------------------------------------------
@@ -133,16 +123,16 @@ def test_run_compiled_engine_matrix(kernel):
     compiled, _, _, _, machine, _ = kernel
     results = {engine: run_compiled(compiled, machine=machine,
                                     engine=engine)
-               for engine in ("legacy", "fastpath", "stream", "vector")}
+               for engine in ("legacy", "vector")}
     ref = results["legacy"]
     for engine, result in results.items():
         assert result.return_value == ref.return_value, engine
         _assert_stats_equal(result.stats, ref.stats, engine)
-    # the fused engines never materialize the trace
-    assert results["stream"].execution.trace is None
+    # the fused vector run never materializes the trace
     assert results["vector"].execution.trace is None
-    with pytest.raises(ValueError):
-        run_compiled(compiled, machine=machine, engine="warp")
+    for name in ("warp", "stream", "fastpath"):
+        with pytest.raises(SpecError, match="legacy, vector"):
+            run_compiled(compiled, machine=machine, engine=name)
 
 
 def test_pipeline_context_engines_agree():
@@ -150,41 +140,28 @@ def test_pipeline_context_engines_agree():
     machine = MachineDescription(issue_width=4)
     summaries = {}
     contexts = {}
-    for engine in ("fastpath", "stream", "vector"):
+    for engine in ("legacy", "vector"):
         ctx = PipelineContext(engine=engine, scale=0.3)
         summaries[engine] = ctx.run_summary(workload, Model.FULLPRED,
                                             machine)
         contexts[engine] = ctx
-    ref = summaries["fastpath"]
+    ref = summaries["legacy"]
     for engine, summary in summaries.items():
         assert summary.return_value == ref.return_value, engine
         _assert_stats_equal(summary.stats, ref.stats, engine)
-    # fused/vector runs still split emulate vs simulate wall time
-    for engine in ("stream", "vector"):
-        metrics = contexts[engine].metrics
-        assert metrics.stages["emulate"].invocations == 1
-        assert metrics.stages["simulate"].invocations == 1
-    assert contexts["vector"].metrics.vector_chunks_total >= 1
-    data = contexts["vector"].metrics.to_dict()
+    metrics = contexts["vector"].metrics
+    assert metrics.stages["emulate"].invocations == 1
+    assert metrics.stages["simulate"].invocations == 1
+    assert metrics.vector_chunks_total >= 1
+    data = metrics.to_dict()
     assert data["vector_chunks_total"] >= 1
     assert "vector_chunks_per_second" in data
 
 
-def test_pipeline_context_vector_sharded_matches_serial():
-    workload = get_workload("wc")
-    machine = MachineDescription(issue_width=4)
-    serial = PipelineContext(engine="vector", scale=0.3).run_summary(
-        workload, Model.FULLPRED, machine)
-    sharded = PipelineContext(engine="vector", scale=0.3,
-                              jobs=2).run_summary(
-        workload, Model.FULLPRED, machine)
-    assert sharded.return_value == serial.return_value
-    _assert_stats_equal(sharded.stats, serial.stats, "jobs=2")
-
-
 def test_pipeline_context_rejects_unknown_engine():
-    with pytest.raises(ValueError):
-        PipelineContext(engine="warp")
+    for name in ("warp", "stream", "fastpath"):
+        with pytest.raises(SpecError, match="legacy, vector"):
+            PipelineContext(engine=name)
 
 
 # ----- fused emulate→simulate ----------------------------------------------
@@ -232,8 +209,10 @@ def test_native_emulator_fault_parity():
 @given(seed=st.integers(0, 2**31 - 1),
        index=st.integers(0, len(PROFILE_ORDER) - 1))
 def test_vector_matches_legacy_on_fuzz_profiles(seed, index):
-    """Legacy, fastpath and vector agree on cycle counts, stall
-    breakdowns and store streams for every fuzz-profile program."""
+    """Legacy and vector — on the native kernels and on the Python
+    rung — agree on cycle counts, stall breakdowns and store streams
+    for every fuzz-profile program.  Each program is compiled once and
+    checked on both rungs."""
     case = generate_case(seed, index)
     machine = fig8_machine()
     try:
@@ -249,33 +228,42 @@ def test_vector_matches_legacy_on_fuzz_profiles(seed, index):
                                  collect_trace=True, max_steps=600_000)
         except EmulationFault as exc:
             # fault parity: the vector engine must fault identically
-            with pytest.raises(EmulationFault) as vexc:
-                emulate_and_simulate_vector(
-                    compiled.program, compiled.addresses, machine,
-                    inputs=case.inputs, max_steps=600_000)
-            assert str(vexc.value) == str(exc), (model, case.case_id)
+            for native in (True, False):
+                with pytest.raises(EmulationFault) as vexc:
+                    emulate_and_simulate_vector(
+                        compiled.program, compiled.addresses, machine,
+                        inputs=case.inputs, max_steps=600_000,
+                        native=native)
+                assert str(vexc.value) == str(exc), \
+                    (model, native, case.case_id)
             continue
         decoded = decode_program(compiled.program)
+        legacy_stats = simulate_trace(legacy.trace, compiled.addresses,
+                                      machine)
+        prep = VectorSimPrep(prepare_sim(decoded, compiled.addresses,
+                                         machine))
+        for native in (True, False):
+            vec, vstats = emulate_and_simulate_vector(
+                compiled.program, compiled.addresses, machine,
+                inputs=case.inputs, max_steps=600_000, decoded=decoded,
+                native=native)
+            for field in _EXACT:
+                assert getattr(vec, field) == getattr(legacy, field), \
+                    (field, model, native, case.case_id)
+            _assert_stats_equal(vstats, legacy_stats,
+                                (model, native, case.case_id))
+        # chunk-size invariance on the recorded columnar trace
         fast = run_program_fast(compiled.program, inputs=case.inputs,
                                 collect_trace=True, max_steps=600_000,
                                 decoded=decoded)
-        vec, vstats = emulate_and_simulate_vector(
-            compiled.program, compiled.addresses, machine,
-            inputs=case.inputs, max_steps=600_000, decoded=decoded)
         for field in _EXACT:
             assert getattr(fast, field) == getattr(legacy, field), \
                 (field, model, case.case_id)
-            assert getattr(vec, field) == getattr(legacy, field), \
-                (field, model, case.case_id)
-        legacy_stats = simulate_trace(legacy.trace, compiled.addresses,
-                                      machine)
-        _assert_stats_equal(vstats, legacy_stats,
-                            (model, case.case_id))
-        # chunk-size invariance on the recorded columnar trace
-        prep = VectorSimPrep(prepare_sim(decoded, compiled.addresses,
-                                         machine))
-        for chunk_events in (7, 4096):
-            chunked = simulate_columns_vector(
-                fast.trace, prep, machine, chunk_events=chunk_events)
-            _assert_stats_equal(chunked, legacy_stats,
-                                (model, chunk_events, case.case_id))
+        for native in (True, False):
+            for chunk_events in (7, 4096):
+                chunked = simulate_columns_vector(
+                    fast.trace, prep, machine, chunk_events=chunk_events,
+                    native=native)
+                _assert_stats_equal(
+                    chunked, legacy_stats,
+                    (model, native, chunk_events, case.case_id))

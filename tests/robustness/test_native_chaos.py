@@ -52,4 +52,4 @@ def test_supervisor_state_is_restored_after_the_campaign(reports):
     # process state afterwards: the ladder is back at its env-resolved
     # top rung.
     assert supervisor.current_engine() == \
-        ("native" if supervisor.native_enabled() else "jitc")
+        ("native" if supervisor.native_enabled() else "interpreter")

@@ -28,7 +28,7 @@ SPEC = SweepSpec(name="rpc-t", scale=0.05, workloads=("wc",),
 
 def open_test_campaign(tmp_path):
     cache = str(tmp_path)
-    open_campaign(cache, SPEC, ClusterConfig(shard_size=1), "fastpath")
+    open_campaign(cache, SPEC, ClusterConfig(shard_size=1), "vector")
     return ShardLeaseStore(campaign_dir(cache, SPEC.sweep_digest()))
 
 
