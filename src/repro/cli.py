@@ -124,12 +124,9 @@ from repro.lang.sema import SemaError
 from repro.machine.descriptor import MachineDescription, scalar_machine
 from repro.robustness.errors import ReproError
 from repro.robustness.watchdog import EmulationWatchdog
-from repro.toolchain import (Model, ToolchainOptions, compile_for_model,
-                             frontend, run_compiled)
+from repro.toolchain import (MODEL_NAMES, Model, ToolchainOptions,
+                             compile_for_model, frontend, run_compiled)
 from repro.workloads import all_workloads, get_workload
-
-_MODELS = {"superblock": Model.SUPERBLOCK, "cmov": Model.CMOV,
-           "fullpred": Model.FULLPRED}
 
 #: exit code for emulation faults outside the typed taxonomy
 _EMULATION_FAULT_EXIT = 16
@@ -341,7 +338,7 @@ def _cmd_compile(args) -> int:
     source = _read_source(args.file)
     base = frontend(source)
     profile = Profile.collect(base, inputs=None)
-    compiled = compile_for_model(base, _MODELS[args.model], profile,
+    compiled = compile_for_model(base, Model[args.model.upper()], profile,
                                  _machine(args), _options(args))
     _print_degradations(compiled)
     print(format_program(compiled.program))
@@ -353,7 +350,7 @@ def _cmd_run(args) -> int:
     base = frontend(source)
     profile = Profile.collect(base, inputs=None)
     machine = _machine(args)
-    model = _MODELS[args.model]
+    model = Model[args.model.upper()]
     options = _options(args)
     compiled = compile_for_model(base, model, profile, machine, options)
     _print_degradations(compiled)
@@ -598,7 +595,7 @@ def _submit_spec(args):
     kind = "figures" if args.figures \
         else ("bench" if args.workload else "source")
     models = tuple(m.strip() for m in args.models.split(",")) \
-        if args.models else ("superblock", "cmov", "fullpred")
+        if args.models else MODEL_NAMES
     return ServiceJobSpec(
         kind=kind,
         source=_read_source(args.file) if kind == "source" else None,
@@ -945,14 +942,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="compile a MiniC file and dump IR")
     p.add_argument("file", help="MiniC source file, or - for stdin")
-    p.add_argument("--model", choices=sorted(_MODELS), default="fullpred")
+    p.add_argument("--model", choices=sorted(MODEL_NAMES), default="fullpred")
     _add_machine_args(p)
     _add_robustness_args(p, watchdog=False)
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("run", help="compile, emulate and simulate a file")
     p.add_argument("file", help="MiniC source file, or - for stdin")
-    p.add_argument("--model", choices=sorted(_MODELS), default="fullpred")
+    p.add_argument("--model", choices=sorted(MODEL_NAMES), default="fullpred")
     p.add_argument("--engine", choices=ENGINES, default=DEFAULT_ENGINE,
                    help=f"execution engine (default {DEFAULT_ENGINE}; "
                         "both are byte-identical)")

@@ -5,8 +5,6 @@ from __future__ import annotations
 from repro.experiments.runner import ExperimentSuite, mean_speedups
 from repro.toolchain import Model
 
-_MODELS = [Model.SUPERBLOCK, Model.CMOV, Model.FULLPRED]
-
 
 def _fmt_count(n: int) -> str:
     if n >= 1_000_000:
@@ -24,7 +22,7 @@ def render_speedup_figure(table: dict[str, dict[Model, float]],
     scale = bar_width / max(peak, 1e-9)
     for name in sorted(table):
         lines.append(name)
-        for model in _MODELS:
+        for model in Model:
             value = table[name][model]
             bar = "#" * max(1, int(value * scale))
             lines.append(f"  {model.value:<17s} {value:5.2f} |{bar}")
@@ -79,7 +77,7 @@ def render_table3(stats: dict[str, dict[Model, tuple[int, int, float]]]
     for name in sorted(stats):
         row = stats[name]
         cells = []
-        for model in _MODELS:
+        for model in Model:
             br, mp, mpr = row[model]
             cells.append(f"{_fmt_count(br):>9s}{_fmt_count(mp):>9s}"
                          f"{mpr * 100:7.2f}%")

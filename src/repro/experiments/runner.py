@@ -40,7 +40,7 @@ from repro.ir.function import IRError
 from repro.machine.descriptor import (CacheConfig, MachineDescription,
                                       fig8_machine, fig9_machine,
                                       fig10_machine, scalar_machine)
-from repro.robustness.differential import assert_equivalent, values_differ
+from repro.robustness.differential import assert_equivalent
 from repro.robustness.errors import ReproError, classify_exception
 from repro.robustness.report import WorkloadFailure, format_failures
 from repro.sim.pipeline import SimulationStats
@@ -536,11 +536,6 @@ class ExperimentSuite:
 
     def figure11(self):
         return self.speedups(scaled_fig11_machine())
-
-
-#: retained name for the seed's scalar comparison (now shared with the
-#: differential oracle in ``repro.robustness.differential``)
-_differs = values_differ
 
 
 def mean_speedups(table: dict[str, dict[Model, float]]

@@ -107,16 +107,6 @@ _lib = None
 _lib_tried = False
 
 
-def _enabled() -> bool:
-    """Once-per-process ``REPRO_NATIVE`` snapshot (supervisor-owned).
-
-    Resolved a single time so a mid-run env mutation can never produce
-    mixed-engine chunks within one workload.
-    """
-    from repro.fastpath import supervisor
-    return supervisor.native_enabled()
-
-
 def _bind_library(path: str):
     """``CDLL`` + probe + argtype binding for a kernel object.
 

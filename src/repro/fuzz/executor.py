@@ -31,9 +31,6 @@ from repro.robustness.differential import (assert_equivalent,
 from repro.robustness.errors import ModelDivergenceError
 from repro.toolchain import Model, compile_for_model, frontend
 
-#: model order: reference first, then the two predicated models
-MODEL_ORDER = (Model.SUPERBLOCK, Model.CMOV, Model.FULLPRED)
-
 
 @dataclass(frozen=True)
 class ExecutorConfig:
@@ -107,7 +104,7 @@ def execute_source(source: str, inputs: dict | None = None,
                               max_steps=config.max_steps)
 
     executions: dict[Model, object] = {}
-    for model in MODEL_ORDER:
+    for model in Model:
         compiled = compile_for_model(base, model, profile, machine)
         executions[model] = assert_fastpath_equivalent(
             compiled, inputs=inputs, machine=machine,
@@ -115,7 +112,7 @@ def execute_source(source: str, inputs: dict | None = None,
             wall_budget=config.wall_budget)
 
     reference = executions[Model.SUPERBLOCK]
-    for model in MODEL_ORDER[1:]:
+    for model in tuple(Model)[1:]:  # the predicated models
         candidate = executions[model]
         try:
             assert_equivalent(candidate, reference,

@@ -33,16 +33,10 @@ from repro.experiments.runner import ExperimentSuite
 from repro.machine.descriptor import scalar_machine
 from repro.robustness.errors import (DeadlineExceededError,
                                      EmulationTimeout)
-from repro.service.spec import MODEL_NAMES, ServiceJobSpec
+from repro.service.spec import ServiceJobSpec
 from repro.sweep.runner import run_sweep
 from repro.sweep.spec import SweepSpec
 from repro.toolchain import Model
-
-#: spec model identifiers <-> toolchain models (Model.value is a
-#: display string, not a wire name)
-_MODEL_BY_NAME = {"superblock": Model.SUPERBLOCK, "cmov": Model.CMOV,
-                  "fullpred": Model.FULLPRED}
-_NAME_BY_MODEL = {m: n for n, m in _MODEL_BY_NAME.items()}
 
 
 @dataclass
@@ -82,8 +76,7 @@ def _models(spec: ServiceJobSpec) -> list[Model]:
     # Canonical order regardless of submission order: the result JSON
     # must not depend on how the client spelled the list.
     requested = set(spec.models)
-    return [_MODEL_BY_NAME[name] for name in MODEL_NAMES
-            if name in requested]
+    return [m for m in Model if m.name.lower() in requested]
 
 
 def _measure(suite: ExperimentSuite, spec: ServiceJobSpec) -> dict:
@@ -92,8 +85,7 @@ def _measure(suite: ExperimentSuite, spec: ServiceJobSpec) -> dict:
         table = suite.speedups(machine)
         return {"kind": "figures", "machine": machine.name,
                 "scale": spec.scale,
-                "speedups": {name: {_NAME_BY_MODEL[model]:
-                                    round(value, 6)
+                "speedups": {name: {model.name.lower(): round(value, 6)
                                     for model, value in row.items()}
                              for name, row in sorted(table.items())}}
     rows: dict[str, dict] = {}
@@ -104,7 +96,7 @@ def _measure(suite: ExperimentSuite, spec: ServiceJobSpec) -> dict:
         for model in _models(spec):
             run = suite.run(w.name, model, machine)
             stats = run.stats
-            per_model[_NAME_BY_MODEL[model]] = {
+            per_model[model.name.lower()] = {
                 "cycles": stats.cycles,
                 "speedup": round(base / stats.cycles, 6),
                 "instructions": stats.executed_instructions,
@@ -128,7 +120,7 @@ def _tasks_total(spec: ServiceJobSpec) -> int:
     """
     n_workloads = len(spec.workloads())
     if spec.kind == "figures":
-        return (len(MODEL_NAMES) + 1) * n_workloads
+        return (len(Model) + 1) * n_workloads
     return (len(_models(spec)) + 1) * n_workloads
 
 

@@ -22,13 +22,11 @@ from dataclasses import dataclass, field
 from repro.engine.keys import stable_digest
 from repro.machine.descriptor import MachineDescription
 from repro.robustness.errors import ReproError
+from repro.toolchain import MODEL_NAMES
 from repro.workloads.base import Workload, get_workload
 
 #: job kinds the service executes
 KINDS = ("source", "bench", "figures", "sweep")
-
-#: model names accepted in a spec, in canonical order
-MODEL_NAMES = ("superblock", "cmov", "fullpred")
 
 
 @dataclass(frozen=True)

@@ -41,9 +41,6 @@ from repro.sweep.spec import SweepPoint, SweepSpec
 from repro.toolchain import Model, ToolchainOptions
 from repro.workloads.base import all_workloads, get_workload
 
-_MODEL_BY_NAME = {"superblock": Model.SUPERBLOCK, "cmov": Model.CMOV,
-                  "fullpred": Model.FULLPRED}
-
 
 def point_task_id(sweep_digest: str, index: int) -> str:
     """Journal/task identity of lattice point ``index``."""
@@ -110,7 +107,7 @@ def simulate_point(spec: PointJobSpec) -> dict:
     for name in spec.workloads:
         workload = get_workload(name)
         for model_name in spec.model_names:
-            ctx.run_summary(workload, _MODEL_BY_NAME[model_name],
+            ctx.run_summary(workload, Model[model_name.upper()],
                             spec.machine)
     return ctx.metrics.to_dict()
 
@@ -236,7 +233,7 @@ def _execute(suite: ExperimentSuite, spec: SweepSpec,
         missing = False
         for workload in suite.workloads:
             for name in model_names:
-                model = _MODEL_BY_NAME[name]
+                model = Model[name.upper()]
                 skey = suite.ctx.stats_key(workload, model, machine)
                 artifacts.append(("stats", skey))
                 if store.contains("stats", skey):
@@ -297,7 +294,7 @@ def _aggregate(suite: ExperimentSuite, spec: SweepSpec,
             row: dict[str, dict] = {}
             for name in spec.models:
                 summary = suite.ctx.run_summary(
-                    workload, _MODEL_BY_NAME[name], point.machine)
+                    workload, Model[name.upper()], point.machine)
                 cycles = summary.stats.cycles
                 row[name] = {
                     "cycles": cycles,

@@ -28,9 +28,7 @@ from repro.machine.descriptor import (BTBConfig, CacheConfig,
                                       MachineDescription,
                                       normalize_latency_overrides)
 from repro.robustness.errors import SpecError
-
-#: model names accepted in a sweep, in canonical order
-MODEL_NAMES = ("superblock", "cmov", "fullpred")
+from repro.toolchain import MODEL_NAMES
 
 #: cache modes: "perfect" (no memory stalls) or "real" (direct-mapped
 #: I/D caches with the spec's geometry axes)

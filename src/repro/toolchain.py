@@ -12,6 +12,9 @@ formation and predication lowering exactly as Section 4.1 describes:
   (basic conversions, comparison inversion, post-conversion peephole,
   OR-tree height reduction).
 
+:data:`PASS_TABLE` spells those differences out as data — each model's
+ordered passes — and :func:`compile_for_model` just runs it.
+
 Speedups are reported against the 1-issue SUPERBLOCK configuration, as
 in the paper.
 """
@@ -20,13 +23,15 @@ from __future__ import annotations
 
 import copy
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.analysis.profile import Profile
 from repro.emu.interpreter import run_program
 from repro.emu.trace import ExecutionResult
 from repro.engines import DEFAULT_ENGINE, check_engine
-from repro.ir.function import IRError, Program
+from repro.ir.function import Function, IRError, Program
 from repro.ir.verifier import ISALevel, VerificationError, verify_program
 from repro.lang.lower import compile_minic
 from repro.machine.descriptor import MachineDescription, scalar_machine
@@ -51,13 +56,13 @@ from repro.schedule.list_scheduler import ScheduleResult, schedule_program
 from repro.sim.pipeline import (SimulationStats, assign_addresses,
                                 simulate_trace)
 
-#: classic passes minus CFG restructuring, for post-formation cleanup
-#: (hyperblocks must not be re-split or re-laid-out once formed).
-PEEPHOLE_PASSES = [p for p in CLASSIC_PASSES if p[0] != "cfg"]
-
 
 class Model(enum.Enum):
-    """The paper's three architectural/compilation models."""
+    """The paper's three architectural/compilation models.
+
+    ``model.name.lower()`` is the CLI and spec spelling of a model;
+    ``Model[name.upper()]`` reads it back.
+    """
 
     SUPERBLOCK = "Superblock"
     CMOV = "Conditional Move"
@@ -65,9 +70,12 @@ class Model(enum.Enum):
 
     @property
     def isa_level(self) -> ISALevel:
-        return {Model.SUPERBLOCK: ISALevel.BASELINE,
-                Model.CMOV: ISALevel.PARTIAL,
-                Model.FULLPRED: ISALevel.FULL}[self]
+        """The ISA subset of the model's code: its last pass's level."""
+        return PASS_TABLE[self][-1][1]
+
+
+#: every model's lowercase name, in canonical (enum) order
+MODEL_NAMES = tuple(m.name.lower() for m in Model)
 
 
 @dataclass(frozen=True)
@@ -142,6 +150,98 @@ def frontend(source: str) -> Program:
     return program
 
 
+@dataclass
+class _FunctionState:
+    """What a pass sees: one function, the compile's shared inputs and
+    each earlier pass's result by pass name (None after a rollback)."""
+
+    fn: Function
+    profile: Profile
+    options: ToolchainOptions
+    results: dict[str, object] = field(default_factory=dict)
+
+    @property
+    def formed(self) -> list:
+        return self.results.get("hyperblock-formation") or []
+
+
+def _combine_all(state: _FunctionState) -> None:
+    """Branch-combine every formed hyperblock that still exists.
+
+    Later formation stages may have merged a hyperblock away; only a
+    *missing block* is expected here — any other error is a real pass
+    bug and must surface.
+    """
+    for label, _info in state.formed:
+        try:
+            block = state.fn.block(label)
+        except IRError:
+            continue
+        combine_branches(state.fn, block, state.profile,
+                         state.options.branch_combine)
+
+
+#: a pass: runs on one function, returns a result later passes may read
+Pass = tuple[str, ISALevel, Callable[[_FunctionState], object]]
+
+#: the superblock techniques every model applies; on the predicated
+#: models traces may flow through formed hyperblocks (normalization
+#: keeps predicated blocks whole)
+_SUPERBLOCK_PASSES = [
+    ("superblock-formation",
+     lambda s: form_superblocks(s.fn, s.profile, s.options.superblock)),
+    ("loop-unroll", lambda s: unroll_function_loops(s.fn, s.options.unroll)),
+]
+#: if-conversion and the full-predication optimizations on its output
+_HYPERBLOCK_PASSES = [
+    ("hyperblock-formation",
+     lambda s: form_hyperblocks(s.fn, s.profile, s.options.hyperblock)),
+    ("predicate-optimization",
+     lambda s: [optimize_hyperblock_predicates(s.fn, s.fn.block(label))
+                for label, _info in s.formed]),
+    ("predicate-promotion", lambda s: promote_all(s.fn, s.formed)),
+    ("branch-combine", _combine_all),
+]
+#: the full->partial lowering
+_PARTIAL_PASSES = [
+    ("partial-conversion",
+     lambda s: convert_to_partial(s.fn, s.options.conversion)),
+    ("or-tree-reduction", lambda s: reduce_function_or_trees(s.fn)),
+]
+#: classic passes minus CFG restructuring, for post-formation cleanup
+#: (hyperblocks must not be re-split or re-laid-out once formed).
+PEEPHOLE_PASSES = [p for p in CLASSIC_PASSES if p[0] != "cfg"]
+_PEEPHOLE = ("peephole",
+             lambda s: run_function_passes(s.fn, PEEPHOLE_PASSES))
+
+
+def _at(level: ISALevel, *passes) -> list[Pass]:
+    """Tag passes with the ISA level of the IR they leave behind."""
+    return [(name, level, run) for name, run in passes]
+
+
+#: The only place the three models differ (Section 4.1): each model's
+#: passes, in order, run on every function.  Until the full->partial
+#: lowering runs, both predicated models carry full-predication IR.
+PASS_TABLE: dict[Model, list[Pass]] = {
+    Model.SUPERBLOCK: _at(ISALevel.BASELINE, *_SUPERBLOCK_PASSES,
+                          _PEEPHOLE),
+    Model.CMOV: _at(ISALevel.FULL, *_HYPERBLOCK_PASSES,
+                    *_SUPERBLOCK_PASSES)
+    + _at(ISALevel.PARTIAL, *_PARTIAL_PASSES, _PEEPHOLE),
+    Model.FULLPRED: _at(ISALevel.FULL, *_HYPERBLOCK_PASSES,
+                        *_SUPERBLOCK_PASSES, _PEEPHOLE),
+}
+
+def model_passes(model: Model, options: ToolchainOptions) -> list[Pass]:
+    """``model``'s passes minus those ``options`` switch off."""
+    off = {"loop-unroll": options.unroll is None,
+           "predicate-promotion": not options.enable_promotion,
+           "branch-combine": options.branch_combine is None,
+           "or-tree-reduction": not options.enable_or_tree}
+    return [p for p in PASS_TABLE[model] if not off.get(p[0])]
+
+
 def compile_for_model(base: Program, model: Model, profile: Profile,
                       machine: MachineDescription,
                       options: ToolchainOptions | None = None
@@ -157,65 +257,14 @@ def compile_for_model(base: Program, model: Model, profile: Profile,
     gate = PassGate(program, paranoid=options.paranoid,
                     rollback=options.rollback,
                     artifact_dir=options.artifact_dir, model=model.value)
-
+    passes = model_passes(model, options)
+    # Function-outer, pass-inner: uid allocation order (and so every
+    # compiled digest) depends on it.
     for fn in program.functions.values():
-        if model is Model.SUPERBLOCK:
-            level = ISALevel.BASELINE
-            gate.run(fn, "superblock-formation",
-                     lambda fn=fn: form_superblocks(fn, profile,
-                                                    options.superblock),
-                     level)
-            if options.unroll is not None:
-                gate.run(fn, "loop-unroll",
-                         lambda fn=fn: unroll_function_loops(
-                             fn, options.unroll), level)
-            gate.run(fn, "peephole",
-                     lambda fn=fn: run_function_passes(fn, PEEPHOLE_PASSES),
-                     level)
-        else:
-            # Until the full->partial lowering runs, both predicated
-            # models carry full-predication IR.
-            level = ISALevel.FULL
-            formed = gate.run(fn, "hyperblock-formation",
-                              lambda fn=fn: form_hyperblocks(
-                                  fn, profile, options.hyperblock),
-                              level) or []
-            gate.run(fn, "predicate-optimization",
-                     lambda fn=fn, formed=formed: [
-                         optimize_hyperblock_predicates(fn, fn.block(label))
-                         for label, _info in formed], level)
-            if options.enable_promotion:
-                gate.run(fn, "predicate-promotion",
-                         lambda fn=fn, formed=formed: promote_all(fn, formed),
-                         level)
-            if options.branch_combine is not None:
-                gate.run(fn, "branch-combine",
-                         lambda fn=fn, formed=formed: _combine_all(
-                             fn, formed, profile, options.branch_combine),
-                         level)
-            # The paper's compiler applies superblock techniques to the
-            # remaining code; traces may flow through formed hyperblocks
-            # (normalization keeps predicated blocks whole).
-            gate.run(fn, "superblock-formation",
-                     lambda fn=fn: form_superblocks(fn, profile,
-                                                    options.superblock),
-                     level)
-            if options.unroll is not None:
-                gate.run(fn, "loop-unroll",
-                         lambda fn=fn: unroll_function_loops(
-                             fn, options.unroll), level)
-            if model is Model.CMOV:
-                level = ISALevel.PARTIAL
-                gate.run(fn, "partial-conversion",
-                         lambda fn=fn: convert_to_partial(
-                             fn, options.conversion), level)
-                if options.enable_or_tree:
-                    gate.run(fn, "or-tree-reduction",
-                             lambda fn=fn: reduce_function_or_trees(fn),
-                             level)
-            gate.run(fn, "peephole",
-                     lambda fn=fn: run_function_passes(fn, PEEPHOLE_PASSES),
-                     level)
+        state = _FunctionState(fn, profile, options)
+        for name, level, run in passes:
+            state.results[name] = gate.run(fn, name, partial(run, state),
+                                           level)
 
     if options.verify:
         try:
@@ -238,21 +287,6 @@ def compile_for_model(base: Program, model: Model, profile: Profile,
     return CompiledProgram(program=program, model=model, machine=machine,
                            schedule=schedule, addresses=addresses,
                            degradations=list(gate.degradations))
-
-
-def _combine_all(fn, formed, profile, params) -> None:
-    """Branch-combine every formed hyperblock that still exists.
-
-    Later formation stages may have merged a hyperblock away; only a
-    *missing block* is expected here — any other error is a real pass
-    bug and must surface.
-    """
-    for label, _info in formed:
-        try:
-            block = fn.block(label)
-        except IRError:
-            continue
-        combine_branches(fn, block, profile, params)
 
 
 @dataclass

@@ -62,8 +62,9 @@ def test_run_models_agree(source_file, capsys):
     assert len(set(results)) == 1
 
 
-def test_bench_runs_workload(capsys):
-    assert main(["bench", "wc", "--scale", "0.15"]) == 0
+def test_bench_runs_workload(tmp_path, capsys):
+    assert main(["bench", "wc", "--scale", "0.15",
+                 "--cache-dir", str(tmp_path / "cache")]) == 0
     out = capsys.readouterr().out
     assert "Superblock" in out and "Full Predication" in out
 
@@ -71,6 +72,7 @@ def test_bench_runs_workload(capsys):
 def test_report_to_file(tmp_path, capsys):
     target = tmp_path / "out.txt"
     # Tiny scale keeps this test quick while covering the whole path.
-    assert main(["report", "--scale", "0.1", "-o", str(target)]) == 0
+    assert main(["report", "--scale", "0.1", "-o", str(target),
+                 "--cache-dir", str(tmp_path / "cache")]) == 0
     text = target.read_text()
     assert "Figure 8" in text and "Table 3" in text

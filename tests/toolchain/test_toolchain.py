@@ -6,9 +6,10 @@ from repro.analysis.profile import Profile
 from repro.ir import ISALevel, Opcode, VerificationError, verify_program
 from repro.ir.opcodes import OpCategory
 from repro.machine.descriptor import fig8_machine, scalar_machine
-from repro.toolchain import (Model, ToolchainOptions, baseline_cycles,
-                             compile_and_simulate, compile_for_model,
-                             frontend, run_compiled)
+from repro.toolchain import (MODEL_NAMES, Model, ToolchainOptions,
+                             baseline_cycles, compile_and_simulate,
+                             compile_for_model, frontend, model_passes,
+                             run_compiled)
 
 SRC = """
 char buf[256];
@@ -114,6 +115,54 @@ def test_options_disable_machinery(base, profile):
         golden = compile_and_simulate(SRC, Model.SUPERBLOCK,
                                       scalar_machine(), inputs=INPUTS)
         assert result.return_value == golden.return_value
+
+
+def test_pass_table_names_and_order():
+    # Pass names key IR artifact files, Degradation records and the
+    # per-pass benchmark metrics: renaming one is a visible change.
+    names = {m: [p[0] for p in model_passes(m, ToolchainOptions())]
+             for m in Model}
+    sb = ["superblock-formation", "loop-unroll"]
+    hb = ["hyperblock-formation", "predicate-optimization",
+          "predicate-promotion", "branch-combine"]
+    assert names[Model.SUPERBLOCK] == sb + ["peephole"]
+    assert names[Model.FULLPRED] == hb + sb + ["peephole"]
+    assert names[Model.CMOV] == hb + sb + [
+        "partial-conversion", "or-tree-reduction", "peephole"]
+
+
+def test_options_drop_switched_off_passes():
+    options = ToolchainOptions(branch_combine=None,
+                               enable_promotion=False,
+                               enable_or_tree=False, unroll=None)
+    assert [p[0] for p in model_passes(Model.CMOV, options)] == [
+        "hyperblock-formation", "predicate-optimization",
+        "superblock-formation", "partial-conversion", "peephole"]
+
+
+def test_one_model_name_scheme_for_every_entry_point():
+    from repro.cli import build_parser
+    from repro.robustness.errors import ReproError, SpecError
+    from repro.service.spec import ServiceJobSpec
+    from repro.sweep.spec import SweepSpec
+
+    expected = {m.name.lower() for m in Model}
+    assert set(MODEL_NAMES) == expected
+    assert all(Model[name.upper()].name.lower() == name
+               for name in MODEL_NAMES)
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    for command in ("compile", "run"):
+        (model_arg,) = [a for a in subcommands[command]._actions
+                        if a.dest == "model"]
+        assert set(model_arg.choices) == expected
+    for name in expected:
+        assert SweepSpec(models=(name,)).models == (name,)
+        assert ServiceJobSpec(workload="wc", models=(name,)).models \
+            == (name,)
+    with pytest.raises(SpecError):
+        SweepSpec(models=("Superblock",))
+    with pytest.raises(ReproError):
+        ServiceJobSpec(workload="wc", models=("predicated",))
 
 
 def test_schedule_annotations_cover_instructions(base, profile):
