@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.cfg import predecessors_map, successors_map
 from repro.ir.function import BasicBlock, Function
-from repro.ir.instruction import Instruction
-from repro.ir.opcodes import OpCategory
+from repro.ir.instruction import InstFacts, instruction_facts
 from repro.ir.operands import PReg, VReg
 
 Reg = VReg | PReg
@@ -43,71 +42,76 @@ class Liveness:
         return self.live_out.get(block.name, frozenset())
 
 
-def _scan_block(insts: list[Instruction], live_out: frozenset[Reg],
+def _scan_block(facts: list[InstFacts], live_out: frozenset[Reg],
                 live_in_map: dict[str, frozenset[Reg]],
-                record: list | None = None) -> set[Reg]:
+                record: list | None = None) -> frozenset[Reg]:
     """Backward transfer: registers live before the block.
 
+    ``facts`` describes the block's instructions, in order.
     ``record``, if given, is filled with the live set *before* each
-    instruction (parallel to ``insts``).
+    instruction (parallel to ``facts``).
     """
     need: dict[Reg, set] = {r: {ALWAYS} for r in live_out}
+    # Every predicate some need may be conditioned on (a superset):
+    # most predicate defines then skip the sweep over ``need``.
+    guarding: set[PReg] = set()
     if record is not None:
         record.clear()
-        record.extend([frozenset()] * len(insts))
-    for i in range(len(insts) - 1, -1, -1):
-        inst = insts[i]
-        defined = inst.defined_regs()
+        record.extend([frozenset()] * len(facts))
+    for i in range(len(facts) - 1, -1, -1):
+        defs, uses, pdefs, g, predset, cond_write, exit_target, _ = facts[i]
         # Redefining a predicate register invalidates needs conditioned
         # on its (new) value: they refer to the value defined *here*,
         # so for code above this point they are unconditional needs of
         # whatever feeds this define — conservatively promote to ALWAYS.
-        for d in defined:
-            if isinstance(d, PReg):
+        for d in pdefs:
+            if d in guarding:
+                guarding.discard(d)
                 for guards in need.values():
                     if d in guards:
                         guards.discard(d)
                         guards.add(ALWAYS)
-        if inst.cat is OpCategory.PREDSET:
+        if predset:
             # pred_clear/pred_set definitely define every predicate.
             for guards in need.values():
-                if any(isinstance(g, PReg) for g in guards):
-                    guards.difference_update(
-                        {g for g in guards if isinstance(g, PReg)})
+                if len(guards) > 1 or ALWAYS not in guards:
+                    guards.clear()
                     guards.add(ALWAYS)
             for r in [r for r in need if isinstance(r, PReg)]:
                 del need[r]
+            guarding.clear()
         # Kills.
-        if not inst.is_conditional_write:
-            for d in defined:
+        if not cond_write:
+            for d in defs:
                 need.pop(d, None)
-        elif inst.pred is not None:
-            for d in defined:
+        elif g is not None:
+            for d in defs:
                 guards = need.get(d)
                 if guards is not None:
-                    guards.discard(inst.pred)
+                    guards.discard(g)
                     if not guards:
                         del need[d]
-        # Uses (the guard itself is in used_regs, under ALWAYS: the
-        # guard must be readable whenever the instruction is fetched).
-        g = inst.pred
-        for r in inst.used_regs():
-            key = ALWAYS if isinstance(r, PReg) and r == g else g
-            need.setdefault(r, set()).add(key)
-        if g is not None:
-            need.setdefault(g, set()).add(ALWAYS)
+        # Uses.  The guard itself is among them, under ALWAYS: it must
+        # be readable whenever the instruction is fetched.
+        if g is None:
+            for r in uses:
+                need.setdefault(r, set()).add(ALWAYS)
+        else:
+            guarding.add(g)
+            for r in uses:
+                need.setdefault(r, set()).add(ALWAYS if r == g else g)
         # Mid-block exits revive their target's live-ins, conditioned
         # on the exit's guard.
-        if inst.is_control and inst.target is not None \
-                and inst.cat is not OpCategory.CALL:
-            for r in live_in_map.get(inst.target, frozenset()):
+        if exit_target is not None:
+            for r in live_in_map.get(exit_target, ()):
                 need.setdefault(r, set()).add(g)
         if record is not None:
             record[i] = frozenset(need)
-    return set(need)
+    return frozenset(need)
 
 
-def liveness(fn: Function) -> Liveness:
+def liveness(fn: Function,
+             facts: dict[str, list[InstFacts]] | None = None) -> Liveness:
     """Worklist fixpoint, seeded in layout order and driven backward.
 
     A block is rescanned only when some successor's live-in actually
@@ -116,10 +120,16 @@ def liveness(fn: Function) -> Liveness:
     fuzzer's diamond-ladder programs produce.  The transfer functions
     are unchanged and monotone, so the least fixpoint (and therefore
     every client: DCE, promotion, scheduling) is identical.
+
+    ``facts`` maps block names to :func:`instruction_facts` of their
+    instructions, for a caller that already has them; by default they
+    are computed here, once per block rather than once per rescan.
     """
+    if facts is None:
+        facts = {b.name: instruction_facts(b.instructions)
+                 for b in fn.blocks}
     succs = successors_map(fn)
     preds = predecessors_map(fn)
-    blocks = {b.name: b for b in fn.blocks}
     live_in: dict[str, frozenset[Reg]] = {b.name: frozenset()
                                           for b in fn.blocks}
     live_out: dict[str, frozenset[Reg]] = {b.name: frozenset()
@@ -132,9 +142,8 @@ def liveness(fn: Function) -> Liveness:
         out: set[Reg] = set()
         for s in succs[name]:
             out |= live_in[s]
-        new_in = frozenset(_scan_block(blocks[name].instructions,
-                                       frozenset(out), live_in))
-        live_out[name] = frozenset(out)
+        live_out[name] = out = frozenset(out)
+        new_in = _scan_block(facts[name], out, live_in)
         if new_in != live_in[name]:
             live_in[name] = new_in
             for p in preds[name]:
@@ -150,13 +159,12 @@ def block_use_def(block: BasicBlock) -> tuple[set[Reg], set[Reg]]:
     Provided for diagnostics and tests; :func:`liveness` uses the
     position-aware scan directly.
     """
-    uses = _scan_block(block.instructions, frozenset(), {})
+    facts = instruction_facts(block.instructions)
+    uses = set(_scan_block(facts, frozenset(), {}))
     defs: set[Reg] = set()
-    for inst in block.instructions:
-        if not inst.is_conditional_write:
-            defs.update(inst.defined_regs())
-        if inst.cat is OpCategory.PREDSET:
-            pass  # defines all predicates, but none are enumerable here
+    for f in facts:
+        if not f.cond_write:
+            defs.update(f.defs)
     return uses, defs
 
 
@@ -170,5 +178,6 @@ def live_before_each(block: BasicBlock, live_out: frozenset[Reg],
     ``block.instructions``.
     """
     record: list = []
-    _scan_block(block.instructions, live_out, live_in_map or {}, record)
+    _scan_block(instruction_facts(block.instructions), live_out,
+                live_in_map or {}, record)
     return record

@@ -14,6 +14,15 @@ vector engine's pure-Python rung on identical work:
   :func:`~repro.fastpath.simulate.simulate_columns`), normalized per
   trace event.
 
+Two more time the compiler's analyses on their largest input in the
+paper suite, espresso's biggest FULLPRED hyperblock; they have no
+legacy twin:
+
+* **liveness** — :func:`~repro.analysis.liveness.liveness` of the
+  hyperblock's function, normalized per instruction of the function;
+* **build-dag** — :func:`~repro.schedule.dag.build_dag` of the
+  hyperblock, normalized per instruction of the block.
+
 Everything runs on :mod:`timeit` from the standard library; the
 ``benchmarks/perf/`` scripts are thin wrappers over this module so the
 numbers are reproducible from either entry point.
@@ -50,16 +59,19 @@ int main() {
 
 @dataclass
 class MicroResult:
-    """One legacy-vs-fastpath comparison."""
+    """One legacy-vs-fastpath comparison, or (``legacy_ns`` None) one
+    timing with nothing to compare against."""
 
     name: str
     unit: str
-    legacy_ns: float
+    legacy_ns: float | None
     fast_ns: float
 
     @property
     def speedup(self) -> float:
-        return self.legacy_ns / self.fast_ns if self.fast_ns else 0.0
+        if self.legacy_ns is None or not self.fast_ns:
+            return 0.0
+        return self.legacy_ns / self.fast_ns
 
 
 def _time_per_unit(fn, units: int, repeat: int) -> float:
@@ -146,9 +158,39 @@ def bench_issue_loop(repeat: int = 3) -> MicroResult:
     return MicroResult("issue-loop", "trace event", legacy, fast)
 
 
+def bench_analyses(repeat: int = 3) -> list[MicroResult]:
+    """Liveness and DAG construction on espresso's largest FULLPRED
+    hyperblock (scale 0.2 profile, Fig. 8 machine)."""
+    from repro.analysis.liveness import liveness
+    from repro.analysis.profile import Profile
+    from repro.machine.descriptor import fig8_machine
+    from repro.schedule.dag import build_dag
+    from repro.toolchain import Model, compile_for_model, frontend
+    from repro.workloads.base import get_workload
+
+    workload = get_workload("espresso")
+    base = frontend(workload.source)
+    profile = Profile.collect(base, inputs=workload.inputs(0.2))
+    machine = fig8_machine()
+    program = compile_for_model(base, Model.FULLPRED, profile,
+                                machine).program
+    fn, block = max(((f, b) for f in program.functions.values()
+                     for b in f.blocks),
+                    key=lambda fb: len(fb[1].instructions))
+    live = liveness(fn)
+    size = sum(len(b.instructions) for b in fn.blocks)
+    return [
+        MicroResult("liveness", "instr", None,
+                    _time_per_unit(lambda: liveness(fn), size, repeat)),
+        MicroResult("build-dag", "instr", None, _time_per_unit(
+            lambda: build_dag(fn, block, live, machine),
+            len(block.instructions), repeat)),
+    ]
+
+
 def run_all(repeat: int = 3) -> list[MicroResult]:
     return [bench_dispatch(repeat), bench_trace_append(repeat),
-            bench_issue_loop(repeat)]
+            bench_issue_loop(repeat), *bench_analyses(repeat)]
 
 
 def render(results: list[MicroResult]) -> str:
@@ -156,6 +198,10 @@ def render(results: list[MicroResult]) -> str:
              f"{'speedup':>9s}  unit",
              "-" * 55]
     for r in results:
+        if r.legacy_ns is None:
+            lines.append(f"{r.name:<14s}{'-':>12s}{r.fast_ns:>10.0f}ns"
+                         f"{'':>9s}  per {r.unit}")
+            continue
         lines.append(f"{r.name:<14s}{r.legacy_ns:>10.0f}ns"
                      f"{r.fast_ns:>10.0f}ns{r.speedup:>8.2f}x"
                      f"  per {r.unit}")

@@ -11,9 +11,9 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from repro.ir.opcodes import (OpCategory, Opcode, category, has_side_effects,
-                              is_control, CONDITION)
+from repro.ir.opcodes import OpCategory, Opcode, CONDITION
 from repro.ir.operands import GlobalAddr, Imm, Operand, PReg, VReg
 
 
@@ -111,7 +111,7 @@ class Instruction:
 
     @property
     def cat(self) -> OpCategory:
-        return category(self.op)
+        return self.op.category
 
     @property
     def is_branch(self) -> bool:
@@ -119,7 +119,7 @@ class Instruction:
 
     @property
     def is_control(self) -> bool:
-        return is_control(self.op)
+        return self.op.control
 
     @property
     def is_terminator(self) -> bool:
@@ -136,7 +136,7 @@ class Instruction:
         """True when the destination may keep its old value: guarded
         instructions and conditional moves (but not selects, which
         always write)."""
-        return self.pred is not None or self.cat is OpCategory.CMOV
+        return self.pred is not None or self.op.category is OpCategory.CMOV
 
     @property
     def condition(self) -> str | None:
@@ -170,7 +170,7 @@ class Instruction:
     @property
     def is_pure(self) -> bool:
         """True if removing the instruction only loses its dest value(s)."""
-        return not has_side_effects(self.op) and not self.is_control
+        return not self.op.side_effects  # control transfers have them
 
     def copy(self, **overrides: object) -> "Instruction":
         """Shallow copy with field overrides; keeps the same ``uid``."""
@@ -216,3 +216,43 @@ class Instruction:
         if self.pred is not None:
             text += f" ({self.pred})"
         return text.strip()
+
+
+class InstFacts(NamedTuple):
+    """What liveness, DCE and the dependence DAG read of one instruction.
+
+    Computed once per analysis call by :func:`instruction_facts` and
+    never cached on the :class:`Instruction`: passes rewrite
+    instructions in place, so a cached copy would go stale.
+    """
+
+    defs: tuple[VReg | PReg, ...]
+    uses: tuple[VReg | PReg, ...]
+    #: the predicate registers among ``defs``
+    pdefs: tuple[PReg, ...]
+    guard: PReg | None
+    #: pred_clear / pred_set: definitely rewrites every predicate
+    predset: bool
+    cond_write: bool
+    #: where control may leave for: the target of a branch or jump,
+    #: None for everything else (calls return, returns have no label)
+    exit: str | None
+    pure: bool
+
+
+def instruction_facts(insts: list[Instruction]) -> list[InstFacts]:
+    """:class:`InstFacts` of each instruction, parallel to ``insts``."""
+    facts = []
+    for inst in insts:
+        op = inst.op
+        cat = op.category
+        defs = inst.defined_regs()
+        facts.append(InstFacts(
+            defs, inst.used_regs(),
+            tuple(d for d in defs if isinstance(d, PReg)) if defs else (),
+            inst.pred, cat is OpCategory.PREDSET,
+            inst.pred is not None or cat is OpCategory.CMOV,
+            inst.target if op.control and cat is not OpCategory.CALL
+            else None,
+            not op.side_effects))
+    return facts

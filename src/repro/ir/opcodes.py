@@ -154,9 +154,23 @@ for _op in (Opcode.SELECT, Opcode.FSELECT):
 _CATEGORY[Opcode.NOP] = OpCategory.NOP
 
 
+_CONTROL = frozenset({OpCategory.BRANCH, OpCategory.JUMP, OpCategory.CALL,
+                      OpCategory.RET})
+_SIDE_EFFECTS = _CONTROL | {OpCategory.STORE, OpCategory.PREDSET}
+
+# Per-member metadata, read as attributes: the analyses ask these of
+# every instruction many times, and an attribute read is much cheaper
+# than hashing the enum into a dict.
+for _op in Opcode:
+    _op.category = _CATEGORY[_op]
+    _op.control = _op.category in _CONTROL
+    _op.side_effects = _op.category in _SIDE_EFFECTS
+del _op
+
+
 def category(op: Opcode) -> OpCategory:
     """Return the behaviour category of ``op``."""
-    return _CATEGORY[op]
+    return op.category
 
 
 COMMUTATIVE: frozenset[Opcode] = frozenset({
@@ -219,15 +233,12 @@ MAY_EXCEPT: frozenset[Opcode] = frozenset({
 
 def has_side_effects(op: Opcode) -> bool:
     """True if the instruction does more than write its destination."""
-    return category(op) in (OpCategory.STORE, OpCategory.BRANCH,
-                            OpCategory.JUMP, OpCategory.CALL, OpCategory.RET,
-                            OpCategory.PREDSET)
+    return op.side_effects
 
 
 def is_control(op: Opcode) -> bool:
     """True for instructions that may transfer control."""
-    return category(op) in (OpCategory.BRANCH, OpCategory.JUMP,
-                            OpCategory.CALL, OpCategory.RET)
+    return op.control
 
 
 def writes_float(op: Opcode) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-from repro.ir.opcodes import Opcode, OpCategory, category
+from repro.ir.opcodes import Opcode, OpCategory
 from repro.machine.latencies import latency as _pa7100_latency
 
 #: op-class names a latency override may target: a coarse category
@@ -61,13 +61,15 @@ def normalize_latency_overrides(overrides) -> tuple[tuple[str, int], ...]:
 
 
 @lru_cache(maxsize=64)
-def _split_overrides(overrides: tuple[tuple[str, int], ...]
-                     ) -> tuple[dict[Opcode, int], dict[OpCategory, int]]:
-    """Partition canonical overrides into opcode- and category-keyed maps.
+def _latency_table(overrides: tuple[tuple[str, int], ...]
+                   ) -> dict[Opcode, int]:
+    """Every opcode's latency under canonical ``overrides``.
 
-    Names that are both a category and an opcode mnemonic ("load",
-    "cmov", ...) take the *category* meaning — a latency table entry
-    named "load" reads as "all loads", matching the paper's tables.
+    An opcode-named override beats a category-named one, which beats
+    the PA-7100 default.  Names that are both a category and an opcode
+    mnemonic ("load", "cmov", ...) take the *category* meaning — a
+    latency table entry named "load" reads as "all loads", matching the
+    paper's tables.
     """
     by_op: dict[Opcode, int] = {}
     by_cat: dict[OpCategory, int] = {}
@@ -76,7 +78,8 @@ def _split_overrides(overrides: tuple[tuple[str, int], ...]
             by_cat[_CATEGORY_NAMES[name]] = cycles
         else:
             by_op[_OPCODE_NAMES[name]] = cycles
-    return by_op, by_cat
+    return {op: by_op.get(op, by_cat.get(op.category, _pa7100_latency(op)))
+            for op in Opcode}
 
 
 @dataclass(frozen=True)
@@ -130,12 +133,7 @@ class MachineDescription:
 
     def latency(self, op: Opcode) -> int:
         if self.latency_overrides:
-            by_op, by_cat = _split_overrides(self.latency_overrides)
-            if op in by_op:
-                return by_op[op]
-            cat = category(op)
-            if cat in by_cat:
-                return by_cat[cat]
+            return _latency_table(self.latency_overrides)[op]
         return _pa7100_latency(op)
 
     def with_issue(self, width: int, branches: int) -> "MachineDescription":

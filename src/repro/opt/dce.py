@@ -10,41 +10,42 @@ from __future__ import annotations
 
 from repro.analysis.liveness import liveness
 from repro.ir.function import Function
-from repro.ir.instruction import Instruction
-from repro.ir.opcodes import OpCategory
+from repro.ir.instruction import instruction_facts
 
 
 def eliminate_dead_code(fn: Function) -> bool:
     """Remove pure instructions whose results are never used."""
+    # Removing an instruction changes no other's facts, so one
+    # computation serves every round: the swept lists shrink in step
+    # with the blocks.
+    facts = {b.name: instruction_facts(b.instructions) for b in fn.blocks}
     changed = False
     while True:
-        live = liveness(fn)
+        live = liveness(fn, facts)
         round_changed = False
         for block in fn.blocks:
             live_now = set(live.live_out[block.name])
-            kept: list[Instruction] = []
-            for inst in reversed(block.instructions):
-                defs = inst.defined_regs()
-                dead = (inst.is_pure and defs
-                        and all(d not in live_now for d in defs))
-                if dead:
+            block_facts = facts[block.name]
+            kept = []
+            for inst, f in zip(reversed(block.instructions),
+                               reversed(block_facts)):
+                defs = f.defs
+                if f.pure and defs and live_now.isdisjoint(defs):
                     round_changed = True
                     continue
-                if not inst.is_conditional_write:
+                if not f.cond_write:
                     # Only definite writes kill.
-                    for d in defs:
-                        live_now.discard(d)
-                live_now.update(inst.used_regs())
-                if inst.is_control and inst.target is not None \
-                        and inst.cat is not OpCategory.CALL:
+                    live_now.difference_update(defs)
+                live_now.update(f.uses)
+                if f.exit is not None:
                     # Mid-block exit: everything its target needs is
                     # live here, even if redefined later in the block.
-                    live_now.update(live.live_in.get(inst.target,
-                                                     frozenset()))
-                kept.append(inst)
-            kept.reverse()
-            if len(kept) != len(block.instructions):
-                block.instructions = kept
+                    live_now.update(live.live_in.get(f.exit, ()))
+                kept.append((inst, f))
+            if len(kept) != len(block_facts):
+                kept.reverse()
+                block.instructions = [inst for inst, _ in kept]
+                facts[block.name] = [f for _, f in kept]
         if not round_changed:
             return changed
         changed = True

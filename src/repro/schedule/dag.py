@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 from repro.analysis.liveness import Liveness
 from repro.ir.function import BasicBlock, Function
-from repro.ir.instruction import Instruction, PType
-from repro.ir.opcodes import MAY_EXCEPT, OpCategory, Opcode
-from repro.ir.operands import PReg
+from repro.ir.instruction import Instruction, PType, instruction_facts
+from repro.ir.opcodes import OpCategory, Opcode
+from repro.ir.operands import GlobalAddr, PReg
 from repro.machine.descriptor import MachineDescription
 
 _PARALLEL_SET = frozenset({PType.OR, PType.OR_BAR})
@@ -37,11 +37,16 @@ _PARALLEL_CLEAR = frozenset({PType.AND, PType.AND_BAR})
 
 @dataclass
 class DepGraph:
-    """Nodes are instruction indices; ``succs[i]`` holds (j, latency)."""
+    """Nodes are instruction indices; ``succs[i]`` holds (j, latency).
+
+    ``latency[i]`` is instruction ``i``'s result latency on the machine
+    the graph was built for.
+    """
 
     insts: list[Instruction]
     succs: list[list[tuple[int, int]]] = field(default_factory=list)
     preds: list[list[tuple[int, int]]] = field(default_factory=list)
+    latency: list[int] = field(default_factory=list)
 
     def add_edge(self, i: int, j: int, latency: int) -> None:
         if i == j:
@@ -49,12 +54,12 @@ class DepGraph:
         self.succs[i].append((j, latency))
         self.preds[j].append((i, latency))
 
-    def heights(self, machine: MachineDescription) -> list[int]:
+    def heights(self) -> list[int]:
         """Longest-path-to-sink priority for list scheduling."""
         n = len(self.insts)
         height = [0] * n
         for i in range(n - 1, -1, -1):
-            best = machine.latency(self.insts[i].op)
+            best = self.latency[i]
             for j, lat in self.succs[i]:
                 best = max(best, lat + height[j])
             height[i] = best
@@ -83,25 +88,42 @@ def _complementary_cmovs(a: Instruction, b: Instruction) -> bool:
     return a.dest == b.dest and a.srcs[1] == b.srcs[1]
 
 
-def _speculable(inst: Instruction, live_at_target: frozenset) -> bool:
-    """May ``inst`` cross a branch with the given target liveness?"""
-    if not inst.is_pure:
-        return False
-    for d in inst.defined_regs():
-        if d in live_at_target:
-            return False
-    return True
+def _unordered(a: Instruction, b: Instruction, reg) -> bool:
+    """May ``a`` and the later ``b``, both touching ``reg``, stay
+    unordered?  Only parallel predicate defines of one family and
+    complementary cmovs may."""
+    family = _parallel_family(b, reg)
+    if family is not None and _parallel_family(a, reg) is family:
+        return True
+    return _complementary_cmovs(a, b)
+
+
+def _mem_key(inst: Instruction) -> str:
+    """The global object a memory access touches, "*" if unknown."""
+    if inst.mem_hint is not None:
+        return inst.mem_hint
+    base = inst.srcs[0] if inst.srcs else None
+    if isinstance(base, GlobalAddr):
+        return base.name
+    return "*"
 
 
 def build_dag(fn: Function, block: BasicBlock, live: Liveness,
               machine: MachineDescription) -> DepGraph:
     insts = block.instructions
     n = len(insts)
-    graph = DepGraph(insts, [[] for _ in range(n)], [[] for _ in range(n)])
+    facts = instruction_facts(insts)
+    latency = [machine.latency(inst.op) for inst in insts]
+    graph = DepGraph(insts, [[] for _ in range(n)], [[] for _ in range(n)],
+                     latency)
+    add_edge = graph.add_edge
 
-    # Register dependences.
+    # Register dependences.  ``readers`` lists, per register, the
+    # earlier instructions reading it in ascending order, so a write
+    # finds its WAR predecessors without rescanning the block.
     last_definite: dict = {}
     pending: dict = {}  # reg -> list of conditional def indices
+    readers: dict = {}
 
     def defs_reaching(reg) -> list[int]:
         out = []
@@ -111,37 +133,28 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
         return out
 
     for j, inst in enumerate(insts):
-        lat_j = machine.latency(inst.op)
+        defs, uses = facts[j].defs, facts[j].uses
+        # Only predicate defines and cmovs are ever unordered with an
+        # instruction touching the same register.
+        may_pair = bool(inst.pdests) or inst.op.category is OpCategory.CMOV
         # RAW (including guard predicates and cmov implicit dest reads).
-        for r in inst.used_regs():
+        for r in uses:
             for i in defs_reaching(r):
-                producer = insts[i]
-                fam_i = _parallel_family(producer, r)
-                fam_j = _parallel_family(inst, r)
-                if fam_i is not None and fam_i is fam_j:
-                    continue  # wired-OR/AND: order independent
-                if _complementary_cmovs(producer, inst):
+                if may_pair and _unordered(insts[i], inst, r):
                     continue
-                graph.add_edge(i, j, machine.latency(producer.op))
+                add_edge(i, j, latency[i])
         # WAR: writers wait for earlier readers (latency 0 keeps order).
-        for r in inst.defined_regs():
-            for i in range(j):
-                if r in insts[i].used_regs() and i not in defs_reaching(r):
-                    fam_i = _parallel_family(insts[i], r)
-                    fam_j = _parallel_family(inst, r)
-                    if fam_i is not None and fam_i is fam_j:
-                        continue
-                    if _complementary_cmovs(insts[i], inst):
-                        continue
-                    graph.add_edge(i, j, 0)
-        # WAW.
-        for r in inst.defined_regs():
-            for i in defs_reaching(r):
-                fam_i = _parallel_family(insts[i], r)
-                fam_j = _parallel_family(inst, r)
-                if fam_i is not None and fam_i is fam_j:
+        for r in defs:
+            reaching = defs_reaching(r)
+            for i in readers.get(r, ()):
+                if i in reaching \
+                        or may_pair and _unordered(insts[i], inst, r):
                     continue
-                if _complementary_cmovs(insts[i], inst):
+                add_edge(i, j, 0)
+        # WAW.
+        for r in defs:
+            for i in defs_reaching(r):
+                if may_pair and _unordered(insts[i], inst, r):
                     continue
                 # Predicate WAW must keep a cycle between writes (U-type
                 # defines "may not issue simultaneously"); register WAW
@@ -149,55 +162,45 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
                 if isinstance(r, PReg):
                     waw_lat = 1
                 else:
-                    waw_lat = 1 if machine.latency(insts[i].op) > 1 else 0
-                graph.add_edge(i, j, waw_lat)
+                    waw_lat = 1 if latency[i] > 1 else 0
+                add_edge(i, j, waw_lat)
             # Update def records.  Parallel-type (OR/AND) predicate
             # destinations accumulate rather than overwrite, so they are
             # pending defs like guarded writes — a later reader depends
             # on *all* of them, not just the latest.
-            if inst.is_conditional_write \
+            if facts[j].cond_write \
                     or _parallel_family(inst, r) is not None:
                 pending.setdefault(r, []).append(j)
             else:
                 last_definite[r] = j
                 pending.pop(r, None)
-    del lat_j
+        for r in uses:
+            listed = readers.setdefault(r, [])
+            if not listed or listed[-1] != j:
+                listed.append(j)
 
     # pred_clear / pred_set rewrite the entire predicate file: order them
     # against every instruction touching any predicate register.
     touchers: list[int] = []
     last_predset: int | None = None
-    for j, inst in enumerate(insts):
-        if inst.cat is OpCategory.PREDSET:
+    for j, f in enumerate(facts):
+        if f.predset:
             for i in touchers:
-                graph.add_edge(i, j, 0)
+                add_edge(i, j, 0)
             if last_predset is not None:
-                graph.add_edge(last_predset, j, 0)
+                add_edge(last_predset, j, 0)
             last_predset = j
             touchers = []
-        else:
-            touches_preds = (inst.pred is not None or inst.pdests
-                             or any(isinstance(r, PReg)
-                                    for r in inst.used_regs()))
-            if touches_preds:
-                if last_predset is not None:
-                    graph.add_edge(last_predset, j, 1)
-                touchers.append(j)
+        elif insts[j].pdests or any(isinstance(r, PReg) for r in f.uses):
+            # The guard is among the uses.
+            if last_predset is not None:
+                add_edge(last_predset, j, 1)
+            touchers.append(j)
 
     # Memory dependences with symbolic disambiguation: accesses through
     # distinct global objects cannot alias (globals do not overlap);
     # anything with a register base address is treated as "may touch
     # anything" ("*").  Calls behave as opaque stores.
-    from repro.ir.operands import GlobalAddr
-
-    def mem_key(inst: Instruction) -> str:
-        if inst.mem_hint is not None:
-            return inst.mem_hint
-        base = inst.srcs[0] if inst.srcs else None
-        if isinstance(base, GlobalAddr):
-            return base.name
-        return "*"
-
     last_store_at: dict[str, int] = {}
     loads_since: dict[str, list[int]] = {}
     last_mem_write: int | None = None
@@ -218,18 +221,18 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
         return loads_since.get(key, []) + loads_since.get("*", [])
 
     for j, inst in enumerate(insts):
-        cat = inst.cat
+        cat = inst.op.category
         if cat is OpCategory.LOAD:
-            key = mem_key(inst)
+            key = _mem_key(inst)
             for i in conflicting_stores(key):
-                graph.add_edge(i, j, machine.latency(insts[i].op))
+                add_edge(i, j, latency[i])
             loads_since.setdefault(key, []).append(j)
         elif cat is OpCategory.STORE or cat is OpCategory.CALL:
-            key = "*" if cat is OpCategory.CALL else mem_key(inst)
+            key = "*" if cat is OpCategory.CALL else _mem_key(inst)
             for i in conflicting_stores(key):
-                graph.add_edge(i, j, 1)
+                add_edge(i, j, 1)
             for i in conflicting_loads(key):
-                graph.add_edge(i, j, 0)
+                add_edge(i, j, 0)
             # The dynamic store stream is an architectural observable
             # (the differential oracle compares it across models), so
             # writes keep program order even when disambiguation proves
@@ -237,7 +240,7 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
             # cycle, but a cheap store can no longer hoist above a
             # slower one's operand chain.
             if last_mem_write is not None:
-                graph.add_edge(last_mem_write, j, 0)
+                add_edge(last_mem_write, j, 0)
             last_mem_write = j
             if key == "*":
                 last_store_at.clear()
@@ -249,34 +252,31 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
                 loads_since.pop(key, None)
             last_store_at[key] = j
 
-    # Control dependences.
-    empty: frozenset = frozenset()
+    # Control dependences: control transfers keep their order; anything
+    # else stays on its side of a branch unless it is pure and its
+    # destinations are dead at the branch's target (speculation).
+    control = [inst.op.control for inst in insts]
     for b, binst in enumerate(insts):
-        if not binst.is_control:
+        if not control[b]:
             continue
-        barrier = binst.cat is OpCategory.CALL
-        if barrier:
-            live_target = None
-        elif binst.cat is OpCategory.RET:
+        cat = binst.op.category
+        if cat is OpCategory.CALL:
+            live_target = None  # a full barrier
+        elif cat is OpCategory.RET:
             # A return's "target" needs only the returned value: other
             # pure instructions may move across it like any exit branch.
-            live_target = frozenset(binst.used_regs())
+            live_target = frozenset(facts[b].uses)
         else:
-            live_target = live.live_in.get(binst.target or "", empty)
-        for j in range(n):
-            if j == b:
-                continue
-            other = insts[j]
-            if other.is_control and j > b:
-                graph.add_edge(b, j, 0)
-                continue
-            if other.is_control:
-                continue
-            movable = (not barrier and live_target is not None
-                       and _speculable(other, live_target))
-            if not movable:
-                if j < b:
-                    graph.add_edge(j, b, 0)
-                else:
-                    graph.add_edge(b, j, 0)
+            live_target = live.live_in.get(binst.target or "", frozenset())
+        if live_target is None:
+            pinned = [True] * n
+        else:
+            pinned = [not (f.pure and live_target.isdisjoint(f.defs))
+                      for f in facts]
+        for j in range(b):
+            if pinned[j] and not control[j]:
+                add_edge(j, b, 0)
+        for j in range(b + 1, n):
+            if pinned[j] or control[j]:
+                add_edge(b, j, 0)
     return graph

@@ -43,7 +43,7 @@ def schedule_block(fn: Function, block: BasicBlock,
     if n == 0:
         return result
     graph = build_dag(fn, block, live, machine)
-    height = graph.heights(machine)
+    height = graph.heights()
 
     indegree = [len(graph.preds[i]) for i in range(n)]
     earliest = [0] * n

@@ -174,6 +174,7 @@ def _round_robin_liveness(fn):
     every block until nothing changes."""
     from repro.analysis.cfg import successors_map
     from repro.analysis.liveness import Liveness, _scan_block
+    from repro.ir.instruction import instruction_facts
 
     succs = successors_map(fn)
     live_in = {b.name: frozenset() for b in fn.blocks}
@@ -186,8 +187,9 @@ def _round_robin_liveness(fn):
             out = set()
             for s in succs[name]:
                 out |= live_in[s]
-            new_in = frozenset(_scan_block(block.instructions,
-                                           frozenset(out), live_in))
+            new_in = frozenset(_scan_block(
+                instruction_facts(block.instructions), frozenset(out),
+                live_in))
             out_f = frozenset(out)
             if out_f != live_out[name] or new_in != live_in[name]:
                 live_out[name] = out_f

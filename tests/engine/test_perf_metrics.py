@@ -146,3 +146,12 @@ def test_cli_compare_of_a_vector_bench_json_with_itself_exits_zero(
     args = Namespace(engine="vector", compare=str(path))
     assert _print_metrics(metrics, args) == 0
     assert "no stage regressions" in capsys.readouterr().err
+
+
+def test_analyses_microbenchmark_times_liveness_and_build_dag():
+    from repro.fastpath import micro
+    results = micro.bench_analyses(repeat=1)
+    assert [r.name for r in results] == ["liveness", "build-dag"]
+    assert all(r.legacy_ns is None and r.fast_ns > 0 for r in results)
+    table = micro.render(results)
+    assert "liveness" in table and "build-dag" in table

@@ -89,6 +89,25 @@ def test_opcode_override_beats_category_override():
     assert m.latency(Opcode.LOAD) == 4        # category covers the rest
 
 
+def test_overridden_latencies_follow_the_override_rule_for_every_opcode():
+    # The rule, spelled out: an opcode-named override, else a
+    # category-named one (a name that is both, like "load" or "cmov",
+    # names the category), else the PA-7100 default.  Asked twice, so
+    # a memoized table must agree with itself too.
+    from repro.ir.opcodes import OpCategory, category
+    category_names = {c.value for c in OpCategory}
+    for table in ({"load": 3, "mul": 5}, {"falu": 4, "mul_f": 3},
+                  {"cmov": 2, "div": 12, "branch": 2, "load_b": 6}):
+        m = fig8_machine().with_latencies(table)
+        by_op = {n: c for n, c in table.items() if n not in category_names}
+        by_cat = {n: c for n, c in table.items() if n in category_names}
+        for _ in range(2):
+            for op in Opcode:
+                expected = by_op.get(op.value, by_cat.get(
+                    category(op).value, latency(op)))
+                assert m.latency(op) == expected, (table, op)
+
+
 def test_latency_overrides_accept_mapping_and_normalize_order():
     a = MachineDescription(latency_overrides={"mul": 5, "load": 4})
     b = MachineDescription(latency_overrides=(("load", 4), ("mul", 5)))
