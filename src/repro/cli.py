@@ -17,30 +17,12 @@ Subcommands:
 * ``cache``    — inspect, verify (``fsck``) or clear the artifact store;
 * ``selftest`` — fault-injection campaign proving the checkers work
   (``--chaos`` adds the engine chaos campaign — crash/corruption/
-  resume — the service chaos campaign: queue saturation, quota
-  exhaustion, breaker trips, kill+resume, dedup storms — and the
-  native chaos campaign: corrupted ``.so`` caches, vanishing
-  compilers, kernel segfaults, stale caches across a simulated cc
-  upgrade and parity mismatches — and the cluster chaos campaign:
-  SIGKILLed workers mid-shard, zombie fencing, hedge commit races,
-  each ending in a byte-identical degraded run or a typed failure);
+  resume — and the native chaos campaign: corrupted ``.so`` caches,
+  vanishing compilers, kernel segfaults, stale caches across a
+  simulated cc upgrade and parity mismatches, each ending in a
+  byte-identical degraded run or a typed failure);
 * ``native``   — probe the native kernel path (build, sandbox-canary,
   parity-check) and print the engine-ladder state;
-* ``serve``    — long-lived multi-tenant experiment service: bounded
-  admission with load shedding, per-tenant quotas, single-flight
-  dedup, a circuit breaker over the worker pool and graceful SIGTERM
-  drain (interrupted jobs resume on restart);
-* ``submit``   — submit a MiniC file, a workload or the figure suite
-  to a running service; ``--wait`` blocks for the canonical result;
-* ``status``   — one job's record from the service;
-* ``watch``    — stream a job's journal progress until it finishes;
-  a dropped connection reconnects with capped backoff and resumes
-  from the last event seen;
-* ``worker``   — join a distributed sweep campaign over a shared
-  cache dir (or via ``--endpoint`` through a running service): claims
-  shard leases with fencing tokens, heartbeats while executing,
-  commits results into the store; a SIGKILLed worker's shards are
-  reassigned by the coordinator and a fenced zombie cannot commit;
 * ``fuzz``     — differential fuzzing: ``fuzz run`` executes a seeded
   campaign over all three models, ``fuzz replay`` re-checks corpus
   reproducers, ``fuzz corpus`` lists them, ``fuzz seed`` populates the
@@ -73,15 +55,8 @@ Examples::
     python -m repro native --fresh
     python -m repro sweep run examples/paper_sweep.toml --jobs 4 -o sweep.json
     python -m repro sweep run grid.json --report --resume R20260807-...
-    python -m repro worker --cache-dir /shared/cache &
-    python -m repro sweep run grid.toml --cluster --expect-workers 3
     python -m repro sweep report sweep.json
     python -m repro sweep diff old.json new.json
-    python -m repro serve --workers 2 --queue-depth 16
-    python -m repro submit --workload wc --wait -o wc.json
-    python -m repro submit --sweep examples/paper_sweep.toml --wait
-    python -m repro submit kernel.c --deadline 120 --tenant alice
-    python -m repro watch J0123456789abcdef
     python -m repro fuzz run --budget 500 --seed 0xfeed --jobs 4
     python -m repro fuzz replay --all
     python -m repro fuzz replay finding-0123456789ab
@@ -92,16 +67,12 @@ no tracebacks): 10 generic pipeline error, 11 compile or invalid
 spec (bad sweep grid, unknown latency op-class name), 12 pass
 verification, 13 emulation timeout, 14 trace integrity, 15 model
 divergence, 16 emulation fault, 17 artifact lock timeout, 18 open
-fuzz findings, 19 service overloaded (load shed), 20 tenant quota
-exceeded, 21 job deadline exceeded, 22 native kernel build failure,
-23 C toolchain missing, 24 native kernel parity mismatch, 25 native
-kernel crash, 26 cluster worker lost mid-shard, 27 shard lease fenced
-(a newer lease superseded this worker's claim).  Codes 13, 14, 17,
-19, 20, 23, 25 and 26 are transient (retry, honouring any Retry-After
-hint — the native-engine supervisor demotes before raising, so a
-retry lands on the Python rung); the rest are permanent — in
-particular 27 means another worker owns the shard now, so the right
-response is to claim new work, not to retry the old lease.
+fuzz findings, 22 native kernel build failure, 23 C toolchain
+missing, 24 native kernel parity mismatch, 25 native kernel crash.
+Codes 13, 14, 17, 23 and 25 are transient (retry — the native-engine
+supervisor demotes before raising, so a retry lands on the Python
+rung); the rest are permanent.  Codes 19, 20, 21, 26 and 27 belonged
+to the retired job service and cluster and are never reused.
 """
 
 from __future__ import annotations
@@ -503,28 +474,14 @@ def _cmd_selftest(args) -> int:
     ok = all(r.ok for r in reports)
     if getattr(args, "chaos", False):
         from repro.robustness.chaos import (format_chaos_reports,
-                                            run_chaos_campaign)
+                                            run_chaos_campaign,
+                                            run_native_chaos_campaign)
         chaos = run_chaos_campaign(jobs=args.jobs)
         print(format_chaos_reports(chaos))
         ok = ok and all(r.ok for r in chaos)
-        from repro.service.chaos import run_service_chaos_campaign
-        service = run_service_chaos_campaign()
-        print(format_chaos_reports(service)
-              .replace("engine chaos campaign",
-                       "service chaos campaign"))
-        ok = ok and all(r.ok for r in service)
-        from repro.robustness.chaos import run_native_chaos_campaign
         native = run_native_chaos_campaign(jobs=args.jobs)
-        print(format_chaos_reports(native)
-              .replace("engine chaos campaign",
-                       "native chaos campaign"))
+        print(format_chaos_reports(native, "native chaos campaign"))
         ok = ok and all(r.ok for r in native)
-        from repro.service.chaos import run_cluster_chaos_campaign
-        cluster = run_cluster_chaos_campaign()
-        print(format_chaos_reports(cluster)
-              .replace("engine chaos campaign",
-                       "cluster chaos campaign"))
-        ok = ok and all(r.ok for r in cluster)
     return 0 if ok else 1
 
 
@@ -551,141 +508,6 @@ def _cmd_list(_args) -> int:
     return 0
 
 
-# ----- experiment service ---------------------------------------------------
-
-
-def _cmd_serve(args) -> int:
-    from repro.service.breaker import BreakerConfig
-    from repro.service.quota import QuotaConfig
-    from repro.service.server import ServiceConfig, serve_forever
-    try:
-        config = ServiceConfig(
-            cache_dir=args.cache_dir, host=args.host, port=args.port,
-            jobs=args.jobs, workers=args.workers,
-            queue_depth=args.queue_depth,
-            quota=QuotaConfig(rate=args.quota_rate,
-                              burst=args.quota_burst,
-                              max_concurrent=args.quota_concurrent),
-            breaker=BreakerConfig(),
-            drain_grace=args.drain_grace,
-            bench_json=args.bench_json)
-    except ValueError as exc:
-        raise ReproError(str(exc)) from exc
-    return serve_forever(config)
-
-
-def _service_client(args):
-    from repro.service.client import ServiceClient
-    return ServiceClient(host=args.host, port=args.port,
-                         cache_dir=args.cache_dir)
-
-
-def _submit_spec(args):
-    from repro.service.spec import ServiceJobSpec
-    targets = [bool(args.file), bool(args.workload), args.figures,
-               bool(args.sweep)]
-    if sum(targets) != 1:
-        raise ReproError("submit needs exactly one of: a MiniC FILE, "
-                         "--workload NAME, --figures, or --sweep SPEC")
-    if args.sweep:
-        from repro.sweep import SweepSpec
-        return ServiceJobSpec(
-            kind="sweep", sweep=SweepSpec.from_file(args.sweep).to_dict(),
-            deadline=args.deadline)
-    kind = "figures" if args.figures \
-        else ("bench" if args.workload else "source")
-    models = tuple(m.strip() for m in args.models.split(",")) \
-        if args.models else MODEL_NAMES
-    return ServiceJobSpec(
-        kind=kind,
-        source=_read_source(args.file) if kind == "source" else None,
-        workload=args.workload if kind == "bench" else None,
-        models=models, width=args.width, branches=args.branches,
-        real_caches=args.real_caches, scale=args.scale,
-        max_steps=args.max_steps, deadline=args.deadline)
-
-
-def _emit_result(result_json: str, args) -> None:
-    """Write the canonical result bytes verbatim (plus one newline)."""
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(result_json + "\n")
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        print(result_json)
-
-
-def _cmd_submit(args) -> int:
-    client = _service_client(args)
-    response = client.submit(_submit_spec(args), tenant=args.tenant)
-    job = response["job"]
-    if response.get("deduped"):
-        print(f"coalesced with in-flight job {job['job_id']} "
-              f"(single-flight dedup)", file=sys.stderr)
-    print(f"job {job['job_id']} {job['state']} "
-          f"(run {job['run_id']})", file=sys.stderr)
-    if not args.wait:
-        print(job["job_id"])
-        return 0
-    _emit_result(client.result(job["job_id"], timeout=args.timeout),
-                 args)
-    return 0
-
-
-def _cmd_status(args) -> int:
-    import json as _json
-    job = _service_client(args).status(args.job_id)
-    if args.json:
-        print(_json.dumps(job, indent=2, sort_keys=True))
-        return 0
-    line = f"job {job['job_id']}: {job['state']}"
-    if job.get("error"):
-        line += (f" ({job['error']['type']}: "
-                 f"{job['error']['message']})")
-    print(line + f" [tenant {job['tenant']}, mode {job['mode']}, "
-                 f"observers {job['observers']}]")
-    return 0
-
-
-def _cmd_worker(args) -> int:
-    from repro.service.cluster import run_worker
-    outcome = run_worker(args.cache_dir, endpoint=args.endpoint,
-                         once=args.once,
-                         idle_timeout=args.idle_timeout,
-                         max_shards=args.max_shards)
-    print(f"worker {outcome.worker_id}: "
-          f"{outcome.shards_completed} shard(s) completed, "
-          f"{outcome.hedges_lost} hedge(s) lost, "
-          f"{outcome.shards_failed} failed", file=sys.stderr)
-    return 0
-
-
-def _cmd_watch(args) -> int:
-    client = _service_client(args)
-    final = None
-    for event in client.watch(args.job_id):
-        if event.get("event") == "journal":
-            record = event["record"]
-            label = record.get("task") or record.get("run_id", "")
-            print(f"{record['type']:<13s} {label}")
-        elif event.get("event") == "progress":
-            total = event.get("tasks_total")
-            done = event.get("tasks_done", 0)
-            bar = f"{done}/{total}" if total else str(done)
-            print(f"{'progress':<13s} {bar} [{event.get('task', '')}]")
-        elif event.get("event") == "end":
-            final = event["job"]
-    if final is None:
-        raise ReproError("watch stream ended without a final state")
-    print(f"job {final['job_id']}: {final['state']}", file=sys.stderr)
-    if final["state"] == "failed":
-        error = final.get("error") or {}
-        print(f"error[{error.get('type', 'ReproError')}]: "
-              f"{error.get('message', '')}", file=sys.stderr)
-        return int(error.get("exit_code", ReproError.exit_code))
-    return 0
-
-
 # ----- sweep ----------------------------------------------------------------
 
 
@@ -703,28 +525,10 @@ def _cmd_sweep_run(args) -> int:
         if args.jobs > 1:
             print("note: --profile captures in-process work only; pool "
                   "workers (--jobs) are not profiled", file=sys.stderr)
-    if getattr(args, "cluster", False):
-        from repro.service.cluster import (ClusterConfig,
-                                           run_cluster_sweep)
-        cache_dir = _cache_dir(args)
-        if cache_dir is None:
-            raise ReproError("--cluster needs a cache dir (the shared "
-                             "store is the coordination substrate)")
-        config = ClusterConfig(
-            shard_size=args.shard_size,
-            expect_workers=args.expect_workers,
-            worker_grace=args.worker_grace,
-            lease_timeout=args.lease_timeout,
-            require_workers=args.require_workers)
-        outcome = run_cluster_sweep(spec, cache_dir, config,
-                                    jobs=args.jobs, metrics=metrics,
-                                    engine=args.engine,
-                                    **_suite_recovery_kwargs(args))
-    else:
-        outcome = run_sweep(spec, cache_dir=_cache_dir(args),
-                            jobs=args.jobs, metrics=metrics,
-                            engine=args.engine,
-                            **_suite_recovery_kwargs(args))
+    outcome = run_sweep(spec, cache_dir=_cache_dir(args),
+                        jobs=args.jobs, metrics=metrics,
+                        engine=args.engine,
+                        **_suite_recovery_kwargs(args))
     if outcome.run_id is not None:
         print(f"run id: {outcome.run_id} (resume with --resume "
               f"{outcome.run_id})", file=sys.stderr)
@@ -1010,7 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fault-injection campaign: prove every "
                             "corruption class is caught")
     p.add_argument("--chaos", action="store_true",
-                   help="add the engine, service and native chaos "
+                   help="add the engine and native chaos "
                         "campaigns: worker crashes, torn/corrupt "
                         "artifacts, timeouts, disk-full writes, "
                         "SIGKILL+resume, kernel segfaults, corrupted "
@@ -1094,18 +898,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default 0.1: replay must stay fast)")
     fp.set_defaults(func=_cmd_fuzz_seed)
 
-    def _add_service_conn_args(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--cache-dir", default=_default_cache_dir(),
-                        metavar="DIR",
-                        help="service cache dir; its "
-                             "service/service.json names the endpoint "
-                             "(default $REPRO_CACHE_DIR or "
-                             ".repro-cache)")
-        sp.add_argument("--host", default=None,
-                        help="server host (overrides discovery)")
-        sp.add_argument("--port", type=int, default=None,
-                        help="server port (overrides discovery)")
-
     p = sub.add_parser("sweep",
                        help="design-space sweeps: grid run, report, "
                             "diff")
@@ -1123,32 +915,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--report", action="store_true", dest="report_text",
                     help="print the rendered surface/Pareto report "
                          "instead of raw JSON")
-    sp.add_argument("--cluster", action="store_true",
-                    help="coordinate the campaign over registered "
-                         "`repro worker` processes sharing the cache "
-                         "dir (lease-based shards, orphan recovery, "
-                         "byte-identical result)")
-    sp.add_argument("--expect-workers", type=int, default=0,
-                    metavar="N",
-                    help="with --cluster: wait for N live workers "
-                         "before falling back (default 0: any)")
-    sp.add_argument("--worker-grace", type=float, default=5.0,
-                    metavar="SECONDS",
-                    help="with --cluster: how long to wait for workers "
-                         "to register before degrading to the "
-                         "in-process pool (default 5)")
-    sp.add_argument("--shard-size", type=int, default=2, metavar="N",
-                    help="with --cluster: lattice points per shard "
-                         "(default 2)")
-    sp.add_argument("--lease-timeout", type=float, default=6.0,
-                    metavar="SECONDS",
-                    help="with --cluster: a shard lease whose "
-                         "heartbeat stalls this long is reassigned "
-                         "(default 6)")
-    sp.add_argument("--require-workers", action="store_true",
-                    help="with --cluster: fail instead of degrading "
-                         "to the in-process pool when no workers "
-                         "register")
     _add_engine_args(sp)
     _add_perf_args(sp)
     sp.set_defaults(func=_cmd_sweep_run)
@@ -1163,116 +929,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("old", metavar="OLD_JSON")
     sp.add_argument("new", metavar="NEW_JSON")
     sp.set_defaults(func=_cmd_sweep_diff)
-
-    p = sub.add_parser("serve",
-                       help="run the multi-tenant experiment service")
-    p.add_argument("--cache-dir", default=_default_cache_dir(),
-                   metavar="DIR",
-                   help="shared artifact store + service state "
-                        "(default $REPRO_CACHE_DIR or .repro-cache)")
-    p.add_argument("--host", default="127.0.0.1",
-                   help="bind address (default 127.0.0.1)")
-    p.add_argument("--port", type=int, default=0,
-                   help="TCP port (default 0: OS-assigned, recorded "
-                        "in <cache-dir>/service/service.json)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="process-pool width per job execution "
-                        "(default 1)")
-    p.add_argument("--workers", type=int, default=2, metavar="N",
-                   help="concurrent job executions (default 2)")
-    p.add_argument("--queue-depth", type=int, default=16, metavar="N",
-                   help="admission queue bound; submissions past it "
-                        "are shed with exit 19 (default 16)")
-    p.add_argument("--quota-rate", type=float, default=2.0,
-                   metavar="R", help="per-tenant submissions/second "
-                                     "refill (default 2)")
-    p.add_argument("--quota-burst", type=int, default=8, metavar="N",
-                   help="per-tenant submission burst (default 8)")
-    p.add_argument("--quota-concurrent", type=int, default=4,
-                   metavar="N", help="per-tenant concurrent jobs "
-                                     "(default 4)")
-    p.add_argument("--drain-grace", type=float, default=30.0,
-                   metavar="SECONDS",
-                   help="SIGTERM drain grace before handing unfinished "
-                        "jobs to the next instance (default 30)")
-    p.add_argument("--bench-json", metavar="PATH",
-                   help="merge + write service pipeline metrics here "
-                        "on drain")
-    p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser("submit",
-                       help="submit a job to a running service")
-    p.add_argument("file", nargs="?", default=None, metavar="FILE",
-                   help="MiniC source file ('-' for stdin)")
-    p.add_argument("--workload", default=None, metavar="NAME",
-                   help="submit a registered workload instead")
-    p.add_argument("--figures", action="store_true",
-                   help="submit the whole figure suite")
-    p.add_argument("--sweep", default=None, metavar="SPEC",
-                   help="submit a design-space sweep spec file "
-                        "(.toml/.json, see EXPERIMENTS.md)")
-    _add_machine_args(p)
-    p.add_argument("--models", default=None, metavar="A,B",
-                   help="comma-separated subset of "
-                        "superblock,cmov,fullpred (default all)")
-    p.add_argument("--scale", type=float, default=0.5,
-                   help="workload scale factor (default 0.5)")
-    p.add_argument("--max-steps", type=int, default=20_000_000,
-                   help="emulation step budget (default 20M)")
-    p.add_argument("--deadline", type=float, default=None,
-                   metavar="SECONDS",
-                   help="wall-clock deadline from admission; expiry "
-                        "fails the job with exit 21")
-    p.add_argument("--tenant", default="default",
-                   help="tenant the job is charged to")
-    p.add_argument("--wait", action="store_true",
-                   help="block until the job finishes and print its "
-                        "canonical result JSON")
-    p.add_argument("--timeout", type=float, default=None,
-                   metavar="SECONDS",
-                   help="stop waiting after this long (job keeps "
-                        "running)")
-    p.add_argument("-o", "--output", default=None, metavar="PATH",
-                   help="with --wait: write the result JSON here "
-                        "verbatim")
-    _add_service_conn_args(p)
-    p.set_defaults(func=_cmd_submit)
-
-    p = sub.add_parser("status", help="show one service job's record")
-    p.add_argument("job_id", metavar="JOB_ID")
-    p.add_argument("--json", action="store_true",
-                   help="print the full record as JSON")
-    _add_service_conn_args(p)
-    p.set_defaults(func=_cmd_status)
-
-    p = sub.add_parser("watch",
-                       help="stream a service job's journal progress")
-    p.add_argument("job_id", metavar="JOB_ID")
-    _add_service_conn_args(p)
-    p.set_defaults(func=_cmd_watch)
-
-    p = sub.add_parser("worker",
-                       help="join a distributed sweep campaign: claim "
-                            "shard leases, heartbeat, commit results")
-    p.add_argument("--cache-dir", default=_default_cache_dir(),
-                   metavar="DIR",
-                   help="shared store the campaign coordinates "
-                        "through (default $REPRO_CACHE_DIR or "
-                        ".repro-cache)")
-    p.add_argument("--endpoint", default=None, metavar="HOST:PORT",
-                   help="claim shards via a running `repro serve` "
-                        "instead of direct store access")
-    p.add_argument("--once", action="store_true",
-                   help="exit after the first idle claim instead of "
-                        "polling for new campaigns")
-    p.add_argument("--idle-timeout", type=float, default=60.0,
-                   metavar="SECONDS",
-                   help="exit after this long with nothing to claim "
-                        "(default 60)")
-    p.add_argument("--max-shards", type=int, default=0, metavar="N",
-                   help="exit after completing N shards (default 0: "
-                        "unlimited)")
-    p.set_defaults(func=_cmd_worker)
 
     p = sub.add_parser("list", help="list registered workloads")
     p.set_defaults(func=_cmd_list)

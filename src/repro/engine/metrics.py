@@ -77,19 +77,6 @@ class PipelineMetrics:
     fuzz_unique_findings: int = 0
     #: campaign wall time (generate + execute + triage + reduce)
     fuzz_seconds: float = 0.0
-    #: experiment-service submissions accepted into the admission queue
-    jobs_admitted: int = 0
-    #: submissions rejected by load shedding (queue full / draining)
-    jobs_shed: int = 0
-    #: submissions coalesced onto an identical in-flight/completed job
-    #: by single-flight dedup (they consumed no compute)
-    jobs_deduped: int = 0
-    #: worker-pool circuit breaker transitions to the open state
-    breaker_trips: int = 0
-    #: service jobs that reached a terminal state (done or failed)
-    service_jobs_done: int = 0
-    #: total service job execution wall time (queue wait excluded)
-    service_seconds: float = 0.0
     #: trace chunks consumed by the vector engine's simulator (see
     #: :mod:`repro.fastpath.vector`); stays 0 on the legacy engine and
     #: with the native kernels off
@@ -101,21 +88,13 @@ class PipelineMetrics:
     sweep_points_cached: int = 0
     #: sweep campaign wall time (expand + fan-out + aggregate)
     sweep_seconds: float = 0.0
-    #: cluster shards whose lease was broken (dead worker) and re-issued
-    shards_reassigned: int = 0
-    #: zombie lease operations rejected by a higher fencing epoch
-    leases_fenced: int = 0
-    #: straggler shards duplicated near campaign end (first commit wins)
-    hedged_shards: int = 0
-    #: campaign workers declared dead after missed heartbeats
-    workers_lost: int = 0
     #: engine-ladder demotions (native→interpreter) recorded by
     #: the native-engine supervisor (see :mod:`repro.fastpath.supervisor`)
     engine_demotions: int = 0
     #: golden-trace parity canary failures (the ``.so`` was quarantined)
     native_parity_failures: int = 0
     #: native kernel crashes caught (sandbox canary signal deaths and
-    #: mid-run kernel faults); feeds the service breaker's crash evidence
+    #: mid-run kernel faults)
     native_kernel_crashes: int = 0
     #: kernel shared objects quarantined by digest verification / fsck
     kernel_cache_quarantined: int = 0
@@ -182,10 +161,6 @@ class PipelineMetrics:
         self.fuzz_unique_findings += unique_findings
         self.fuzz_seconds += seconds
 
-    def record_service_job(self, seconds: float) -> None:
-        self.service_jobs_done += 1
-        self.service_seconds += seconds
-
     def record_sweep(self, points: int, cached: int,
                      seconds: float) -> None:
         self.sweep_points_total += points
@@ -225,13 +200,6 @@ class PipelineMetrics:
         return self.fuzz_unique_findings / self.fuzz_findings
 
     @property
-    def service_jobs_per_second(self) -> float:
-        """Service throughput over execution wall time."""
-        if self.service_seconds <= 0:
-            return 0.0
-        return self.service_jobs_done / self.service_seconds
-
-    @property
     def vector_chunks_per_second(self) -> float:
         """Vector-backend chunk throughput over simulate wall time."""
         sim = self.stages.get("simulate")
@@ -269,20 +237,10 @@ class PipelineMetrics:
         self.fuzz_findings += data.get("fuzz_findings", 0)
         self.fuzz_unique_findings += data.get("fuzz_unique_findings", 0)
         self.fuzz_seconds += data.get("fuzz_seconds", 0.0)
-        self.jobs_admitted += data.get("jobs_admitted", 0)
-        self.jobs_shed += data.get("jobs_shed", 0)
-        self.jobs_deduped += data.get("jobs_deduped", 0)
-        self.breaker_trips += data.get("breaker_trips", 0)
-        self.service_jobs_done += data.get("service_jobs_done", 0)
-        self.service_seconds += data.get("service_seconds", 0.0)
         self.vector_chunks_total += data.get("vector_chunks_total", 0)
         self.sweep_points_total += data.get("sweep_points_total", 0)
         self.sweep_points_cached += data.get("sweep_points_cached", 0)
         self.sweep_seconds += data.get("sweep_seconds", 0.0)
-        self.shards_reassigned += data.get("shards_reassigned", 0)
-        self.leases_fenced += data.get("leases_fenced", 0)
-        self.hedged_shards += data.get("hedged_shards", 0)
-        self.workers_lost += data.get("workers_lost", 0)
         self.engine_demotions += data.get("engine_demotions", 0)
         self.native_parity_failures += data.get(
             "native_parity_failures", 0)
@@ -320,14 +278,6 @@ class PipelineMetrics:
             "fuzz_seconds": round(self.fuzz_seconds, 6),
             "fuzz_cases_per_second": round(self.fuzz_cases_per_second, 3),
             "fuzz_dedupe_ratio": round(self.fuzz_dedupe_ratio, 4),
-            "jobs_admitted": self.jobs_admitted,
-            "jobs_shed": self.jobs_shed,
-            "jobs_deduped": self.jobs_deduped,
-            "breaker_trips": self.breaker_trips,
-            "service_jobs_done": self.service_jobs_done,
-            "service_seconds": round(self.service_seconds, 6),
-            "service_jobs_per_second": round(
-                self.service_jobs_per_second, 3),
             "vector_chunks_total": self.vector_chunks_total,
             "vector_chunks_per_second": round(
                 self.vector_chunks_per_second, 3),
@@ -336,10 +286,6 @@ class PipelineMetrics:
             "sweep_seconds": round(self.sweep_seconds, 6),
             "sweep_points_per_second": round(
                 self.sweep_points_per_second, 3),
-            "shards_reassigned": self.shards_reassigned,
-            "leases_fenced": self.leases_fenced,
-            "hedged_shards": self.hedged_shards,
-            "workers_lost": self.workers_lost,
             "engine_demotions": self.engine_demotions,
             "native_parity_failures": self.native_parity_failures,
             "native_kernel_crashes": self.native_kernel_crashes,
@@ -412,14 +358,6 @@ class PipelineMetrics:
                 f"{self.fuzz_findings} findings "
                 f"({self.fuzz_unique_findings} unique, dedupe ratio "
                 f"{self.fuzz_dedupe_ratio:.2f})")
-        if self.jobs_admitted or self.jobs_shed or self.jobs_deduped:
-            lines.append(
-                f"  service   {self.jobs_admitted} admitted, "
-                f"{self.jobs_shed} shed, {self.jobs_deduped} deduped, "
-                f"{self.breaker_trips} breaker trips, "
-                f"{self.service_jobs_done} done in "
-                f"{self.service_seconds:.2f}s "
-                f"({self.service_jobs_per_second:.2f}/s)")
         if self.vector_chunks_total:
             lines.append(
                 f"  vector    {self.vector_chunks_total} chunks "
@@ -431,13 +369,6 @@ class PipelineMetrics:
                 f"({self.sweep_points_cached} warm) in "
                 f"{self.sweep_seconds:.2f}s "
                 f"({self.sweep_points_per_second:.2f}/s)")
-        if self.shards_reassigned or self.leases_fenced \
-                or self.hedged_shards or self.workers_lost:
-            lines.append(
-                f"  cluster   {self.workers_lost} workers lost, "
-                f"{self.shards_reassigned} shards reassigned, "
-                f"{self.hedged_shards} hedged, "
-                f"{self.leases_fenced} leases fenced")
         if self.engine_demotions or self.native_parity_failures \
                 or self.native_kernel_crashes \
                 or self.kernel_cache_quarantined:

@@ -105,37 +105,6 @@ def replay_journal(path: str | os.PathLike) -> JournalState:
     return state
 
 
-def tail_records(path: str | os.PathLike, offset: int = 0
-                 ) -> tuple[list[dict], int]:
-    """Incrementally read journal records from byte ``offset``.
-
-    The live-progress half of the journal: the experiment service's
-    ``watch`` streams a running job by polling this against the job's
-    journal file.  Only *complete* lines are parsed; a final line still
-    being appended (no trailing newline yet) is left for the next call,
-    so a record is never observed half-written.  Returns the parsed
-    records and the new offset to resume from.  A missing file (the
-    job has not opened its journal yet) yields no records.
-    """
-    try:
-        with open(path, "rb") as handle:
-            handle.seek(offset)
-            chunk = handle.read()
-    except OSError:
-        return [], offset
-    records: list[dict] = []
-    consumed = 0
-    for line in chunk.splitlines(keepends=True):
-        if not line.endswith(b"\n"):
-            break  # in-progress append: re-read next poll
-        consumed += len(line)
-        try:
-            records.append(json.loads(line))
-        except ValueError:
-            continue  # torn line from a previous crash: skip, advance
-    return records, offset + consumed
-
-
 def verify_completed(state: JournalState, store) -> \
         tuple[set[str], dict[str, str]]:
     """Check each completed task's artifacts against the store.

@@ -14,10 +14,7 @@ waiter measures that duration on its **own monotonic clock** from the
 moment it first observed the holder's token (:class:`LeaseObserver`).
 Two hosts sharing a store therefore never compare wall clocks — clock
 skew cannot make a live lock look expired, so skew cannot cause a
-double-claim.  The ownership token doubles as the fencing identity: the
-shard-lease machinery in :mod:`repro.engine.recovery.leases` reuses
-:func:`new_owner_token` (plus a store-side monotonically increasing
-epoch) for campaign shards.
+double-claim.
 
 Breaking a stale lock is itself racy — two waiters may both decide the
 lock expired — so the breaker *renames* the stale sidecar to a unique
@@ -45,16 +42,6 @@ DEFAULT_TIMEOUT = 10.0
 _POLL_INTERVAL = 0.02
 
 
-def new_owner_token() -> str:
-    """A process-unique ownership/fencing token (``pid-random``).
-
-    Shared by :class:`FileLock` sidecars and the shard leases in
-    :mod:`repro.engine.recovery.leases` — one token type for every
-    lease-shaped thing on the store.
-    """
-    return f"{os.getpid()}-{os.urandom(8).hex()}"
-
-
 def _pid_alive(pid: int) -> bool:
     try:
         os.kill(pid, 0)
@@ -66,7 +53,7 @@ def _pid_alive(pid: int) -> bool:
 
 
 class LeaseObserver:
-    """Monotonic-safe staleness judge for leases held by *other* hosts.
+    """Monotonic-safe staleness judge for locks held by *other* hosts.
 
     ``stale(key, identity, window)`` is True only after the observer
     has seen the **same identity** (token, heartbeat count, …) under
@@ -124,7 +111,7 @@ class FileLock:
             time.sleep(self.poll_interval)
 
     def _try_acquire(self) -> bool:
-        token = new_owner_token()
+        token = f"{os.getpid()}-{os.urandom(8).hex()}"
         payload = json.dumps({
             "pid": os.getpid(),
             "token": token,

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 from repro.robustness.errors import (ArtifactLockTimeout, EmulationTimeout,
                                      NativeKernelCrash,
                                      NativeToolchainMissing,
-                                     QuotaExceededError,
-                                     ServiceOverloadedError,
-                                     TraceIntegrityError, WorkerLostError)
+                                     TraceIntegrityError)
 
 #: exception classes whose failures are worth retrying.  Order matters
 #: for nothing here — ``is_transient`` checks this tuple before the
@@ -35,20 +33,13 @@ from repro.robustness.errors import (ArtifactLockTimeout, EmulationTimeout,
 #: ``NativeKernelCrash``/``NativeToolchainMissing`` are transient
 #: because the supervisor demotes the process before they propagate —
 #: the retry runs on a pure-Python engine and succeeds byte-identically.
-#: ``WorkerLostError`` is a reassigned cluster shard: the shard is
-#: deterministic ``(campaign_digest, index)`` work, so a retry by any
-#: worker reproduces it exactly.  ``LeaseFencedError`` is deliberately
-#: *not* here — the fenced worker's view is stale forever.
 TRANSIENT_TYPES: tuple[type[BaseException], ...] = (
     BrokenProcessPool,
     TraceIntegrityError,
     EmulationTimeout,
     ArtifactLockTimeout,
-    ServiceOverloadedError,
-    QuotaExceededError,
     NativeKernelCrash,
     NativeToolchainMissing,
-    WorkerLostError,
     TimeoutError,
     ConnectionError,
     OSError,

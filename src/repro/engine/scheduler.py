@@ -209,7 +209,7 @@ def _execute_serial(order: list[Job], by_id: dict[str, Job],
                 result = job.fn(*job.args)
             except Exception as raw:
                 # Classify, don't swallow: everything downstream (the
-                # failure record, the journal, the service's error
+                # failure record, the journal, the CLI's exit-code
                 # mapping) sees a typed taxonomy member, never a stray
                 # KeyError out of a pass.
                 exc = classify_exception(raw)

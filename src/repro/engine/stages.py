@@ -312,7 +312,8 @@ class PipelineContext:
 
     def _drain_native_counters(self) -> None:
         """Fold the supervisor's degradation telemetry into this run's
-        metrics, so demotions reach ``BENCH_pipeline.json`` and — via
-        the workers' ``to_dict`` round-trip — the service breaker."""
+        metrics, so demotions reach the summary and
+        ``BENCH_pipeline.json``, from pool workers too via their
+        ``to_dict`` round-trip."""
         from repro.fastpath import supervisor
         supervisor.drain_into(self.metrics)

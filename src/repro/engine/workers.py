@@ -51,7 +51,7 @@ def _finish(ctx: PipelineContext) -> dict:
     Drains the native-engine supervisor first, so a demotion that
     happened in this worker process rides the same ``to_dict`` →
     ``merge_dict`` round-trip as every other counter and reaches the
-    parent's ``BENCH_pipeline.json`` and the service breaker.
+    parent's summary and ``BENCH_pipeline.json``.
     """
     from repro.fastpath import supervisor
     supervisor.drain_into(ctx.metrics)

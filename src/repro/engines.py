@@ -12,8 +12,8 @@ is byte-identical on both:
   :class:`~repro.fastpath.simulate.StreamSimulator`) below them.
 
 The CLI, :class:`~repro.experiments.runner.ExperimentSuite`, the pool
-workers' job specs, sweeps, the cluster and the service all take their
-engine names and default from here.
+workers' job specs and sweeps all take their engine names and default
+from here.
 """
 
 from __future__ import annotations

@@ -406,8 +406,7 @@ class ExperimentSuite:
             except Exception as raw:
                 # Journal and re-raise the *classified* failure, so
                 # both the journal record and whoever catches it (the
-                # CLI's exit-code mapping, the experiment service) see
-                # a typed taxonomy member.
+                # CLI's exit-code mapping) see a typed taxonomy member.
                 exc = classify_exception(raw)
                 self.journal.task_fail(
                     task, type(exc).__name__, str(exc),

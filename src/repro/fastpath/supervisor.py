@@ -37,7 +37,7 @@ compiler.  This module owns everything about *trusting* that code:
   ``native_parity_failures``, ``native_kernel_crashes``,
   ``kernel_cache_quarantined``) that :func:`drain_into` folds into a
   :class:`~repro.engine.metrics.PipelineMetrics`, so demotions reach
-  ``BENCH_pipeline.json`` and the service breaker.  All rungs are
+  the run summary and ``BENCH_pipeline.json``.  All rungs are
   byte-identical, so degradation is observable but never changes a
   figure.
 

@@ -37,10 +37,8 @@ def shard_ranges(total: int, size: int) -> list[tuple[int, int]]:
     """Deterministic ``(start, count)`` partition of ``total`` items.
 
     The ``(seed, index)`` work-partitioning template: item ``i`` lands
-    in the same shard at any worker count, so fuzz chunking and the
-    cluster coordinator's campaign sharding
-    (:mod:`repro.service.cluster`) both derive identical work sets in
-    every process from ``(identity, index)`` alone.
+    in the same chunk at any worker count, so every process derives
+    identical fuzz work sets from ``(identity, index)`` alone.
     """
     size = max(1, int(size))
     return [(start, min(size, total - start))

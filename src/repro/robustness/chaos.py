@@ -689,8 +689,9 @@ def run_native_chaos_campaign(jobs: int = 2) -> list[ChaosReport]:
     ])
 
 
-def format_chaos_reports(reports: list[ChaosReport]) -> str:
-    lines = ["", "engine chaos campaign",
+def format_chaos_reports(reports: list[ChaosReport],
+                         title: str = "engine chaos campaign") -> str:
+    lines = ["", title,
              f"{'injection':<24s}{'expected':<15s}{'outcome':<24s}"
              f"{'ok':<4s}",
              "-" * 67]

@@ -5,6 +5,8 @@ exception class so callers (the CLI, the experiment suite's ``degrade``
 mode, CI) can react structurally instead of pattern-matching message
 strings or — worse — catching bare ``Exception``.  Each class carries a
 distinct ``exit_code`` that ``python -m repro`` propagates to the shell.
+Codes 19, 20, 21, 26 and 27 belonged to the retired job service and
+cluster; they stay unassigned so an old script never misreads a failure.
 """
 
 from __future__ import annotations
@@ -146,43 +148,6 @@ class FuzzFindingsError(ReproError):
         self.unique = unique
 
 
-class ServiceOverloadedError(ReproError):
-    """The experiment service shed this submission under load.
-
-    The admission queue was full (or the server is draining), so the
-    request was rejected *before* consuming memory or compute —
-    explicit load-shedding instead of unbounded queue growth.
-    ``retry_after`` (seconds) is the server's hint for when capacity
-    should free up; transient by classification.
-    """
-
-    exit_code = 19
-
-    def __init__(self, message: str, *, retry_after: float = 1.0,
-                 queue_depth: int | None = None):
-        super().__init__(message)
-        self.retry_after = retry_after
-        self.queue_depth = queue_depth
-
-
-class QuotaExceededError(ReproError):
-    """A tenant exhausted its token-bucket rate or concurrency quota.
-
-    ``retry_after`` is the time until the bucket refills one token (0
-    when the *concurrency* limit, not the rate, was hit — retry when
-    one of the tenant's jobs finishes).  Transient by classification.
-    """
-
-    exit_code = 20
-
-    def __init__(self, message: str, *, tenant: str | None = None,
-                 retry_after: float = 0.0, kind: str = "rate"):
-        super().__init__(message)
-        self.tenant = tenant
-        self.retry_after = retry_after
-        self.kind = kind
-
-
 class NativeEngineError(ReproError):
     """Base of the native (C) kernel engine's failure taxonomy.
 
@@ -272,69 +237,6 @@ class NativeKernelCrash(NativeEngineError):
         self.stage = stage
 
 
-class DeadlineExceededError(ReproError):
-    """A job's wall-clock deadline expired before it completed.
-
-    Raised either before execution starts (the job aged out in the
-    admission queue) or from the emulation watchdog the remaining
-    budget was propagated into.  Permanent: retrying the same deadline
-    would expire again.
-    """
-
-    exit_code = 21
-
-    def __init__(self, message: str, *, deadline: float = 0.0,
-                 elapsed: float = 0.0):
-        super().__init__(message)
-        self.deadline = deadline
-        self.elapsed = elapsed
-
-
-class WorkerLostError(ReproError):
-    """A campaign worker stopped heartbeating and its shard lease was
-    broken.
-
-    Raised (and journaled) by the cluster coordinator when it reassigns
-    an orphaned shard.  Transient by classification: the shard is
-    deterministic ``(campaign_digest, shard_index)`` work, so any other
-    worker — or the coordinator itself — re-executes it to the same
-    bytes.
-    """
-
-    exit_code = 26
-
-    def __init__(self, message: str, *, worker_id: str | None = None,
-                 shard: int | None = None, epoch: int | None = None):
-        super().__init__(message)
-        self.worker_id = worker_id
-        self.shard = shard
-        self.epoch = epoch
-
-
-class LeaseFencedError(ReproError):
-    """A worker's shard lease was superseded by a higher fencing epoch.
-
-    Raised when a paused-then-resumed (zombie) worker tries to
-    heartbeat or commit a shard whose lease was already broken and
-    re-issued.  Permanent *for the fenced worker*: its view of the
-    shard is stale by definition, so it must abandon the shard (and the
-    typed CLI exit makes a fenced ``repro worker`` process stop rather
-    than fight the successor).  The campaign itself is unharmed — the
-    successor's lease carries a strictly greater epoch and its commit
-    wins.
-    """
-
-    exit_code = 27
-
-    def __init__(self, message: str, *, shard: int | None = None,
-                 epoch: int | None = None,
-                 holder_epoch: int | None = None):
-        super().__init__(message)
-        self.shard = shard
-        self.epoch = epoch
-        self.holder_epoch = holder_epoch
-
-
 # ----- classification -------------------------------------------------------
 
 def _classified_bases() -> tuple[type[BaseException], ...]:
@@ -362,8 +264,8 @@ def classify_exception(exc: BaseException) -> BaseException:
     through unchanged; anything else — a stray ``KeyError`` deep in a
     pass, an ``AssertionError`` in a worker — is wrapped in a generic
     :class:`ReproError` that names the original type, so downstream
-    consumers (the scheduler's failure records, the experiment
-    service's error mapping) never see an unclassified exception.
+    consumers (the scheduler's failure records, the run journal, the
+    CLI's exit-code mapping) never see an unclassified exception.
     """
     if isinstance(exc, _classified_bases()):
         return exc

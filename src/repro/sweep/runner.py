@@ -66,31 +66,6 @@ class PointJobSpec:
     engine: str = DEFAULT_ENGINE
 
 
-def make_point_spec(spec: SweepSpec, cache_dir: str,
-                    machine: MachineDescription,
-                    model_names: tuple[str, ...] | None = None, *,
-                    options: ToolchainOptions | None = None,
-                    wall_clock_budget: float | None = None,
-                    engine: str = DEFAULT_ENGINE) -> PointJobSpec:
-    """The :class:`PointJobSpec` for one machine of a sweep campaign.
-
-    Shared by the in-process plan builder and the cluster workers
-    (:mod:`repro.service.cluster`): both derive the exact same spec —
-    and therefore the exact same artifact keys — from ``(SweepSpec,
-    machine)``, which is what keeps a sharded campaign byte-identical
-    to a single-node run.
-    """
-    names = tuple(spec.workloads) if spec.workloads \
-        else tuple(w.name for w in all_workloads())
-    return PointJobSpec(
-        cache_dir=cache_dir, workloads=names,
-        model_names=tuple(model_names) if model_names is not None
-        else tuple(spec.models),
-        machine=machine, scale=spec.scale, max_steps=spec.max_steps,
-        options=options or ToolchainOptions(),
-        wall_clock_budget=wall_clock_budget, engine=engine)
-
-
 def simulate_point(spec: PointJobSpec) -> dict:
     """Pool worker: every (workload, model) summary for one machine.
 
@@ -114,7 +89,7 @@ def simulate_point(spec: PointJobSpec) -> dict:
 
 @dataclass
 class SweepOutcome:
-    """What ``run_sweep`` hands back to the CLI/service layer."""
+    """What ``run_sweep`` hands back to the CLI."""
 
     result: SweepResult
     metrics: PipelineMetrics
@@ -246,8 +221,11 @@ def _execute(suite: ExperimentSuite, spec: SweepSpec,
             return True
         plan.append(Job(
             job_id=task_id, fn=simulate_point,
-            args=(make_point_spec(
-                spec, suite.cache_dir, machine, model_names,
+            args=(PointJobSpec(
+                cache_dir=suite.cache_dir,
+                workloads=tuple(w.name for w in suite.workloads),
+                model_names=model_names, machine=machine,
+                scale=spec.scale, max_steps=spec.max_steps,
                 options=suite.options,
                 wall_clock_budget=suite.wall_clock_budget,
                 engine=suite.engine),),

@@ -1,23 +1,22 @@
 """The typed error taxonomy: hierarchy and exit-code contract."""
 
+import importlib
+import pkgutil
+
+import repro
 from repro.emu.memory import EmulationFault
 from repro.engine.recovery.retry import is_transient
 from repro.robustness.errors import (ArtifactLockTimeout, CompileError,
-                                     DeadlineExceededError,
                                      EmulationTimeout,
                                      FuzzFindingsError,
-                                     LeaseFencedError,
                                      ModelDivergenceError,
                                      NativeBuildError,
                                      NativeEngineError,
                                      NativeKernelCrash,
                                      NativeParityError,
                                      NativeToolchainMissing,
-                                     PassVerificationError,
-                                     QuotaExceededError, ReproError,
-                                     ServiceOverloadedError,
-                                     TraceIntegrityError,
-                                     WorkerLostError)
+                                     PassVerificationError, ReproError,
+                                     TraceIntegrityError)
 
 ALL = (ReproError, CompileError, PassVerificationError, EmulationTimeout,
        TraceIntegrityError, ModelDivergenceError)
@@ -27,12 +26,14 @@ DOCUMENTED = {
     ReproError: 10, CompileError: 11, PassVerificationError: 12,
     EmulationTimeout: 13, TraceIntegrityError: 14,
     ModelDivergenceError: 15, ArtifactLockTimeout: 17,
-    FuzzFindingsError: 18, ServiceOverloadedError: 19,
-    QuotaExceededError: 20, DeadlineExceededError: 21,
+    FuzzFindingsError: 18,
     NativeBuildError: 22, NativeToolchainMissing: 23,
     NativeParityError: 24, NativeKernelCrash: 25,
-    WorkerLostError: 26, LeaseFencedError: 27,
 }
+
+#: exit codes of the retired job service and cluster (overloaded, quota,
+#: deadline, worker lost, lease fenced): never to be handed out again
+RETIRED_CODES = {19, 20, 21, 26, 27}
 
 
 def test_every_class_is_a_repro_error():
@@ -52,27 +53,29 @@ def test_transience_split_matches_the_readme_table():
     # the supervisor demotes before raising: the retry lands on the
     # byte-identical Python engines.  Build and parity failures are
     # permanent facts about the artifact.
-    # WorkerLostError is transient (the shard is simply reassigned);
-    # LeaseFencedError is permanent by design — a fenced zombie must
-    # claim *new* work, never retry its superseded lease.
     transient = {EmulationTimeout, TraceIntegrityError,
-                 ArtifactLockTimeout, ServiceOverloadedError,
-                 QuotaExceededError, NativeToolchainMissing,
-                 NativeKernelCrash, WorkerLostError}
+                 ArtifactLockTimeout, NativeToolchainMissing,
+                 NativeKernelCrash}
     for cls in DOCUMENTED:
         sample = cls("probe")
         assert is_transient(sample) == (cls in transient), cls
 
 
-def test_service_errors_carry_retry_hints():
-    shed = ServiceOverloadedError("full", retry_after=2.5,
-                                  queue_depth=16)
-    assert (shed.retry_after, shed.queue_depth) == (2.5, 16)
-    quota = QuotaExceededError("slow down", tenant="alice",
-                               retry_after=1.0, kind="rate")
-    assert (quota.tenant, quota.kind) == ("alice", "rate")
-    late = DeadlineExceededError("too late", deadline=10.0, elapsed=12.0)
-    assert (late.deadline, late.elapsed) == (10.0, 12.0)
+def _all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _all_subclasses(sub)
+
+
+def test_no_error_reuses_a_retired_exit_code():
+    # A script written against the old CLI must never misread a new
+    # failure, so import every module and check every subclass.
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith("__main__"):
+            importlib.import_module(module.name)
+    codes = {cls: cls.exit_code for cls in _all_subclasses(ReproError)}
+    assert set(DOCUMENTED) <= set(codes) | {ReproError}
+    assert not RETIRED_CODES & set(codes.values()), codes
 
 
 def test_timeout_is_also_an_emulation_fault():

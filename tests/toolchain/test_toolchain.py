@@ -142,8 +142,7 @@ def test_options_drop_switched_off_passes():
 
 def test_one_model_name_scheme_for_every_entry_point():
     from repro.cli import build_parser
-    from repro.robustness.errors import ReproError, SpecError
-    from repro.service.spec import ServiceJobSpec
+    from repro.robustness.errors import SpecError
     from repro.sweep.spec import SweepSpec
 
     expected = {m.name.lower() for m in Model}
@@ -157,12 +156,8 @@ def test_one_model_name_scheme_for_every_entry_point():
         assert set(model_arg.choices) == expected
     for name in expected:
         assert SweepSpec(models=(name,)).models == (name,)
-        assert ServiceJobSpec(workload="wc", models=(name,)).models \
-            == (name,)
     with pytest.raises(SpecError):
         SweepSpec(models=("Superblock",))
-    with pytest.raises(ReproError):
-        ServiceJobSpec(workload="wc", models=("predicated",))
 
 
 def test_schedule_annotations_cover_instructions(base, profile):
