@@ -45,11 +45,6 @@ TRANSIENT_TYPES: tuple[type[BaseException], ...] = (
     OSError,
 )
 
-#: error *type names* considered transient, for failures that cross a
-#: process boundary as strings (journal records, worker crash reports)
-TRANSIENT_TYPE_NAMES = frozenset(
-    t.__name__ for t in TRANSIENT_TYPES) | {"WorkerCrash"}
-
 
 def is_transient(exc: BaseException) -> bool:
     """True when retrying ``exc``'s failure could plausibly succeed."""
@@ -84,7 +79,3 @@ class RetryPolicy:
             f"{self.seed}:{task_id}:{attempt}".encode()).digest()
         unit = int.from_bytes(digest[:8], "big") / float(1 << 64)
         return base * (1.0 + self.jitter * (2.0 * unit - 1.0))
-
-
-#: retries disabled — one attempt, fail like the pre-recovery scheduler
-NO_RETRY = RetryPolicy(max_attempts=1)

@@ -34,7 +34,7 @@ import os
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro.engine.keys import KINDS, SCHEMA_VERSION
 from repro.engine.metrics import PipelineMetrics
@@ -97,10 +97,6 @@ class ArtifactStore:
         self.locking = locking
         self.lock_timeout = lock_timeout
         self.lease_seconds = lease_seconds
-        #: fault-injection / accounting hook called with
-        #: ``(kind, key, nbytes)`` right before the bytes hit disk;
-        #: raising ``OSError`` here simulates a full disk (chaos tests)
-        self.write_hook: Callable[[str, str, int], None] | None = None
 
     def _path(self, kind: str, key: str) -> Path:
         if kind not in KINDS:
@@ -151,8 +147,6 @@ class ArtifactStore:
             lock.acquire()
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            if self.write_hook is not None:
-                self.write_hook(kind, key, len(blob))
             with open(tmp, "wb") as handle:
                 handle.write(blob)
                 handle.flush()

@@ -20,6 +20,7 @@ evaluated configuration's cycle count, as in Section 4.1.
 
 from __future__ import annotations
 
+import shutil
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -96,7 +97,8 @@ class ExperimentSuite:
     keeps everything in-memory, as hermetic tests expect); ``jobs``
     selects the process-pool width for the prefetch DAG (1 = serial,
     in-process).  Parallel execution communicates through the store, so
-    ``jobs > 1`` without a ``cache_dir`` gets a throwaway temp store.
+    ``jobs > 1`` without a ``cache_dir`` gets a throwaway temp store,
+    which :meth:`close_journal` deletes.
 
     Every store-backed run is journaled: a ``run_id`` (generated unless
     given) names an fsync'd JSONL journal under ``<cache_dir>/runs/``
@@ -135,7 +137,10 @@ class ExperimentSuite:
                              f"(expected 'strict' or 'degrade')")
         if self.options is None:
             self.options = ToolchainOptions()
-        if self.jobs > 1 and self.cache_dir is None:
+        #: True when the suite made ``cache_dir`` itself: nothing can
+        #: resume from it, and :meth:`close_journal` deletes it
+        self.owns_cache_dir = self.jobs > 1 and self.cache_dir is None
+        if self.owns_cache_dir:
             self.cache_dir = tempfile.mkdtemp(prefix="repro-cache-")
         store = ArtifactStore(self.cache_dir) \
             if self.cache_dir is not None else None
@@ -178,12 +183,15 @@ class ExperimentSuite:
             self.run_id = self.journal.run_id
 
     def close_journal(self, ok: bool | None = None) -> None:
-        """Append the run-finish record and release the file handle."""
-        if self.journal is None:
-            return
-        self.journal.run_finish(not self.failures if ok is None else ok)
-        self.journal.close()
-        self.journal = None
+        """Append the run-finish record and release the file handle;
+        delete the store too when the suite made it."""
+        if self.journal is not None:
+            self.journal.run_finish(not self.failures if ok is None
+                                    else ok)
+            self.journal.close()
+            self.journal = None
+        if self.owns_cache_dir:
+            shutil.rmtree(self.cache_dir, ignore_errors=True)
 
     def journal_summary(self) -> str:
         """One-line resume/progress description for the CLI."""

@@ -522,10 +522,12 @@ def run_program_native(program: "Program",
     ``native=False`` skips the kernel outright — callers thread the
     :class:`~repro.engine.stages.PipelineContext`'s once-per-process
     engine resolution through here instead of re-reading the
-    environment.  A kernel fault mid-run (injected or real) demotes
-    the process and either reruns on the interpreter (when no chunk
-    left this function yet) or re-raises the typed, transient
-    :class:`NativeKernelCrash` for the scheduler's retry.
+    environment.  A kernel fault mid-run (injected or real) without a
+    ``sink`` demotes the process and reruns on the interpreter.  With
+    a ``sink`` the fault re-raises as the typed, transient
+    :class:`NativeKernelCrash`, whether the emulator or the sink
+    raised it: the sink's consumer may already hold chunks, so only
+    the caller can restart the stream, and the caller records it.
     """
     lib = None if native is False else _get_lib()
     tracing = collect_trace or sink is not None
@@ -599,7 +601,6 @@ def run_program_native(program: "Program",
 
     signature = 0
     out_count = 0
-    flushed = False
     trace = TraceColumns() if collect_trace else None
     try:
         try:
@@ -633,7 +634,6 @@ def run_program_native(program: "Program",
                         cols.vidx.frombytes(t_vidx[:tn].tobytes())
                         cols.values = values
                         sink(cols)
-                        flushed = True
                     elif collect_trace:
                         vbase = len(trace.values)
                         trace.sidx.frombytes(t_sidx[:tn].tobytes())
@@ -652,14 +652,11 @@ def run_program_native(program: "Program",
             lib.emu_free(handle)
             del membuf
     except NativeKernelCrash as crash:
-        # The emulator kernel faulted mid-run.  Demote the process
-        # first; then either rerun from scratch on the interpreter (no
-        # chunk has left this function, so the result is identical) or
-        # surface the typed transient error — the sink already
-        # consumed chunks, and only the caller can restart the stream.
-        supervisor.report_kernel_fault(crash)
-        if flushed:
+        if sink is not None:
             raise
+        # No chunk has left this function: demote the process and
+        # rerun from scratch on the interpreter (identical result).
+        supervisor.report_kernel_fault(crash)
         return run_program_fast(program, inputs=inputs,
                                 collect_trace=collect_trace,
                                 max_steps=max_steps, watchdog=watchdog,
@@ -748,9 +745,8 @@ def sim_scan_chunk(tables: NativeSimTables,
     if lib is None:
         from repro.robustness.errors import NativeEngineError
         raise NativeEngineError("native kernels unavailable")
-    # Injected faults fire *before* the C call, so all carried state
-    # is still at the previous chunk boundary — the caller hands off
-    # to the Python scan and reprocesses this chunk byte-identically.
+    # Injected faults fire before the C call; the caller reruns the
+    # whole simulation on the Python rung.
     supervisor.maybe_fault_scan()
     cfg[0] = len(sidx)
     ptrs_vec, ptrs = _as_ptrs([

@@ -153,7 +153,7 @@ class _State:
         default_factory=lambda: {n: 0 for n in _COUNTER_NAMES})
     drained: dict[str, int] = field(
         default_factory=lambda: {n: 0 for n in _COUNTER_NAMES})
-    #: chaos/test injection: "segv-child" | "parity-child" |
+    #: test injection: "segv-child" | "parity-child" |
     #: "parity-process" | ("scan-fault", k) | ("emu-fault", k)
     injection: object | None = None
     scan_calls: int = 0
@@ -197,7 +197,7 @@ def _get_state() -> _State:
 def reset_for_testing(*, cache_dir: str | None = None,
                       compilers: tuple[str, ...] | None = None,
                       fingerprint: str | None = None) -> None:
-    """Rebuild the per-process state (tests and chaos injections only).
+    """Rebuild the per-process state (tests only).
 
     Re-reads the environment, restores the ladder to its top rung, and
     resets :mod:`repro.fastpath.native`'s cached library handle so the
@@ -284,7 +284,7 @@ def _record_failure(exc: NativeEngineError) -> None:
 
 
 # ----------------------------------------------------------------- #
-# Injection hooks (tests + chaos campaign)                          #
+# Injection hooks (tests)                                           #
 # ----------------------------------------------------------------- #
 
 def set_injection(kind: object | None) -> None:

@@ -6,17 +6,16 @@ pure-Python rung.
 ready times, issue counters, BTB, cache tags — in NumPy arrays that
 the C ``sim_scan`` kernel (:func:`~repro.fastpath.native.sim_scan_chunk`)
 updates in place, one ``feed`` per trace chunk.  When the kernel is
-unavailable, switched off (``REPRO_NATIVE=0``), revoked by the
-supervisor or faults mid-run, the carried state is handed to a
-``StreamSimulator`` at the last chunk boundary and the run continues
-there: results are byte-identical at any chunk size and at any point
-of the handoff.
+unavailable or switched off (``REPRO_NATIVE=0``), the simulator runs
+on the ``StreamSimulator`` from the start: results are byte-identical
+at any chunk size.
 
 :func:`emulate_and_simulate_vector` fuses the native emulator
 (:func:`~repro.fastpath.native.run_program_native`) with this
-simulator; an emulator fault after chunks were consumed reruns the
-whole stream on the Python rung
-(:func:`~repro.fastpath.simulate.emulate_and_simulate_stream`).
+simulator.  A kernel fault mid-run, on either side, has one recovery
+path: the supervisor demotes the process and the whole run restarts
+on the Python rung (:func:`~repro.fastpath.simulate.simulate_columns`
+or :func:`~repro.fastpath.simulate.emulate_and_simulate_stream`).
 """
 
 from __future__ import annotations
@@ -25,11 +24,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.fastpath import supervisor
 from repro.fastpath.columns import TraceColumns
 from repro.fastpath.decode import DecodedProgram, decode_program
 from repro.fastpath.simulate import (SimPrep, StreamSimulator,
                                      emulate_and_simulate_stream,
-                                     prepare_sim)
+                                     prepare_sim, simulate_columns)
 from repro.machine.descriptor import MachineDescription
 from repro.robustness.errors import NativeKernelCrash
 from repro.sim.pipeline import SimulationStats
@@ -75,8 +75,9 @@ class VectorSimulator:
 
     ``python`` is the Python rung.  While the native scan runs, its
     state is stale and refreshed from the kernel arrays on demand
-    (:meth:`boundary_digest`, :meth:`finish`, the handoff); after the
-    handoff it owns the state.
+    (:meth:`boundary_digest`, :meth:`finish`).  A kernel fault
+    propagates as :class:`NativeKernelCrash`; the caller reruns the
+    whole simulation on the Python rung.
     """
 
     def __init__(self, prep: "SimPrep | VectorSimPrep",
@@ -133,29 +134,15 @@ class VectorSimulator:
 
     def feed(self, cols: TraceColumns) -> None:
         self.chunks_fed += 1
-        if self._native:
-            from repro.fastpath import supervisor
-            # A rung the supervisor revoked since this simulator was
-            # built (e.g. the emulator side faulted) is not trusted.
-            if supervisor.native_active():
-                if not len(cols):
-                    return
-                try:
-                    self._scan(self._nt,
-                               np.frombuffer(cols.sidx, dtype=np.int32),
-                               np.frombuffer(cols.flags, dtype=np.uint8),
-                               np.frombuffer(cols.addr, dtype=np.int64),
-                               self._ready, self._btb_tags,
-                               self._btb_ctr, self._ic_tags,
-                               self._dc_tags, self._st, self._cfg)
-                    return
-                except NativeKernelCrash as crash:
-                    # The kernel faulted before touching the carried
-                    # state: demote, then redo this chunk in Python.
-                    supervisor.report_kernel_fault(crash)
-            self._sync_python()
-            self._native = False
-        self.python.feed(cols)
+        if not self._native:
+            self.python.feed(cols)
+        elif len(cols):
+            self._scan(self._nt,
+                       np.frombuffer(cols.sidx, dtype=np.int32),
+                       np.frombuffer(cols.flags, dtype=np.uint8),
+                       np.frombuffer(cols.addr, dtype=np.int64),
+                       self._ready, self._btb_tags, self._btb_ctr,
+                       self._ic_tags, self._dc_tags, self._st, self._cfg)
 
     def boundary_digest(self) -> str:
         """Digest of the carried state (see
@@ -185,15 +172,17 @@ def simulate_columns_vector(cols: TraceColumns,
 
     ``native=False`` (from the
     :class:`~repro.engine.stages.PipelineContext`'s once-per-process
-    resolution) keeps the scan on the Python rung.
+    resolution) keeps the scan on the Python rung.  A scan fault
+    demotes the process and reruns the trace on the Python rung.
     """
     size = chunk_events or DEFAULT_VECTOR_CHUNK
     sim = VectorSimulator(prep, machine, native=native is not False)
-    if len(cols) > size:
-        for chunk in cols.chunks(size):
+    try:
+        for chunk in cols.chunks(size) if len(cols) > size else (cols,):
             sim.feed(chunk)
-    else:
-        sim.feed(cols)
+    except NativeKernelCrash as crash:
+        supervisor.report_kernel_fault(crash)
+        return simulate_columns(cols, sim.python.prep, machine)
     if metrics is not None:
         metrics.vector_chunks_total += sim.chunks_fed
     return sim.finish()
@@ -215,8 +204,8 @@ def emulate_and_simulate_vector(
 
     The emulator side is the native kernel, or the interpreter when a
     watchdog is attached or the kernel is unavailable; the simulator
-    side is a :class:`VectorSimulator`.  After a mid-stream emulator
-    fault (the supervisor has demoted the process) the whole fused run
+    side is a :class:`VectorSimulator`.  After a kernel fault on either
+    side the supervisor demotes the process and the whole fused run
     restarts on the Python rung — byte-identical.
 
     When a :class:`~repro.engine.metrics.PipelineMetrics` is supplied,
@@ -249,7 +238,8 @@ def emulate_and_simulate_vector(
             program, inputs=inputs, max_steps=max_steps,
             watchdog=watchdog, sink=sink, chunk_events=chunk_events,
             decoded=decoded, native=native)
-    except NativeKernelCrash:
+    except NativeKernelCrash as crash:
+        supervisor.report_kernel_fault(crash)
         return emulate_and_simulate_stream(
             program, addresses, machine, inputs=inputs,
             max_steps=max_steps, watchdog=watchdog,

@@ -18,14 +18,13 @@ from repro.robustness.errors import (CompileError, EmulationTimeout,
                                      TraceIntegrityError)
 from repro.robustness.integrity import check_trace_integrity
 from repro.robustness.passgate import Degradation, PassGate
-from repro.robustness.report import (SuiteReport, WorkloadFailure,
-                                     format_failures)
+from repro.robustness.report import WorkloadFailure, format_failures
 from repro.robustness.watchdog import EmulationWatchdog
 
 __all__ = [
     "CompileError", "Degradation", "EmulationTimeout",
     "EmulationWatchdog", "ModelDivergenceError", "PassGate",
-    "PassVerificationError", "ReproError", "SuiteReport",
+    "PassVerificationError", "ReproError",
     "TraceIntegrityError", "WorkloadFailure", "assert_equivalent",
     "check_trace_integrity", "format_failures", "values_differ",
 ]

@@ -9,7 +9,7 @@ experiment output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -22,18 +22,6 @@ class WorkloadFailure:
     message: str
     model: str | None = None
     artifact_path: str | None = None
-
-
-@dataclass
-class SuiteReport:
-    """Aggregated outcome of a (possibly degraded) suite run."""
-
-    completed: list[str] = field(default_factory=list)
-    failures: list[WorkloadFailure] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def format_failures(failures: list[WorkloadFailure]) -> str:

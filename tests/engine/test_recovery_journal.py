@@ -62,6 +62,13 @@ def test_torn_final_line_is_tolerated(tmp_path):
     state = replay_journal(path)
     assert state.torn_lines == 1
     assert "t1" in state.completed and "t2" not in state.completed
+    # Resuming past the torn line keeps the completed task, and what
+    # the resumed run appends stays readable.
+    resumed, rstate = RunJournal.resume(tmp_path, journal.run_id)
+    assert "t1" in rstate.completed and "t2" not in rstate.completed
+    resumed.task_finish("t2", [])
+    resumed.close()
+    assert set(replay_journal(path).completed) == {"t1", "t2"}
 
 
 def test_replay_unknown_run_id_raises_typed(tmp_path):

@@ -6,9 +6,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.engine.metrics import PipelineMetrics
-from repro.engine.recovery.retry import (NO_RETRY, RetryPolicy,
-                                         TRANSIENT_TYPE_NAMES,
-                                         is_transient)
+from repro.engine.recovery.retry import RetryPolicy, is_transient
 from repro.engine.scheduler import Job, execute_jobs
 from repro.robustness.errors import (ArtifactLockTimeout, CompileError,
                                      EmulationTimeout,
@@ -40,11 +38,6 @@ def test_permanent_failures(exc):
     assert not is_transient(exc)
 
 
-def test_worker_crash_name_is_transient():
-    assert "WorkerCrash" in TRANSIENT_TYPE_NAMES
-    assert "CompileError" not in TRANSIENT_TYPE_NAMES
-
-
 def test_backoff_is_deterministic_and_capped():
     policy = RetryPolicy(backoff_base=0.1, backoff_cap=0.5, jitter=0.25)
     first = [policy.backoff("task-a", n) for n in range(1, 8)]
@@ -67,7 +60,6 @@ def test_should_retry_honors_attempt_budget():
     assert policy.should_retry(exc, 1) and policy.should_retry(exc, 2)
     assert not policy.should_retry(exc, 3)
     assert not policy.should_retry(CompileError("no", pass_name="p"), 1)
-    assert not NO_RETRY.should_retry(exc, 1)
 
 
 # ----- the scheduler actually retrying --------------------------------------
@@ -128,11 +120,14 @@ def test_pool_crash_rebuilds_and_recovers(tmp_path):
     sentinel = tmp_path / "crashed.sentinel"
     jobs = [Job(job_id="crasher", fn=jobhelpers.crash_once,
                 args=(str(sentinel),)),
-            Job(job_id="steady", fn=jobhelpers.ok, args=(7,))]
+            Job(job_id="steady", fn=jobhelpers.ok, args=(7,)),
+            Job(job_id="dependent", fn=jobhelpers.double, args=(21,),
+                deps=("crasher",))]
     metrics = PipelineMetrics()
     outcome = execute_jobs(jobs, max_workers=2, metrics=metrics)
     assert outcome.ok
-    assert outcome.results["crasher"] == "survived"
+    assert outcome.results == {"crasher": "survived", "steady": 7,
+                               "dependent": 42}
     assert metrics.pool_rebuilds >= 1
 
 

@@ -1,8 +1,12 @@
 """Artifact store: atomic persistence, verification, maintenance."""
 
+import errno
+
 import pytest
 
+from repro.engine import store as store_module
 from repro.engine.keys import SCHEMA_VERSION, stable_digest
+from repro.engine.recovery.retry import is_transient
 from repro.engine.store import ArtifactStore
 
 KEY = stable_digest("some", "inputs")
@@ -36,25 +40,36 @@ def test_unknown_kind_rejected(tmp_path):
         store.put("weights", KEY, 1)
 
 
+def _flip_bit(blob: bytes) -> bytes:
+    flipped = bytearray(blob)
+    flipped[-3] ^= 0x40
+    return bytes(flipped)
+
+
+def _truncate(blob: bytes) -> bytes:
+    """A torn post-crash file: only its first half reached the disk."""
+    return blob[:len(blob) // 2]
+
+
 def test_corrupted_artifact_is_quarantined_and_missed(tmp_path):
     """Corruption becomes quarantine + miss, never a served value."""
-    store = ArtifactStore(tmp_path)
-    store.put("execution", KEY, list(range(1000)))
-    path = store._path("execution", KEY)
-    blob = bytearray(path.read_bytes())
-    blob[-3] ^= 0x40
-    path.write_bytes(bytes(blob))
-    assert store.get("execution", KEY) is None
-    assert store.metrics.cache["execution"].misses == 1
-    assert store.metrics.quarantined_artifacts == 1
-    # The corrupt bytes moved aside (with a reason sidecar), the
-    # lookup path is free for a recompute to rewrite.
-    assert not path.exists()
-    quarantined = list((tmp_path / "quarantine").rglob("*.art"))
-    assert len(quarantined) == 1
-    # A rewrite serves cleanly again.
-    store.put("execution", KEY, list(range(1000)))
-    assert store.get("execution", KEY) == list(range(1000))
+    for corrupt in (_flip_bit, _truncate):
+        root = tmp_path / corrupt.__name__
+        store = ArtifactStore(root)
+        store.put("execution", KEY, list(range(1000)))
+        path = store._path("execution", KEY)
+        path.write_bytes(corrupt(path.read_bytes()))
+        assert store.get("execution", KEY) is None, corrupt.__name__
+        assert store.metrics.cache["execution"].misses == 1
+        assert store.metrics.quarantined_artifacts == 1
+        # The corrupt bytes moved aside (with a reason sidecar), the
+        # lookup path is free for a recompute to rewrite.
+        assert not path.exists()
+        quarantined = list((root / "quarantine").rglob("*.art"))
+        assert len(quarantined) == 1
+        # A rewrite serves cleanly again.
+        store.put("execution", KEY, list(range(1000)))
+        assert store.get("execution", KEY) == list(range(1000))
 
 
 def test_put_leaves_no_temp_files(tmp_path):
@@ -63,6 +78,39 @@ def test_put_leaves_no_temp_files(tmp_path):
     leftovers = [p for p in tmp_path.rglob("*") if p.is_file()
                  and not p.name.endswith(".art")]
     assert leftovers == []
+
+
+def test_disk_full_put_leaves_no_debris_and_is_transient(tmp_path,
+                                                         monkeypatch):
+    """A write that hits ENOSPC removes its ``.tmp`` file and releases
+    its lock; the error is one the retry policy retries, and the retry
+    stores the artifact."""
+    real_open = open
+
+    class FullDisk:
+        def __init__(self, path, mode):
+            self._handle = real_open(path, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._handle.close()
+
+        def write(self, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    store = ArtifactStore(tmp_path)
+    monkeypatch.setattr(store_module, "open", FullDisk, raising=False)
+    with pytest.raises(OSError) as excinfo:
+        store.put("stats", KEY, {"cycles": 42})
+    assert excinfo.value.errno == errno.ENOSPC
+    assert is_transient(excinfo.value)
+    debris = [p.name for p in tmp_path.rglob("*") if p.is_file()]
+    assert debris == []
+    monkeypatch.undo()
+    store.put("stats", KEY, {"cycles": 42})
+    assert store.get("stats", KEY) == {"cycles": 42}
 
 
 def test_stats_inventory_and_stale_versions(tmp_path):

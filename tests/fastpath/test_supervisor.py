@@ -11,10 +11,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.profile import Profile
 from repro.engine.metrics import PipelineMetrics
 from repro.fastpath import native, supervisor
+from repro.machine.descriptor import MachineDescription
 from repro.robustness.errors import (NativeKernelCrash, NativeParityError,
                                      NativeToolchainMissing)
+from repro.robustness.faults import CAMPAIGN_INPUTS, CAMPAIGN_SOURCE
+from repro.toolchain import (Model, compile_for_model, frontend,
+                             run_compiled)
 
 HAVE_CC = any(__import__("shutil").which(c) for c in ("cc", "gcc"))
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C toolchain")
@@ -63,7 +68,30 @@ def test_native_cflags_env_reaches_the_build_flags(monkeypatch, tmp_path):
 
 # ----- cache key + fingerprint ----------------------------------------------
 
-def test_cache_key_depends_on_compiler_fingerprint(fresh_cache):
+@pytest.fixture(scope="module")
+def vector_program():
+    """A predicated kernel on a cached machine, with its legacy-engine
+    observables as the reference."""
+    base = frontend(CAMPAIGN_SOURCE)
+    profile = Profile.collect(base, inputs=CAMPAIGN_INPUTS)
+    machine = MachineDescription(issue_width=4, branch_issue_limit=2,
+                                 name="supervisor").with_real_caches()
+    compiled = compile_for_model(base, Model.FULLPRED, profile, machine)
+    reference = _observables(run_compiled(
+        compiled, inputs=CAMPAIGN_INPUTS, machine=machine,
+        engine="legacy"))
+    return compiled, machine, reference
+
+
+def _observables(result) -> str:
+    ex = result.execution
+    return repr((ex.return_value, ex.dynamic_count, ex.suppressed_count,
+                 ex.output_signature, ex.output_count, ex.memory_digest,
+                 result.stats))
+
+
+def test_cache_key_depends_on_compiler_fingerprint(fresh_cache,
+                                                   vector_program):
     supervisor.reset_for_testing(cache_dir=fresh_cache,
                                  fingerprint="probe-cc 1.0")
     first = supervisor.so_path()
@@ -73,6 +101,22 @@ def test_cache_key_depends_on_compiler_fingerprint(fresh_cache):
     supervisor.reset_for_testing(cache_dir=fresh_cache,
                                  fingerprint="probe-cc 2.0")
     assert supervisor.so_path() != first
+    if not HAVE_CC:
+        pytest.skip("no C toolchain: the builds are not exercised")
+    # A compiler upgrade between runs builds and validates a second
+    # object beside the first instead of loading the stale one, and
+    # both run the vector engine to the legacy engine's observables.
+    compiled, machine, reference = vector_program
+    for fingerprint in ("probe-cc 1.0", "probe-cc 2.0"):
+        supervisor.reset_for_testing(cache_dir=fresh_cache,
+                                     fingerprint=fingerprint)
+        assert native.available()
+        assert Path(supervisor.so_path() + ".ok").exists()
+        result = run_compiled(compiled, inputs=CAMPAIGN_INPUTS,
+                              machine=machine, engine="vector")
+        assert _observables(result) == reference
+        assert supervisor.current_engine() == "native"
+    assert Path(first).exists()
 
 
 def test_missing_toolchain_is_typed_and_demotes(fresh_cache):

@@ -1,13 +1,18 @@
 """CLI recovery surface: cache fsck, friendly empty-store messages,
-figure resume, and the chaos selftest flag."""
+and figure resume."""
 
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.engine.keys import stable_digest
 from repro.engine.store import ArtifactStore
+from repro.experiments.runner import ExperimentSuite
+from repro.workloads import get_workload
 
 
 # ----- cache stats/clear on missing or empty stores (satellite) -------------
@@ -98,6 +103,24 @@ def test_bench_resume_reports_zero_recompute(tmp_path, capsys):
     assert second.out == first.out
 
 
+def test_throwaway_store_is_deleted_and_never_offered_for_resume(capsys):
+    """``jobs > 1`` without a store gets a temp store the suite owns:
+    ``close_journal`` deletes it, and the CLI offers no ``--resume``
+    for it."""
+    suite = ExperimentSuite(workloads=[get_workload("wc")], scale=0.25,
+                            jobs=2)
+    assert os.path.isdir(suite.cache_dir)
+    suite.close_journal()
+    assert not os.path.exists(suite.cache_dir)
+
+    temp = Path(tempfile.gettempdir())
+    before = set(temp.glob("repro-cache-*"))
+    assert main(["bench", "wc", "--scale", "0.25", "--no-cache",
+                 "--jobs", "2"]) == 0
+    assert set(temp.glob("repro-cache-*")) == before
+    assert "--resume" not in capsys.readouterr().err
+
+
 def test_resume_unknown_run_id_exits_typed(tmp_path, capsys):
     code = main(["bench", "wc", "--scale", "0.25",
                  "--cache-dir", str(tmp_path / "cache"),
@@ -122,7 +145,6 @@ def test_figures_is_a_report_alias():
     ["report", "--run-id", "RX"],
     ["bench", "wc", "--retries", "5"],
     ["cache", "fsck", "--repair"],
-    ["selftest", "--chaos", "--jobs", "2"],
 ])
 def test_recovery_flags_parse(argv):
     args = build_parser().parse_args(argv)
