@@ -26,7 +26,8 @@ from typing import Any
 SCHEMA_VERSION = 2
 
 #: artifact kinds the store recognizes, in pipeline order
-KINDS = ("frontend", "profile", "compiled", "execution", "stats")
+KINDS = ("frontend", "profile", "optimized", "compiled", "execution",
+         "stats")
 
 
 def _canonical(obj: Any) -> Any:
@@ -84,6 +85,14 @@ def profile_key(name: str, source: str, scale: float,
     """
     return stable_digest(SCHEMA_VERSION, "profile", name, source, scale,
                          max_steps)
+
+
+def optimize_key(name: str, source: str, scale: float, max_steps: int,
+                 model_name: str, options_digest: str) -> str:
+    """Key of an optimized, unscheduled program: :func:`compile_key`
+    without the schedule digest, since no pass reads the machine."""
+    return stable_digest(SCHEMA_VERSION, "optimized", name, source, scale,
+                         max_steps, model_name, options_digest)
 
 
 def compile_key(name: str, source: str, scale: float, max_steps: int,

@@ -39,8 +39,8 @@ from repro.robustness.errors import TraceIntegrityError
 from repro.robustness.integrity import check_trace_integrity
 from repro.robustness.watchdog import EmulationWatchdog
 from repro.sim.pipeline import SimulationStats, simulate_trace
-from repro.toolchain import (CompiledProgram, Model, ToolchainOptions,
-                             compile_for_model, frontend)
+from repro.toolchain import (CompiledProgram, Model, OptimizedProgram,
+                             ToolchainOptions, compile_for_model, frontend)
 from repro.workloads.base import Workload
 
 
@@ -87,6 +87,9 @@ class PipelineContext:
         self._options_digest = self.options.digest()
         self._frontend: dict[str, Program] = {}
         self._profile: dict[str, Profile] = {}
+        # Optimized programs by profile key, then model: the memo
+        # compile_for_model shares across one workload's machines.
+        self._optimized: dict[str, dict[Model, OptimizedProgram]] = {}
         self._compiled: dict[str, CompiledProgram] = {}
         self._execution: dict[str, ExecutionResult] = {}
         self._summary: dict[str, RunSummary] = {}
@@ -100,6 +103,15 @@ class PipelineContext:
         self._vprep: dict[str, vector.VectorSimPrep] = {}
 
     # ----- keys ---------------------------------------------------------
+
+    def profile_key(self, workload: Workload) -> str:
+        return keys.profile_key(workload.name, workload.source, self.scale,
+                                self.max_steps)
+
+    def optimize_key(self, workload: Workload, model: Model) -> str:
+        return keys.optimize_key(workload.name, workload.source, self.scale,
+                                 self.max_steps, model.name,
+                                 self._options_digest)
 
     def compile_key(self, workload: Workload, model: Model,
                     machine: MachineDescription) -> str:
@@ -180,8 +192,7 @@ class PipelineContext:
 
     def profile(self, workload: Workload) -> Profile:
         """Training-run profile for the baseline IR."""
-        key = keys.profile_key(workload.name, workload.source, self.scale,
-                               self.max_steps)
+        key = self.profile_key(workload)
         profile = self._profile.get(key)
         if profile is None and self.store is not None:
             profile = self.store.get("profile", key)
@@ -200,7 +211,12 @@ class PipelineContext:
                  machine: MachineDescription) -> CompiledProgram:
         """Program compiled for ``model`` on the schedule-relevant
         machine parameters (machines differing only in memory hierarchy
-        share the artifact)."""
+        share the artifact).
+
+        The passes run once per (workload, model): their output is
+        memoized here and stored as an ``optimized`` artifact, and each
+        further machine only schedules it.
+        """
         key = self.compile_key(workload, model, machine)
         compiled = self._compiled.get(key)
         if compiled is None and self.store is not None:
@@ -210,10 +226,20 @@ class PipelineContext:
         if compiled is None:
             base = self.frontend_program(workload)
             profile = self.profile(workload)
+            memo = self._optimized.setdefault(self.profile_key(workload), {})
+            optimize_key = self.optimize_key(workload, model)
+            if model not in memo and self.store is not None:
+                optimized = self.store.get("optimized", optimize_key)
+                if optimized is not None:
+                    self._adopt_uids(optimized.program)
+                    memo[model] = optimized
+            fresh = model not in memo
             with self.metrics.timer("compile"):
                 compiled = compile_for_model(base, model, profile, machine,
-                                             self.options)
+                                             self.options, optimized=memo)
             if self.store is not None:
+                if fresh:
+                    self.store.put("optimized", optimize_key, memo[model])
                 self.store.put("compiled", key, compiled)
         self._compiled[key] = compiled
         return compiled

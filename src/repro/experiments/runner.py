@@ -31,7 +31,8 @@ from repro.emu.trace import ExecutionResult
 from repro.engine.metrics import PipelineMetrics
 from repro.engine.recovery.journal import RunJournal, verify_completed
 from repro.engine.recovery.retry import RetryPolicy, is_transient
-from repro.engine.scheduler import Job, JobFailure, execute_jobs
+from repro.engine.scheduler import (Job, JobFailure, SchedulerOutcome,
+                                   execute_jobs)
 from repro.engine.stages import PipelineContext, RunSummary
 from repro.engine.store import ArtifactStore
 from repro.engine.workers import (JobSpec, compile_emulate,
@@ -285,7 +286,10 @@ class ExperimentSuite:
 
         Builds the three-stage job DAG (prepare -> compile+emulate ->
         simulate), skips any node whose artifact is already stored, and
-        fans the rest across ``jobs`` pool workers.  The plan is
+        fans the rest across ``jobs`` pool workers.  Every
+        compile+emulate job of a (workload, model) after the first
+        depends on the first, so it reads the stored optimized program
+        instead of running the passes again.  The plan is
         per-machine precise — the speedup figures need all three models
         on the evaluated machine but only SUPERBLOCK on the scalar
         baseline, and prefetching more would make a warm serial cache
@@ -302,6 +306,7 @@ class ExperimentSuite:
                 continue
             prep_id = f"prepare:{w.name}"
             prep_needed = False
+            first_compile: dict[Model, str] = {}
             for machine, models in targets:
                 ce_done: set[str] = set()
                 for model in models:
@@ -319,11 +324,13 @@ class ExperimentSuite:
                         jobs.append(Job(
                             job_id=ce_id, fn=compile_emulate,
                             args=(self._job_spec(w.name, model, machine),),
-                            deps=(prep_id,), workload=w.name,
+                            deps=(first_compile.get(model, prep_id),),
+                            workload=w.name,
                             stage="compile+emulate",
                             artifacts=(("compiled", ce_key),
                                        ("execution", exec_key))))
                         job_ids.add(ce_id)
+                        first_compile.setdefault(model, ce_id)
                     ce_done.add(ce_id)
                     sim_deps = (ce_id,) if ce_id in job_ids else ()
                     sim_id = f"simulate:{w.name}:{model.name}:{skey[:12]}"
@@ -347,7 +354,7 @@ class ExperimentSuite:
             return
         self.execute_plan(jobs)
 
-    def execute_plan(self, jobs: list[Job]) -> None:
+    def execute_plan(self, jobs: list[Job]) -> SchedulerOutcome | None:
         """Journal and execute an externally built job DAG.
 
         The sweep runner constructs its own plan (point jobs instead of
@@ -356,9 +363,11 @@ class ExperimentSuite:
         counters merge into :attr:`metrics`, and failures feed the
         suite's failure policy.  Runs through the scheduler even at
         ``jobs=1`` so the journal is identical at any parallelism.
+        Returns the scheduler's outcome (None for an empty plan): jobs
+        downstream of a failure are in its ``skipped``.
         """
         if not jobs:
-            return
+            return None
         self.metrics.jobs_dispatched += len(jobs)
         if self.journal is not None:
             for job in jobs:
@@ -369,6 +378,7 @@ class ExperimentSuite:
         for counters in outcome.results.values():
             self.metrics.merge_dict(counters)
         self._absorb_job_failures(outcome.failures)
+        return outcome
 
     def _absorb_job_failures(self, failures: list[JobFailure]) -> None:
         """Map scheduler failures onto the suite's failure policy."""

@@ -148,6 +148,18 @@ class Function:
         for b in self.blocks:
             yield from b.instructions
 
+    def clone(self) -> Function:
+        """A copy sharing no mutable object with this function.
+
+        Blocks, instruction lists and instructions are new; each
+        instruction keeps its uid.  Operands are immutable and shared.
+        """
+        return Function(
+            self.name, list(self.params),
+            [BasicBlock(b.name, [inst.copy() for inst in b.instructions])
+             for b in self.blocks],
+            self.next_vreg, self.next_preg, self.returns_float)
+
     def __repr__(self) -> str:
         return f"<function {self.name}: {len(self.blocks)} blocks>"
 
@@ -194,6 +206,23 @@ class Program:
     @property
     def main(self) -> Function:
         return self.functions[self.entry]
+
+    def clone(self) -> Program:
+        """A copy for a compile to transform, keeping instruction uids.
+
+        Every function, block, instruction list, instruction and global
+        is new (see :meth:`Function.clone`).  ``copy.deepcopy`` gives
+        the same program about twenty times slower, because it also
+        copies every immutable operand.  A field added to one of these
+        classes, or to :class:`Instruction`, must be copied here too.
+        """
+        return Program(
+            {name: fn.clone() for name, fn in self.functions.items()},
+            {name: GlobalVar(g.name, g.elem_size, g.count,
+                             None if g.init is None else list(g.init),
+                             g.is_float)
+             for name, g in self.globals.items()},
+            self.entry)
 
     def static_size(self) -> int:
         """Total static instruction count."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
-from repro.analysis.liveness import liveness
+from repro.analysis.liveness import Liveness, liveness
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instruction import Instruction
 from repro.ir.opcodes import MAY_EXCEPT, OpCategory
@@ -128,10 +128,15 @@ def schedule_block(fn: Function, block: BasicBlock,
     return result
 
 
-def schedule_function(fn: Function,
-                      machine: MachineDescription) -> ScheduleResult:
-    """Schedule every block of ``fn``; returns merged cycle annotations."""
-    live = liveness(fn)
+def schedule_function(fn: Function, machine: MachineDescription,
+                      live: Liveness | None = None) -> ScheduleResult:
+    """Schedule every block of ``fn``; returns merged cycle annotations.
+
+    ``live`` is ``fn``'s liveness before scheduling (solved here when
+    None).
+    """
+    if live is None:
+        live = liveness(fn)
     merged = ScheduleResult()
     for block in fn.blocks:
         r = schedule_block(fn, block, machine, live)
@@ -141,10 +146,25 @@ def schedule_function(fn: Function,
     return merged
 
 
-def schedule_program(program, machine: MachineDescription) -> ScheduleResult:
+def schedule_program(program, machine: MachineDescription,
+                     live: dict[str, Liveness] | None = None
+                     ) -> ScheduleResult:
+    """Schedule every function of ``program``.
+
+    ``live`` maps function names to their liveness before scheduling.
+    A missing entry is solved and added, so one dict passed to every
+    schedule of clones of one unscheduled program solves each function
+    once: liveness is keyed by block names and registers, both values,
+    so it holds for every clone.
+    """
     merged = ScheduleResult()
     for fn in program.functions.values():
-        r = schedule_function(fn, machine)
+        fn_live = None if live is None else live.get(fn.name)
+        if fn_live is None:
+            fn_live = liveness(fn)
+            if live is not None:
+                live[fn.name] = fn_live
+        r = schedule_function(fn, machine, fn_live)
         merged.cycles.update(r.cycles)
         merged.speculated += r.speculated
     return merged

@@ -7,7 +7,9 @@ builds a three-layer job DAG over the existing engine:
 * ``compile:{workload}:{model}:{key}`` — compile + emulate, once per
   distinct *schedule digest*: every lattice point differing only in
   caches/BTB shares these jobs (the paper's amortization of one
-  emulation across machine configurations);
+  emulation across machine configurations).  Every such job of a
+  (workload, model) after the first depends on the first and reuses
+  its stored optimized program, so the passes run once per pair;
 * ``sweep:{sweep_digest}:{index}`` — one job per lattice point,
   simulating every (workload, model) trace under that point's full
   machine description.
@@ -162,6 +164,9 @@ def _execute(suite: ExperimentSuite, spec: SweepSpec,
     job_ids: set[str] = set()
     prep_needed: set[str] = set()
     prep_warm: dict[str, bool] = {}
+    #: (workload, model) -> its first compile job, which the others of
+    #: the pair wait for
+    first_compile: dict[tuple[str, Model], str] = {}
 
     def prepare_is_warm(workload) -> bool:
         """Frontend + profile already stored (e.g. before a resume)?"""
@@ -186,7 +191,10 @@ def _execute(suite: ExperimentSuite, spec: SweepSpec,
         if store.contains("compiled", ce_key) \
                 and store.contains("execution", exec_key):
             return None
-        if prepare_is_warm(workload):
+        first = first_compile.setdefault((workload.name, model), ce_id)
+        if first != ce_id:
+            deps = (first,)
+        elif prepare_is_warm(workload):
             deps = ()
         else:
             prep_needed.add(workload.name)

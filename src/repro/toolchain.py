@@ -13,7 +13,10 @@ formation and predication lowering exactly as Section 4.1 describes:
   OR-tree height reduction).
 
 :data:`PASS_TABLE` spells those differences out as data — each model's
-ordered passes — and :func:`compile_for_model` just runs it.
+ordered passes.  :func:`optimize_for_model` runs them once per program
+and model; :func:`schedule_for_machine` schedules the result for one
+machine, the only step that reads the issue width, branch limit and
+latencies; :func:`compile_for_model` does both.
 
 Speedups are reported against the 1-issue SUPERBLOCK configuration, as
 in the paper.
@@ -21,12 +24,12 @@ in the paper.
 
 from __future__ import annotations
 
-import copy
 import enum
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
+from repro.analysis.liveness import Liveness
 from repro.analysis.profile import Profile
 from repro.emu.interpreter import run_program
 from repro.emu.trace import ExecutionResult
@@ -119,6 +122,20 @@ class ToolchainOptions:
             self.superblock, self.hyperblock, self.conversion,
             self.branch_combine, self.unroll, self.enable_promotion,
             self.enable_or_tree, self.rollback)
+
+
+@dataclass
+class OptimizedProgram:
+    """A program optimized for one model, before scheduling: what the
+    compiles of one (program, model) for different machines share."""
+
+    program: Program
+    model: Model
+    #: passes skipped by rollback-and-continue (empty on clean compiles)
+    degradations: list[Degradation] = field(default_factory=list)
+    #: each function's liveness by name, filled by the first schedule
+    #: and read by the later ones
+    live: dict[str, Liveness] = field(default_factory=dict)
 
 
 @dataclass
@@ -242,18 +259,18 @@ def model_passes(model: Model, options: ToolchainOptions) -> list[Pass]:
     return [p for p in PASS_TABLE[model] if not off.get(p[0])]
 
 
-def compile_for_model(base: Program, model: Model, profile: Profile,
-                      machine: MachineDescription,
-                      options: ToolchainOptions | None = None
-                      ) -> CompiledProgram:
-    """Clone ``base`` and compile it for ``model`` on ``machine``.
+def optimize_for_model(base: Program, model: Model, profile: Profile,
+                       options: ToolchainOptions | None = None
+                       ) -> OptimizedProgram:
+    """Clone ``base`` and run ``model``'s passes on it.
 
     ``base`` must come from :func:`frontend` and ``profile`` must have
-    been collected on it (training run).
+    been collected on it (training run).  Nothing here reads the
+    machine.
     """
     if options is None:
         options = ToolchainOptions()
-    program = copy.deepcopy(base)
+    program = base.clone()
     gate = PassGate(program, paranoid=options.paranoid,
                     rollback=options.rollback,
                     artifact_dir=options.artifact_dir, model=model.value)
@@ -273,8 +290,18 @@ def compile_for_model(base: Program, model: Model, profile: Profile,
             raise PassVerificationError(
                 f"compiled {model.value} program failed final "
                 f"verification: {exc}", pass_name="final-verify") from exc
+    return OptimizedProgram(program=program, model=model,
+                            degradations=list(gate.degradations))
+
+
+def schedule_for_machine(optimized: OptimizedProgram,
+                         machine: MachineDescription) -> CompiledProgram:
+    """Clone ``optimized``'s program, schedule it for ``machine`` and
+    assign its addresses.  ``optimized.program`` is left as it was; the
+    first call fills ``optimized.live``."""
+    program = optimized.program.clone()
     try:
-        schedule = schedule_program(program, machine)
+        schedule = schedule_program(program, machine, live=optimized.live)
         addresses = assign_addresses(program, machine.instruction_bytes)
     except ReproError:
         # Already classified (e.g. a CompileError out of the
@@ -282,11 +309,33 @@ def compile_for_model(base: Program, model: Model, profile: Profile,
         raise
     except Exception as exc:
         raise CompileError(
-            f"scheduling {model.value} program failed: {exc}",
+            f"scheduling {optimized.model.value} program failed: {exc}",
             pass_name="schedule") from exc
-    return CompiledProgram(program=program, model=model, machine=machine,
-                           schedule=schedule, addresses=addresses,
-                           degradations=list(gate.degradations))
+    return CompiledProgram(program=program, model=optimized.model,
+                           machine=machine, schedule=schedule,
+                           addresses=addresses,
+                           degradations=list(optimized.degradations))
+
+
+def compile_for_model(base: Program, model: Model, profile: Profile,
+                      machine: MachineDescription,
+                      options: ToolchainOptions | None = None, *,
+                      optimized: dict[Model, OptimizedProgram] | None = None
+                      ) -> CompiledProgram:
+    """Compile ``base`` for ``model`` on ``machine``: optimize, then
+    schedule.
+
+    ``optimized``, when given, memoizes the first step by model: an
+    entry is scheduled as it is, a missing one is optimized and added.
+    One memo must only ever see one (``base``, ``profile``,
+    ``options``).
+    """
+    result = optimized.get(model) if optimized is not None else None
+    if result is None:
+        result = optimize_for_model(base, model, profile, options)
+        if optimized is not None:
+            optimized[model] = result
+    return schedule_for_machine(result, machine)
 
 
 @dataclass

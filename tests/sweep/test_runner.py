@@ -44,6 +44,9 @@ def test_compiles_shared_across_cache_configs(tmp_path):
     # 4 points = 2 widths x 2 cache modes.)
     assert outcome.points_total == 4
     assert outcome.metrics.stages["compile"].invocations == 4
+    # The passes run once per model; the second width only schedules.
+    assert outcome.metrics.cache["optimized"].misses == 2
+    assert outcome.metrics.cache["optimized"].hits == 2
 
 
 def test_speedups_match_experiment_suite(tmp_path):
