@@ -292,6 +292,10 @@ class PipelineContext:
         self._drain_native_counters()
         return execution
 
+    def release_traces(self) -> None:
+        """Drop the memoized traces; the store, if any, keeps them."""
+        self._execution.clear()
+
     def run_summary(self, workload: Workload, model: Model,
                     machine: MachineDescription) -> RunSummary:
         """Simulate the trace under the *full* machine description.

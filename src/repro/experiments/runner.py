@@ -128,8 +128,8 @@ class ExperimentSuite:
     run_id: str | None = None
     resume: bool = False
     retry: RetryPolicy | None = None
-    #: extra keys merged into the journal's run-start meta (e.g. the
-    #: sweep digest and task total that ``repro watch`` streams)
+    #: extra keys merged into the journal's run-start meta (e.g. a
+    #: sweep's kind, name and digest)
     journal_meta: dict | None = None
 
     def __post_init__(self):
@@ -355,16 +355,13 @@ class ExperimentSuite:
         self.execute_plan(jobs)
 
     def execute_plan(self, jobs: list[Job]) -> SchedulerOutcome | None:
-        """Journal and execute an externally built job DAG.
+        """Journal and execute a job DAG.
 
-        The sweep runner constructs its own plan (point jobs instead of
-        per-triple simulate jobs) but shares the suite's dispatch path:
-        every job's start/finish lands in the run journal, pool-worker
+        Every job's start/finish lands in the run journal, pool-worker
         counters merge into :attr:`metrics`, and failures feed the
-        suite's failure policy.  Runs through the scheduler even at
-        ``jobs=1`` so the journal is identical at any parallelism.
-        Returns the scheduler's outcome (None for an empty plan): jobs
-        downstream of a failure are in its ``skipped``.
+        suite's failure policy.  Returns the scheduler's outcome (None
+        for an empty plan): jobs downstream of a failure are in its
+        ``skipped``.
         """
         if not jobs:
             return None

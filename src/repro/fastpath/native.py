@@ -550,19 +550,13 @@ def run_program_native(program: "Program",
                      default=GLOBAL_BASE)
     nprog = _native_program(decoded, layout)
 
-    # Sink chunk boundaries must match the serial engine (flush at
-    # exactly ``chunk_events``); the collect path merges chunks, so a
-    # larger buffer just means fewer Python round-trips.
-    chunk_cap = chunk_events if sink is not None \
-        else max(chunk_events, 1 << 18)
-
-    t_sidx = np.zeros(chunk_cap, np.int32)
-    t_flags = np.zeros(chunk_cap, np.uint8)
-    t_addr = np.zeros(chunk_cap, np.int64)
-    t_vidx = np.zeros(chunk_cap, np.int32)
-    val_i = np.zeros(chunk_cap, np.int64)
-    val_f = np.zeros(chunk_cap, np.float64)
-    val_isf = np.zeros(chunk_cap, np.uint8)
+    t_sidx = np.zeros(chunk_events, np.int32)
+    t_flags = np.zeros(chunk_events, np.uint8)
+    t_addr = np.zeros(chunk_events, np.int64)
+    t_vidx = np.zeros(chunk_events, np.int32)
+    val_i = np.zeros(chunk_events, np.int64)
+    val_f = np.zeros(chunk_events, np.float64)
+    val_isf = np.zeros(chunk_events, np.uint8)
     site_counts = np.zeros(max(nprog.nkeys, 1), np.int64)
     site_order = np.zeros(max(nprog.nkeys, 1), np.int32)
     branch_counts = np.zeros(max(2 * nprog.nbuids, 1), np.int64)
@@ -581,7 +575,7 @@ def run_program_native(program: "Program",
         out, out_f, nprog.chain_off, nprog.chain_keys,
     ])
     cfg = np.array([nprog.nfuncs, nprog.ncode, len(memory.data),
-                    max_steps, chunk_cap, nprog.entry_fid,
+                    max_steps, chunk_events, nprog.entry_fid,
                     nprog.nkeys, nprog.nbuids, nprog.max_call_args],
                    dtype=np.int64)
 

@@ -5,8 +5,8 @@ A :class:`~repro.sweep.spec.SweepSpec` names a parameter grid (issue
 width, branch issue limit, cache geometry, BTB, latency tables, model
 set); :func:`~repro.sweep.runner.run_sweep` expands it into a
 deduplicated lattice of frozen :class:`MachineDescription` digests,
-fans the points out over the DAG scheduler and artifact store, and
-aggregates per-point stats into a
+measures every (workload, model) at every point through the
+experiment suite, and aggregates the stats into a
 :class:`~repro.sweep.result.SweepResult` with speedup-vs-config
 surface tables and per-workload Pareto frontiers.
 """

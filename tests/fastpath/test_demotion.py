@@ -1,11 +1,11 @@
-"""Mid-run kernel faults: demote in place, hand off byte-identically.
+"""Mid-run kernel faults: demote in place, rerun byte-identically.
 
 A kernel fault injected after chunk *k* must leave the vector engine's
-output byte-identical to the pure-Python run at every chunk size: the
-simulator hands its carried state to ``StreamSimulator`` at the
-faulting chunk, and an emulator fault reruns the stream on the Python
-rung.  The degradation ladder is observable in the counters, never in
-the figures.
+output byte-identical to the pure-Python run at every chunk size: a
+simulator (scan) fault reruns the whole simulation on
+``simulate_columns``, and an emulator fault reruns the stream on the
+Python rung.  The degradation ladder is observable in the counters,
+never in the figures.
 """
 
 import pytest
@@ -106,7 +106,7 @@ def test_emulator_fault_after_chunk_k_is_byte_identical(
 def test_scan_fault_in_unfused_simulation_is_byte_identical(
         program, healthy_native, chunk_events):
     """The pipeline's unfused path (emulate, then simulate the stored
-    trace) hands off to the Python rung at the faulting chunk."""
+    trace) reruns on the Python rung after a faulting chunk."""
     compiled, decoded, machine = program
     execution = run_program_fast(compiled.program,
                                  inputs=CAMPAIGN_INPUTS,

@@ -1,11 +1,13 @@
 """Sweep execution: determinism, schedule-digest sharing, resume."""
 
+import json
+
 import pytest
 
 from repro.engine.recovery.journal import journal_path, replay_journal
+from repro.engine.stages import PipelineContext
 from repro.robustness.errors import ReproError
 from repro.sweep import SweepSpec, run_sweep
-from repro.sweep.runner import point_task_id
 
 SPEC = dict(name="t", workloads=("wc",), models=("superblock", "cmov"),
             issue_widths=(1, 2), caches=("perfect", "real"), scale=0.2,
@@ -44,9 +46,39 @@ def test_compiles_shared_across_cache_configs(tmp_path):
     # 4 points = 2 widths x 2 cache modes.)
     assert outcome.points_total == 4
     assert outcome.metrics.stages["compile"].invocations == 4
-    # The passes run once per model; the second width only schedules.
+    # The passes run once per model; the second width only schedules,
+    # from the in-memory optimization (the serial path never reads it
+    # back from the store).
     assert outcome.metrics.cache["optimized"].misses == 2
-    assert outcome.metrics.cache["optimized"].hits == 2
+    assert outcome.metrics.cache["optimized"].hits == 0
+
+
+def test_serial_sweep_emulates_once_and_reads_no_trace_back(tmp_path):
+    outcome = run_sweep(_spec(), cache_dir=str(tmp_path), jobs=1)
+    metrics = outcome.metrics
+    # 2 models x 2 widths: the cache modes of a width share its trace,
+    # and the 1-issue baseline is point 0's superblock stats.
+    assert metrics.stages["emulate"].invocations == 4
+    assert metrics.cache["execution"].hits == 0
+    assert metrics.jobs_dispatched == 0
+
+
+def test_serial_sweep_holds_one_workload_model_of_traces(monkeypatch):
+    real = PipelineContext.execution
+    held: list[int] = []
+
+    def spy(ctx, *args):
+        held.append(len(ctx._execution))
+        execution = real(ctx, *args)
+        held.append(len(ctx._execution))
+        return execution
+
+    monkeypatch.setattr(PipelineContext, "execution", spy)
+    run_sweep(_spec(workloads=("wc", "qsort")))
+    assert held
+    # the two widths of one (workload, model); the baseline is measured
+    # after their release and is point 0's memoized superblock stats
+    assert max(held) <= 2
 
 
 def test_speedups_match_experiment_suite(tmp_path):
@@ -70,46 +102,50 @@ def test_journal_records_sweep_tasks(tmp_path):
     outcome = run_sweep(_spec(), cache_dir=str(tmp_path), jobs=1)
     state = replay_journal(journal_path(tmp_path / "runs",
                                         outcome.run_id))
-    digest = _spec().sweep_digest()
-    for index in range(4):
-        assert point_task_id(digest, index) in state.completed
+    simulated = {t for t in state.completed if t.startswith("simulate:")}
+    # 4 points x 2 models; the 1-issue baseline is point 0's
+    # superblock triple (same machine digest), so it adds no task
+    assert len(simulated) == 8
     assert state.finished
     assert state.meta["kind"] == "sweep"
-    assert state.meta["tasks_total"] == 5  # 4 points + baseline
 
 
 def test_crash_then_resume_recomputes_zero_completed_points(
         tmp_path, monkeypatch):
-    """A run that dies mid-sweep resumes to byte-identical output with
-    zero recompute of the points its journal proved complete."""
+    """A run that dies mid-sweep resumes to byte-identical output and
+    starts no task its journal proved complete."""
     import repro.sweep.runner as runner_mod
     real = runner_mod.simulate_point
     calls = {"n": 0}
 
-    def dying(spec):
+    def dying(suite, workload, model, machine):
         calls["n"] += 1
-        if calls["n"] > 2:
+        if calls["n"] == 3:
             raise ReproError("injected crash")  # non-transient: no retry
-        return real(spec)
+        return real(suite, workload, model, machine)
 
     monkeypatch.setattr(runner_mod, "simulate_point", dying)
     with pytest.raises(ReproError, match="injected crash"):
         run_sweep(_spec(), cache_dir=str(tmp_path), jobs=1,
                   run_id="RCRASH")
     monkeypatch.setattr(runner_mod, "simulate_point", real)
-    state = replay_journal(journal_path(tmp_path / "runs", "RCRASH"))
-    done_before = {t for t in state.completed if t.startswith("sweep:")}
+    jpath = journal_path(tmp_path / "runs", "RCRASH")
+    done_before = set(replay_journal(jpath).completed)
     assert done_before  # the crash landed mid-sweep
 
     resumed = run_sweep(_spec(), cache_dir=str(tmp_path), jobs=1,
                         run_id="RCRASH", resume=True)
-    assert resumed.points_cached >= len(done_before) - 1  # + baseline
     reference = run_sweep(_spec(), cache_dir=str(tmp_path / "ref"))
     assert resumed.result.to_json() == reference.result.to_json()
-    # Completed points were never re-simulated: only the missing
-    # points' (workload, model, machine) triples ran.
-    state = replay_journal(journal_path(tmp_path / "runs", "RCRASH"))
-    assert state.finished
+    entries = [json.loads(line) for line in
+               jpath.read_bytes().splitlines() if line.strip()]
+    resume_at = next(i for i, r in enumerate(entries)
+                     if r.get("type") == "run-resume")
+    restarted = [r["task"] for r in entries[resume_at:]
+                 if r.get("type") == "task-start"
+                 and r.get("task") in done_before]
+    assert restarted == []
+    assert replay_journal(jpath).finished
 
 
 def test_sweep_counters_recorded(tmp_path):
