@@ -32,16 +32,24 @@ class Profile:
     @classmethod
     def collect(cls, program: Program,
                 inputs: dict[str, list[int | float] | bytes] | None = None,
-                max_steps: int = 50_000_000) -> "Profile":
+                max_steps: int = 50_000_000,
+                native: bool = False) -> "Profile":
         """Run the program on training inputs and gather a profile.
 
-        Uses the vector engine's Python interpreter rung (no trace is
-        needed); its block/branch profiles are bit-identical to the
-        legacy loop's.
+        The run keeps no trace.  ``native=True`` runs it on the native
+        emulator kernel, which falls back to the interpreter by itself
+        (no kernel, a demoted process, a kernel fault); the default
+        runs the vector engine's Python interpreter.  Both give the
+        legacy loop's block and branch profiles bit for bit.  The
+        kernel's own canary profiles on the interpreter, so the check
+        of the kernel never depends on it.
         """
-        from repro.fastpath.interp import run_program_fast
-        return cls.from_execution(run_program_fast(program, inputs=inputs,
-                                                   max_steps=max_steps))
+        if native:
+            from repro.fastpath.native import run_program_native as run
+        else:
+            from repro.fastpath.interp import run_program_fast as run
+        return cls.from_execution(run(program, inputs=inputs,
+                                      max_steps=max_steps))
 
     # ----- queries ----------------------------------------------------------
 

@@ -199,9 +199,12 @@ class PipelineContext:
         if profile is None:
             program = self.frontend_program(workload)
             with self.metrics.timer("profile"):
+                # The legacy engine is the reference: it never runs a
+                # native kernel.
                 profile = Profile.collect(
                     program, inputs=workload.inputs(self.scale),
-                    max_steps=self.max_steps)
+                    max_steps=self.max_steps,
+                    native=self.native_enabled and self.engine != "legacy")
             if self.store is not None:
                 self.store.put("profile", key, profile)
         self._profile[key] = profile

@@ -159,20 +159,21 @@ class TraceColumns:
     # ----- chunking (streaming support) ---------------------------------
 
     def slice(self, start: int, stop: int) -> "TraceColumns":
+        """Events ``start:stop`` as a trace of their own: the stores'
+        values are copied out, in event order, and ``vidx`` renumbered
+        to match."""
+        import numpy as np  # the Python rung runs without NumPy
         out = TraceColumns()
         out.sidx = self.sidx[start:stop]
         out.flags = self.flags[start:stop]
         out.addr = self.addr[start:stop]
-        vidx = self.vidx[start:stop]
-        values = out.values
-        remap = array(_VIDX_TYPECODE)
-        for v in vidx:
-            if v < 0:
-                remap.append(-1)
-            else:
-                remap.append(len(values))
-                values.append(self.values[v])
-        out.vidx = remap
+        vidx = np.frombuffer(self.vidx[start:stop], dtype=np.int32)
+        stores = vidx >= 0
+        values = self.values
+        out.values = [values[v] for v in vidx[stores].tolist()]
+        remap = np.cumsum(stores, dtype=np.int32) - 1
+        remap[~stores] = -1
+        out.vidx.frombytes(remap.tobytes())
         return out
 
     def chunks(self, size: int) -> Iterator["TraceColumns"]:

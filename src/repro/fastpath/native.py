@@ -513,9 +513,11 @@ def run_program_native(program: "Program",
                        ) -> ExecutionResult:
     """Native-kernel equivalent of ``interp.run_program_fast``.
 
-    Requires tracing (``collect_trace`` or ``sink``) and no watchdog —
-    the watchdog contract needs in-loop heartbeats, which stay on the
-    interpreter.  Unsupported modes (and a missing kernel) delegate to
+    Serves a traced run (``collect_trace`` or ``sink``) and an untraced
+    one, such as a profile's training run, which keeps only the
+    counts, branch outcomes and block counts.  A watchdog needs
+    in-loop heartbeats, which stay on the interpreter: a watchdogged
+    run (and any run without a kernel) delegates to
     :func:`repro.fastpath.interp.run_program_fast`; results are
     identical on both paths.
 
@@ -530,8 +532,7 @@ def run_program_native(program: "Program",
     the caller can restart the stream, and the caller records it.
     """
     lib = None if native is False else _get_lib()
-    tracing = collect_trace or sink is not None
-    if lib is None or watchdog is not None or not tracing:
+    if lib is None or watchdog is not None:
         return run_program_fast(program, inputs=inputs,
                                 collect_trace=collect_trace,
                                 max_steps=max_steps, watchdog=watchdog,

@@ -8,9 +8,17 @@ from repro.ir.opcodes import Opcode
 from repro.ir.operands import Imm, Operand, VReg
 
 
-def _kill(copies: dict[VReg, Operand], reg: VReg) -> None:
-    copies.pop(reg, None)
-    for dest in [d for d, src in copies.items() if src == reg]:
+def _kill(copies: dict[VReg, Operand],
+          copied_from: dict[Operand, dict[VReg, None]], reg: VReg) -> None:
+    """Forget every copy fact ``reg`` is the destination or source of.
+
+    ``copied_from`` maps each source to the destinations holding it, in
+    ``copies``' order.
+    """
+    src = copies.pop(reg, None)
+    if src is not None:
+        del copied_from[src][reg]
+    for dest in copied_from.pop(reg, ()):
         del copies[dest]
 
 
@@ -23,6 +31,7 @@ def propagate_copies(fn: Function) -> bool:
     changed = False
     for block in fn.blocks:
         copies: dict[VReg, Operand] = {}
+        copied_from: dict[Operand, dict[VReg, None]] = {}
         for inst in block.instructions:
             # Rewrite sources through the copy map.
             if copies:
@@ -38,10 +47,11 @@ def propagate_copies(fn: Function) -> bool:
                 pass
             for d in inst.defined_regs():
                 if isinstance(d, VReg):
-                    _kill(copies, d)
+                    _kill(copies, copied_from, d)
             if inst.op in (Opcode.MOV, Opcode.FMOV) and inst.pred is None \
                     and inst.dest is not None:
                 src = inst.srcs[0]
                 if isinstance(src, (VReg, Imm)) and src != inst.dest:
                     copies[inst.dest] = src
+                    copied_from.setdefault(src, {})[inst.dest] = None
     return changed

@@ -39,13 +39,30 @@ def eliminate_common_subexpressions(fn: Function) -> bool:
     changed = False
     for block in fn.blocks:
         available: dict[tuple, VReg] = {}
+        # Register -> the keys of ``available`` it is the value of or a
+        # source of, in ``available``'s order: a write finds the
+        # entries it invalidates without scanning the table.
+        users: dict[Operand, dict[tuple, None]] = {}
+
+        def add(key: tuple, value: VReg) -> None:
+            available[key] = value
+            users.setdefault(value, {})[key] = None
+            for s in key[1]:
+                users.setdefault(s, {})[key] = None
+
+        def drop(key: tuple) -> None:
+            users[available.pop(key)].pop(key, None)
+            for s in key[1]:
+                users[s].pop(key, None)
+
         new_insts: list[Instruction] = []
         for inst in block.instructions:
             cat = inst.cat
             if cat is OpCategory.STORE or cat is OpCategory.CALL:
                 # Invalidate memory-dependent expressions.
-                available = {k: v for k, v in available.items()
-                             if len(k) < 3 or k[-1] != "mem"}
+                for k in [k for k in available
+                          if len(k) >= 3 and k[-1] == "mem"]:
+                    drop(k)
             key = _expr_key(inst)
             if key is not None and inst.dest is not None:
                 prior = available.get(key)
@@ -57,18 +74,19 @@ def eliminate_common_subexpressions(fn: Function) -> bool:
                     # via copy propagation.  Invalidate entries keyed on
                     # the overwritten register below.
                 else:
-                    available[key] = inst.dest
+                    if prior is None:
+                        add(key, inst.dest)
                     new_insts.append(inst)
             else:
                 new_insts.append(inst)
             for d in inst.defined_regs():
-                stale = [k for k, v in available.items()
-                         if v == d or d in k[1]]
-                for k in stale:
+                stale = users.get(d)
+                if not stale:
+                    continue
+                for k in list(stale):
                     # Keep the entry if this very instruction defines it.
-                    if available.get(k) == inst.dest \
-                            and key == k:
+                    if available[k] == inst.dest and key == k:
                         continue
-                    del available[k]
+                    drop(k)
         block.instructions = new_insts
     return changed

@@ -18,6 +18,11 @@ Predicate-aware special cases (paper Sections 2.1/4.2):
   that do so must later be marked silent.
 
 Calls and returns are full barriers.
+
+The edges depend on the machine only through result latencies, so
+:func:`dependence_edges` finds them once per block with each latency
+left as a kind, and :func:`build_dag` resolves the kinds for one
+machine.
 """
 
 from __future__ import annotations
@@ -47,12 +52,6 @@ class DepGraph:
     succs: list[list[tuple[int, int]]] = field(default_factory=list)
     preds: list[list[tuple[int, int]]] = field(default_factory=list)
     latency: list[int] = field(default_factory=list)
-
-    def add_edge(self, i: int, j: int, latency: int) -> None:
-        if i == j:
-            return
-        self.succs[i].append((j, latency))
-        self.preds[j].append((i, latency))
 
     def heights(self) -> list[int]:
         """Longest-path-to-sink priority for list scheduling."""
@@ -108,15 +107,70 @@ def _mem_key(inst: Instruction) -> str:
     return "*"
 
 
+#: Edge kinds of a :class:`DagEdges` entry besides the constant
+#: latencies 0 and 1: the producer's result latency, and the register
+#: WAW rule (1 if the producer's latency exceeds 1, else 0).
+LATENCY = 2
+WAW = 3
+
+
+@dataclass
+class DagEdges:
+    """A block's dependence edges before any machine is chosen.
+
+    ``succs[i]`` holds ``(j, kind)`` and ``preds[j]`` ``(i, kind)``, in
+    the order the edges were found; ``kind`` is 0, 1, :data:`LATENCY`
+    or :data:`WAW`.  The DAG reads the machine only through the result
+    latencies, so one edge list serves every machine a block is
+    scheduled for.
+    """
+
+    succs: list[list[tuple[int, int]]]
+    preds: list[list[tuple[int, int]]]
+
+
 def build_dag(fn: Function, block: BasicBlock, live: Liveness,
-              machine: MachineDescription) -> DepGraph:
+              machine: MachineDescription,
+              memo: dict[tuple[str, str], DagEdges] | None = None
+              ) -> DepGraph:
+    """The dependence DAG of ``block`` on ``machine``.
+
+    ``memo``, when given, holds edge lists by (function, block) name: a
+    missing entry is found and added, so the blocks of clones of one
+    unscheduled program share one edge list across machines.
+    """
+    edges = None
+    if memo is not None:
+        key = (fn.name, block.name)
+        edges = memo.get(key)
+    if edges is None:
+        edges = dependence_edges(block, live)
+        if memo is not None:
+            memo[key] = edges
+    insts = block.instructions
+    latency = [machine.latency(inst.op) for inst in insts]
+    # Each node's edge latency by kind: 0, 1, LATENCY, WAW.
+    rows = [(0, 1, lat, 1 if lat > 1 else 0) for lat in latency]
+    succs = [[(j, row[kind]) for j, kind in out]
+             for row, out in zip(rows, edges.succs)]
+    preds = [[(i, rows[i][kind]) for i, kind in into]
+             for into in edges.preds]
+    return DepGraph(insts, succs, preds, latency)
+
+
+def dependence_edges(block: BasicBlock, live: Liveness) -> DagEdges:
+    """Every ordering requirement of ``block``, with latencies by kind."""
     insts = block.instructions
     n = len(insts)
     facts = instruction_facts(insts)
-    latency = [machine.latency(inst.op) for inst in insts]
-    graph = DepGraph(insts, [[] for _ in range(n)], [[] for _ in range(n)],
-                     latency)
-    add_edge = graph.add_edge
+    edges = DagEdges([[] for _ in range(n)], [[] for _ in range(n)])
+    succs, preds = edges.succs, edges.preds
+
+    def add_edge(i: int, j: int, kind: int) -> None:
+        if i == j:
+            return
+        succs[i].append((j, kind))
+        preds[j].append((i, kind))
 
     # Register dependences.  ``readers`` lists, per register, the
     # earlier instructions reading it in ascending order, so a write
@@ -142,7 +196,7 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
             for i in defs_reaching(r):
                 if may_pair and _unordered(insts[i], inst, r):
                     continue
-                add_edge(i, j, latency[i])
+                add_edge(i, j, LATENCY)
         # WAR: writers wait for earlier readers (latency 0 keeps order).
         for r in defs:
             reaching = defs_reaching(r)
@@ -159,11 +213,7 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
                 # Predicate WAW must keep a cycle between writes (U-type
                 # defines "may not issue simultaneously"); register WAW
                 # only needs ordering unless the producer is slow.
-                if isinstance(r, PReg):
-                    waw_lat = 1
-                else:
-                    waw_lat = 1 if latency[i] > 1 else 0
-                add_edge(i, j, waw_lat)
+                add_edge(i, j, 1 if isinstance(r, PReg) else WAW)
             # Update def records.  Parallel-type (OR/AND) predicate
             # destinations accumulate rather than overwrite, so they are
             # pending defs like guarded writes — a later reader depends
@@ -225,7 +275,7 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
         if cat is OpCategory.LOAD:
             key = _mem_key(inst)
             for i in conflicting_stores(key):
-                add_edge(i, j, latency[i])
+                add_edge(i, j, LATENCY)
             loads_since.setdefault(key, []).append(j)
         elif cat is OpCategory.STORE or cat is OpCategory.CALL:
             key = "*" if cat is OpCategory.CALL else _mem_key(inst)
@@ -279,4 +329,4 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
         for j in range(b + 1, n):
             if pinned[j] or control[j]:
                 add_edge(b, j, 0)
-    return graph
+    return edges

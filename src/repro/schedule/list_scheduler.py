@@ -19,7 +19,7 @@ from repro.ir.function import BasicBlock, Function
 from repro.ir.instruction import Instruction
 from repro.ir.opcodes import MAY_EXCEPT, OpCategory
 from repro.machine.descriptor import MachineDescription
-from repro.schedule.dag import build_dag
+from repro.schedule.dag import DagEdges, build_dag
 
 
 @dataclass
@@ -33,8 +33,11 @@ class ScheduleResult:
 
 def schedule_block(fn: Function, block: BasicBlock,
                    machine: MachineDescription,
-                   live=None) -> ScheduleResult:
-    """Reorder ``block`` in place according to the list schedule."""
+                   live=None, dags: dict | None = None) -> ScheduleResult:
+    """Reorder ``block`` in place according to the list schedule.
+
+    ``dags`` is :func:`~repro.schedule.dag.build_dag`'s edge-list memo.
+    """
     if live is None:
         live = liveness(fn)
     insts = block.instructions
@@ -42,7 +45,7 @@ def schedule_block(fn: Function, block: BasicBlock,
     result = ScheduleResult()
     if n == 0:
         return result
-    graph = build_dag(fn, block, live, machine)
+    graph = build_dag(fn, block, live, machine, dags)
     height = graph.heights()
 
     indegree = [len(graph.preds[i]) for i in range(n)]
@@ -129,17 +132,18 @@ def schedule_block(fn: Function, block: BasicBlock,
 
 
 def schedule_function(fn: Function, machine: MachineDescription,
-                      live: Liveness | None = None) -> ScheduleResult:
+                      live: Liveness | None = None,
+                      dags: dict | None = None) -> ScheduleResult:
     """Schedule every block of ``fn``; returns merged cycle annotations.
 
     ``live`` is ``fn``'s liveness before scheduling (solved here when
-    None).
+    None); ``dags`` is the edge-list memo of :func:`schedule_program`.
     """
     if live is None:
         live = liveness(fn)
     merged = ScheduleResult()
     for block in fn.blocks:
-        r = schedule_block(fn, block, machine, live)
+        r = schedule_block(fn, block, machine, live, dags)
         merged.cycles.update(r.cycles)
         merged.length += r.length
         merged.speculated += r.speculated
@@ -147,7 +151,8 @@ def schedule_function(fn: Function, machine: MachineDescription,
 
 
 def schedule_program(program, machine: MachineDescription,
-                     live: dict[str, Liveness] | None = None
+                     live: dict[str, Liveness] | None = None,
+                     dags: dict[tuple[str, str], DagEdges] | None = None
                      ) -> ScheduleResult:
     """Schedule every function of ``program``.
 
@@ -155,7 +160,9 @@ def schedule_program(program, machine: MachineDescription,
     A missing entry is solved and added, so one dict passed to every
     schedule of clones of one unscheduled program solves each function
     once: liveness is keyed by block names and registers, both values,
-    so it holds for every clone.
+    so it holds for every clone.  ``dags`` does the same for each
+    block's dependence edges, keyed by (function, block) name; only
+    their latencies are resolved per machine.
     """
     merged = ScheduleResult()
     for fn in program.functions.values():
@@ -164,7 +171,7 @@ def schedule_program(program, machine: MachineDescription,
             fn_live = liveness(fn)
             if live is not None:
                 live[fn.name] = fn_live
-        r = schedule_function(fn, machine, fn_live)
+        r = schedule_function(fn, machine, fn_live, dags)
         merged.cycles.update(r.cycles)
         merged.speculated += r.speculated
     return merged

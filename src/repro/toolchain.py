@@ -55,6 +55,7 @@ from repro.robustness.errors import (CompileError, PassVerificationError,
                                      ReproError, TraceIntegrityError)
 from repro.robustness.passgate import Degradation, PassGate
 from repro.robustness.watchdog import EmulationWatchdog
+from repro.schedule.dag import DagEdges
 from repro.schedule.list_scheduler import ScheduleResult, schedule_program
 from repro.sim.pipeline import (SimulationStats, assign_addresses,
                                 simulate_trace)
@@ -136,6 +137,21 @@ class OptimizedProgram:
     #: each function's liveness by name, filled by the first schedule
     #: and read by the later ones
     live: dict[str, Liveness] = field(default_factory=dict)
+    #: each block's dependence edges by (function, block) name, filled
+    #: and read the same way.  In process only: pickling leaves it out
+    #: (it would grow the stored artifact by half), and a loaded
+    #: program refills it on its first schedule.
+    dags: dict[tuple[str, str], DagEdges] = field(default_factory=dict,
+                                                  repr=False)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["dags"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.dags = {}
 
 
 @dataclass
@@ -298,10 +314,11 @@ def schedule_for_machine(optimized: OptimizedProgram,
                          machine: MachineDescription) -> CompiledProgram:
     """Clone ``optimized``'s program, schedule it for ``machine`` and
     assign its addresses.  ``optimized.program`` is left as it was; the
-    first call fills ``optimized.live``."""
+    first call fills ``optimized.live`` and ``optimized.dags``."""
     program = optimized.program.clone()
     try:
-        schedule = schedule_program(program, machine, live=optimized.live)
+        schedule = schedule_program(program, machine, live=optimized.live,
+                                    dags=optimized.dags)
         addresses = assign_addresses(program, machine.instruction_bytes)
     except ReproError:
         # Already classified (e.g. a CompileError out of the

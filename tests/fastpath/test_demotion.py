@@ -11,6 +11,7 @@ never in the figures.
 import pytest
 
 from repro.analysis.profile import Profile
+from repro.engine.serialize import pack
 from repro.fastpath import native, supervisor
 from repro.fastpath.decode import decode_program
 from repro.fastpath.interp import run_program_fast
@@ -122,3 +123,18 @@ def test_scan_fault_in_unfused_simulation_is_byte_identical(
     counters = supervisor.counters_snapshot()
     assert counters["native_kernel_crashes"] >= 1
     assert counters["engine_demotions"] >= 1
+
+
+@needs_cc
+def test_emulator_fault_in_a_training_run_demotes_once(healthy_native):
+    """A kernel fault in an untraced training run demotes the process
+    once and reruns it on the interpreter: the same profile."""
+    base = frontend(CAMPAIGN_SOURCE)
+    expected = pack("profile", Profile.collect(base, inputs=CAMPAIGN_INPUTS))
+    supervisor.set_injection(("emu-fault", 1))
+    profile = Profile.collect(base, inputs=CAMPAIGN_INPUTS, native=True)
+    assert pack("profile", profile) == expected
+    counters = supervisor.counters_snapshot()
+    assert counters["native_kernel_crashes"] == 1
+    assert counters["engine_demotions"] == 1
+    assert not supervisor.native_active()

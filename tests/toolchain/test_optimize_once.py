@@ -12,6 +12,7 @@ import dataclasses
 
 import pytest
 
+from repro.engine.serialize import pack, unpack
 from repro.engine.stages import PipelineContext
 from repro.engine.store import ArtifactStore
 from repro.experiments.runner import ExperimentSuite, scaled_fig11_machine
@@ -83,6 +84,25 @@ def test_second_context_reuses_stored_optimizations(tmp_path, monkeypatch):
     assert warm.metrics.cache["optimized"].hits == len(Model)
     assert warm.metrics.cache["optimized"].misses == 0
     assert warm.metrics.cache["compiled"].misses == len(Model)
+
+
+def test_dag_memo_stays_out_of_the_optimized_artifact():
+    """The first schedule fills the liveness and edge-list memos; the
+    stored artifact carries the liveness but never the edge lists, so
+    it packs to the same bytes after one machine and after four."""
+    workload = get_workload("grep")
+    ctx = PipelineContext(scale=SCALE)
+    ctx.compiled(workload, Model.FULLPRED, MACHINES[0])
+    optimized = ctx._optimized[ctx.profile_key(workload)][Model.FULLPRED]
+    assert optimized.dags and optimized.live
+    after_one = pack("optimized", optimized)
+    for machine in MACHINES[1:4]:
+        ctx.compiled(workload, Model.FULLPRED, machine)
+    assert pack("optimized", optimized) == after_one
+    assert pack("optimized", dataclasses.replace(optimized, dags={})) \
+        == after_one
+    loaded = unpack(after_one, "optimized")
+    assert loaded.dags == {} and loaded.live.keys() == optimized.live.keys()
 
 
 def test_parallel_suite_optimizes_once_per_model(tmp_path):
