@@ -24,8 +24,8 @@ Subcommands:
   corpus from the workload suite and examples;
 * ``list``     — list the registered workloads.
 
-``bench`` and ``report`` cache every compiled program, emulation trace
-and simulation result in a content-addressed store (``--cache-dir``,
+``bench`` and ``report`` cache every compiled program and simulation
+result (never a trace) in a content-addressed store (``--cache-dir``,
 default ``.repro-cache`` or ``$REPRO_CACHE_DIR``), so a repeated run is
 served entirely from artifacts; ``--jobs N`` fans the pipeline across a
 process pool.  Every store-backed suite run writes an fsync'd JSONL
@@ -60,13 +60,14 @@ Failures exit with the typed taxonomy's codes (one-line diagnostics,
 no tracebacks): 10 generic pipeline error, 11 compile or invalid
 spec (bad sweep grid, unknown latency op-class name), 12 pass
 verification, 13 emulation timeout, 14 trace integrity, 15 model
-divergence, 16 emulation fault, 17 artifact lock timeout, 18 open
-fuzz findings, 22 native kernel build failure, 23 C toolchain
-missing, 24 native kernel parity mismatch, 25 native kernel crash.
-Codes 13, 14, 17, 23 and 25 are transient (retry — the native-engine
-supervisor demotes before raising, so a retry lands on the Python
-rung); the rest are permanent.  Codes 19, 20, 21, 26 and 27 belonged
-to the retired job service and cluster and are never reused.
+divergence, 16 emulation fault, 18 open fuzz findings, 22 native
+kernel build failure, 23 C toolchain missing, 24 native kernel parity
+mismatch, 25 native kernel crash.  Codes 13, 14, 23 and 25 are
+transient (retry — the native-engine supervisor demotes before
+raising, so a retry lands on the Python rung); the rest are
+permanent.  Code 17 (artifact lock timeout; store writes take no
+lock) and codes 19, 20, 21, 26 and 27 (the job service and cluster)
+are retired and never reused.
 """
 
 from __future__ import annotations

@@ -120,14 +120,32 @@ def layout_globals(program: Program, memory: Memory,
 
 def _write_values(memory: Memory, base: int, g: GlobalVar,
                   values: list[int | float] | bytes) -> None:
-    if len(values) > g.count:
+    """Write a global's initial contents with one slice assignment.
+
+    Words and bytes are masked to their width exactly as
+    :meth:`Memory.store_word`/:meth:`Memory.store_byte` mask them, and
+    an element past the end of memory faults at that element's address,
+    as storing element by element would.
+    """
+    count = len(values)
+    if count > g.count:
         raise EmulationFault(
-            f"initializer for {g.name} has {len(values)} elements, "
+            f"initializer for {g.name} has {count} elements, "
             f"declared {g.count}")
-    for i, v in enumerate(values):
-        if g.is_float:
-            memory.store_float(base + 8 * i, float(v))
-        elif g.elem_size == 1:
-            memory.store_byte(base + i, int(v))
-        else:
-            memory.store_word(base + 4 * i, int(v))
+    if g.is_float:
+        width = 8
+        blob = struct.pack(f"<{count}d", *map(float, values))
+    elif g.elem_size == 1:
+        width = 1
+        blob = values if isinstance(values, bytes) \
+            else bytes(int(v) & 0xFF for v in values)
+    else:
+        width = 4
+        blob = struct.pack(f"<{count}I",
+                           *[int(v) & 0xFFFFFFFF for v in values])
+    if count and (base < SAFE_ADDR or base + len(blob) > memory.size):
+        first_bad = 0 if base < SAFE_ADDR \
+            else max(0, (memory.size - base) // width)
+        raise EmulationFault(
+            f"illegal memory access at {base + width * first_bad:#x}")
+    memory.data[base:base + len(blob)] = blob

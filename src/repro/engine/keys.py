@@ -21,13 +21,14 @@ import json
 from typing import Any
 
 #: bump to invalidate every artifact ever written (schema evolution of
-#: Program / trace / stats serialization, simulator semantics changes).
-#: v2: execution artifacts store columnar ``TraceColumns`` traces.
+#: Program / stats serialization, simulator semantics changes).
+#: v2: execution artifacts stored columnar ``TraceColumns`` traces.
+#: Traces are no longer stored; bumping only for that would orphan every
+#: warm ``compiled`` and ``stats`` artifact for nothing.
 SCHEMA_VERSION = 2
 
 #: artifact kinds the store recognizes, in pipeline order
-KINDS = ("frontend", "profile", "optimized", "compiled", "execution",
-         "stats")
+KINDS = ("frontend", "profile", "optimized", "compiled", "stats")
 
 
 def _canonical(obj: Any) -> Any:
@@ -105,7 +106,11 @@ def compile_key(name: str, source: str, scale: float, max_steps: int,
 
 
 def execution_key(compiled_key: str, scale: float, max_steps: int) -> str:
-    """Key of an emulation trace for one compiled program."""
+    """Key of an emulation trace for one compiled program.
+
+    Traces are not stored; the key names the in-process memo entry and
+    is one step in deriving :func:`stats_key`, which must stay stable
+    for warm stores to keep serving."""
     return stable_digest(SCHEMA_VERSION, "execution", compiled_key, scale,
                          max_steps)
 

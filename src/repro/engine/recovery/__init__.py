@@ -1,6 +1,6 @@
 """Crash-safety substrate for the experiment engine.
 
-Four cooperating pieces make a long figure sweep survive worker
+Three cooperating pieces make a long figure sweep survive worker
 crashes, SIGKILL and on-disk corruption:
 
 * :mod:`repro.engine.recovery.journal` — per-run append-only JSONL
@@ -9,9 +9,6 @@ crashes, SIGKILL and on-disk corruption:
 * :mod:`repro.engine.recovery.retry` — the transient/permanent failure
   classification over the robustness taxonomy plus capped exponential
   backoff with deterministic jitter;
-* :mod:`repro.engine.recovery.locks` — advisory file locks with leases
-  so concurrent writers (or a resumed run racing a stale worker) never
-  interleave on one artifact key;
 * :mod:`repro.engine.recovery.fsck` — store integrity scan: verify
   every envelope, quarantine torn/corrupt files, reclaim stale temp
   files (``repro cache fsck [--repair]``).
@@ -21,11 +18,9 @@ from repro.engine.recovery.fsck import FsckReport, fsck_store
 from repro.engine.recovery.journal import (JournalState, RunJournal,
                                            new_run_id, replay_journal,
                                            verify_completed)
-from repro.engine.recovery.locks import FileLock
 from repro.engine.recovery.retry import RetryPolicy, is_transient
 
 __all__ = [
-    "FileLock",
     "FsckReport",
     "JournalState",
     "RetryPolicy",

@@ -6,8 +6,12 @@ would (:func:`repro.engine.serialize.unpack`): magic, header JSON,
 schema version, kind, body length and body SHA-256.  Torn, truncated or
 bit-flipped artifacts are reported — and with ``--repair`` moved into
 ``quarantine/`` so the next run recomputes them — alongside stale
-temporary files (a writer died mid-write) and expired lock sidecars (a
-writer died holding its lease).
+temporary files (a writer died mid-write) and expired lock sidecars
+(left by older versions, which locked each write).
+
+Artifacts of a retired kind (``execution``: traces, no longer stored)
+are checked down to the body digest but not deserialized; nothing reads
+them, and ``repro cache clear`` reclaims them.
 
 The scan never deletes artifact bytes: repair *moves* corrupt files
 aside for post-mortem; only disposable debris (tmp files, expired
@@ -22,7 +26,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.engine.serialize import unpack
+from repro.engine.keys import KINDS
+from repro.engine.serialize import check_envelope, unpack
 from repro.robustness.errors import TraceIntegrityError
 
 if TYPE_CHECKING:  # fsck is imported by the store's own module chain
@@ -191,7 +196,10 @@ def _verify(path: Path, kind: str) -> str | None:
     except OSError as exc:
         return f"unreadable: {exc}"
     try:
-        unpack(blob, expect_kind=kind if kind != "?" else None)
+        if kind in KINDS:
+            unpack(blob, expect_kind=kind)
+        else:
+            check_envelope(blob, expect_kind=kind if kind != "?" else None)
     except TraceIntegrityError as exc:
         return str(exc)
     return None

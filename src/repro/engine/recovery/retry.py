@@ -19,8 +19,7 @@ import hashlib
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from repro.robustness.errors import (ArtifactLockTimeout, EmulationTimeout,
-                                     NativeKernelCrash,
+from repro.robustness.errors import (EmulationTimeout, NativeKernelCrash,
                                      NativeToolchainMissing,
                                      TraceIntegrityError)
 
@@ -37,7 +36,6 @@ TRANSIENT_TYPES: tuple[type[BaseException], ...] = (
     BrokenProcessPool,
     TraceIntegrityError,
     EmulationTimeout,
-    ArtifactLockTimeout,
     NativeKernelCrash,
     NativeToolchainMissing,
     TimeoutError,

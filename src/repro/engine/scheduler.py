@@ -1,7 +1,8 @@
 """DAG job scheduler over a process pool.
 
-Jobs carry dependency edges (compile+emulate must precede each
-trace x machine simulation); the scheduler dispatches every job whose
+Jobs carry dependency edges (a workload's prepare job precedes its
+measure jobs, and the first compile of a model precedes the rest); the
+scheduler dispatches every job whose
 dependencies are satisfied to a :class:`~concurrent.futures.\
 ProcessPoolExecutor`, collects results as they finish, and contains
 three failure classes:

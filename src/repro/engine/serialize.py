@@ -1,22 +1,20 @@
 """Versioned, digest-verified serialization of pipeline artifacts.
 
-Programs, traces and statistics cross process boundaries (the scheduler's
-pool workers) and disk boundaries (the artifact store).  Every payload
-travels inside the same envelope::
+Programs, profiles and statistics cross disk boundaries (the artifact
+store, which is also how pool workers hand results back).  Every
+payload travels inside the same envelope::
 
     RPRO <header-length:4 BE> <header JSON> <pickle body>
 
 The header records the repro schema version, the artifact kind and the
 SHA-256 of the body; :func:`unpack` re-hashes the body on every load and
 raises :class:`~repro.robustness.errors.TraceIntegrityError` on any
-mismatch — a flipped bit in a cached trace must never silently become a
-published cycle count.
+mismatch — a flipped bit in a cached program or stats record must never
+silently become a published cycle count.
 
 Pickle is safe here because the store is a local, trusted cache keyed by
 our own digests; the envelope exists to catch *corruption and version
-skew*, not adversaries.  Instruction ``uid``s are plain data, so a
-program and a trace serialized separately still agree on the uid ->
-address mapping after loading.
+skew*, not adversaries.
 """
 
 from __future__ import annotations
@@ -56,9 +54,20 @@ def unpack(blob: bytes, expect_kind: str | None = None) -> Any:
     """Verify the envelope and return the payload.
 
     Raises :class:`TraceIntegrityError` on a bad magic, an unparsable or
-    truncated envelope, a schema-version mismatch, a kind mismatch, or a
-    body whose SHA-256 differs from the recorded one.
+    truncated envelope, a schema-version mismatch, a kind mismatch, a
+    body whose SHA-256 differs from the recorded one, or a body that
+    does not deserialize.
     """
+    body = check_envelope(blob, expect_kind)
+    try:
+        return _restricted_loads(body)
+    except Exception as exc:
+        raise TraceIntegrityError(
+            f"artifact body failed to deserialize: {exc}") from exc
+
+
+def check_envelope(blob: bytes, expect_kind: str | None = None) -> bytes:
+    """Verify the envelope down to the body digest; return the body."""
     if len(blob) < 8 or blob[:4] != MAGIC:
         raise TraceIntegrityError(
             "artifact is not in the repro envelope format (bad magic)")
@@ -91,11 +100,7 @@ def unpack(blob: bytes, expect_kind: str | None = None) -> Any:
             f"artifact body digest {digest[:16]}... does not match the "
             f"envelope's {str(header.get('sha256'))[:16]}... (corrupted "
             f"artifact)")
-    try:
-        return _restricted_loads(body)
-    except Exception as exc:
-        raise TraceIntegrityError(
-            f"artifact body failed to deserialize: {exc}") from exc
+    return body
 
 
 class _ReproUnpickler(pickle.Unpickler):

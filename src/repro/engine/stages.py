@@ -11,6 +11,11 @@ machine — with two levels of reuse:
   before any computation and fed after it, so artifacts survive the
   process and are shared across processes.
 
+Traces are the exception: each is emulated once, simulated in the same
+process under every machine that shares its compiled program, and
+never stored.  Re-emulating costs less than writing and reading back
+the trace, and a warm run reads only ``stats``.
+
 Both the experiment suite (serial path) and the scheduler's pool
 workers (parallel path) drive this same class, so cache keying and
 metrics accounting cannot drift between the two.
@@ -91,6 +96,9 @@ class PipelineContext:
         # compile_for_model shares across one workload's machines.
         self._optimized: dict[str, dict[Model, OptimizedProgram]] = {}
         self._compiled: dict[str, CompiledProgram] = {}
+        # Workload inputs by profile key: built once, shared read-only
+        # by the training run and every emulation.
+        self._inputs: dict[str, dict] = {}
         self._execution: dict[str, ExecutionResult] = {}
         self._summary: dict[str, RunSummary] = {}
         # Pre-decoded form and simulator arrays, keyed by compile key:
@@ -174,6 +182,15 @@ class PipelineContext:
                 self._prep_for(compile_key, compiled, machine))
         return vprep
 
+    def inputs(self, workload: Workload) -> dict:
+        """The workload's inputs at this scale, built once.  Emulators
+        copy them into memory and never mutate them."""
+        key = self.profile_key(workload)
+        inputs = self._inputs.get(key)
+        if inputs is None:
+            inputs = self._inputs[key] = workload.inputs(self.scale)
+        return inputs
+
     def frontend_program(self, workload: Workload) -> Program:
         """Optimized baseline IR (cached per source)."""
         key = keys.frontend_key(workload.source)
@@ -202,7 +219,7 @@ class PipelineContext:
                 # The legacy engine is the reference: it never runs a
                 # native kernel.
                 profile = Profile.collect(
-                    program, inputs=workload.inputs(self.scale),
+                    program, inputs=self.inputs(workload),
                     max_steps=self.max_steps,
                     native=self.native_enabled and self.engine != "legacy")
             if self.store is not None:
@@ -249,13 +266,10 @@ class PipelineContext:
 
     def execution(self, workload: Workload, model: Model,
                   machine: MachineDescription) -> ExecutionResult:
-        """Emulation trace of the compiled program on its inputs."""
+        """Emulation trace of the compiled program on its inputs,
+        memoized in this process only."""
         key = self.execution_key(workload, model, machine)
         execution = self._execution.get(key)
-        from_store = False
-        if execution is None and self.store is not None:
-            execution = self.store.get("execution", key)
-            from_store = execution is not None
         if execution is None:
             compiled = self.compiled(workload, model, machine)
             watchdog = None
@@ -263,7 +277,7 @@ class PipelineContext:
                 watchdog = EmulationWatchdog(
                     wall_clock_budget=self.wall_clock_budget)
             with self.metrics.timer("emulate"):
-                inputs = workload.inputs(self.scale)
+                inputs = self.inputs(workload)
                 if self.engine == "legacy":
                     execution = run_program(
                         compiled.program, inputs=inputs,
@@ -283,20 +297,13 @@ class PipelineContext:
                         watchdog=watchdog, decoded=decoded)
             if self.paranoid:
                 check_trace_integrity(execution, compiled.program)
-            if self.store is not None:
-                self.store.put("execution", key, execution)
-        elif from_store and self.paranoid:
-            # The envelope digest already proved the bytes are intact;
-            # paranoid mode additionally replays the trace against the
-            # (cached) program, exactly as it would after emulating.
-            check_trace_integrity(
-                execution, self.compiled(workload, model, machine).program)
-        self._execution[key] = execution
+            self._execution[key] = execution
         self._drain_native_counters()
         return execution
 
     def release_traces(self) -> None:
-        """Drop the memoized traces; the store, if any, keeps them."""
+        """Drop the memoized traces.  Nothing stores them: a later
+        query for one emulates again."""
         self._execution.clear()
 
     def run_summary(self, workload: Workload, model: Model,

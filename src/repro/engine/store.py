@@ -6,13 +6,18 @@ Layout::
     <root>/quarantine/<kind>/...        (corrupt files moved aside)
     <root>/runs/<RUN_ID>.jsonl          (run journals; see recovery)
 
-``key`` is a :func:`repro.engine.keys.stable_digest` of the artifact's
-inputs, so the path *is* the cache lookup.  Writes take an advisory
-file lock with a lease (:class:`~repro.engine.recovery.locks.FileLock`)
-and then go through an fsync'd temporary file in the same directory
-followed by :func:`os.replace` — concurrent writers (pool workers, or a
-resumed run racing a stale worker) serialize on the lock and the rename
-is atomic, so a reader never observes a torn file.
+``kind`` is one of :data:`repro.engine.keys.KINDS`: the frontend IR,
+the training profile, the optimized and the compiled program, and the
+simulation stats.  Traces are not stored.  ``key`` is a
+:func:`repro.engine.keys.stable_digest` of the artifact's inputs, so
+the path *is* the cache lookup.
+
+Each write is one atomic step and takes no lock: the envelope goes to a
+temporary file in the same directory (named by pid plus a random
+token, so no two writers on any host share one), is fsync'd, and
+:func:`os.replace` moves it into place.  A reader sees either no file
+or a whole one.  Artifacts are content-addressed, so two writers of
+one key write equivalent bytes and either may win the rename.
 
 Reads verify the envelope digest (:func:`repro.engine.serialize.unpack`).
 A corrupt envelope is *quarantined* (moved under ``quarantine/``) and
@@ -38,8 +43,6 @@ from typing import Any
 
 from repro.engine.keys import KINDS, SCHEMA_VERSION
 from repro.engine.metrics import PipelineMetrics
-from repro.engine.recovery.locks import (DEFAULT_LEASE_SECONDS,
-                                         DEFAULT_TIMEOUT, FileLock)
 from repro.engine.serialize import pack, unpack
 from repro.robustness.errors import TraceIntegrityError
 
@@ -68,7 +71,10 @@ class StoreStats:
                  f"  schema version : v{SCHEMA_VERSION}",
                  f"  artifacts      : {self.entries} "
                  f"({self.total_bytes / 1024:.1f} KiB)"]
-        for kind in KINDS:
+        # Kinds no longer written (``execution``) still show up in a
+        # store an older version filled.
+        retired = sorted(set(self.by_kind) - set(KINDS))
+        for kind in KINDS + tuple(retired):
             if self.by_kind.get(kind):
                 lines.append(
                     f"    {kind:<9s}: {self.by_kind[kind]:>5d}  "
@@ -87,26 +93,15 @@ class ArtifactStore:
     """Digest-addressed artifact cache rooted at one directory."""
 
     def __init__(self, root: str | os.PathLike,
-                 metrics: PipelineMetrics | None = None,
-                 locking: bool = True,
-                 lock_timeout: float = DEFAULT_TIMEOUT,
-                 lease_seconds: float = DEFAULT_LEASE_SECONDS):
+                 metrics: PipelineMetrics | None = None):
         self.root = Path(root)
         self.version_dir = self.root / f"v{SCHEMA_VERSION}"
         self.metrics = metrics if metrics is not None else PipelineMetrics()
-        self.locking = locking
-        self.lock_timeout = lock_timeout
-        self.lease_seconds = lease_seconds
 
     def _path(self, kind: str, key: str) -> Path:
         if kind not in KINDS:
             raise ValueError(f"unknown artifact kind {kind!r}")
         return self.version_dir / kind / key[:2] / f"{key}{_SUFFIX}"
-
-    def _lock_for(self, path: Path) -> FileLock:
-        return FileLock(path.with_name(path.name + ".lock"),
-                        lease_seconds=self.lease_seconds,
-                        timeout=self.lock_timeout)
 
     # ----- access -------------------------------------------------------
 
@@ -137,15 +132,13 @@ class ArtifactStore:
         return payload
 
     def put(self, kind: str, key: str, payload: Any) -> None:
-        """Durably persist an artifact (locked, fsync'd, atomic rename)."""
+        """Durably persist an artifact (fsync'd, atomic rename)."""
         path = self._path(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         blob = pack(kind, payload)
         self.metrics.record_write(kind, len(blob))
-        lock = self._lock_for(path) if self.locking else None
-        if lock is not None:
-            lock.acquire()
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        tmp = path.with_name(
+            f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
         try:
             with open(tmp, "wb") as handle:
                 handle.write(blob)
@@ -153,10 +146,7 @@ class ArtifactStore:
                 os.fsync(handle.fileno())
             os.replace(tmp, path)
         finally:
-            if tmp.exists():
-                tmp.unlink(missing_ok=True)
-            if lock is not None:
-                lock.release()
+            tmp.unlink(missing_ok=True)
 
     def contains(self, kind: str, key: str) -> bool:
         """Presence probe; does not touch hit/miss counters."""

@@ -1,11 +1,14 @@
 """Module-level job functions executed inside pool workers.
 
 Each worker builds a short-lived :class:`PipelineContext` over the
-shared on-disk store, performs one pipeline stage, and returns only its
-metrics counters — the artifact itself stays on disk, so nothing large
-crosses the process boundary.  Specs are plain frozen dataclasses of
-picklable values (workload *names*, not objects: input builders are
-closures and the registry is re-imported in the worker).
+shared on-disk store, runs its stages, and returns only its metrics
+counters.  What it computed reaches the parent as stored artifacts —
+``stats`` for the figures, plus the ``profile``, ``optimized`` and
+``compiled`` programs later jobs reuse.  Traces never leave the worker:
+a job emulates a compiled program once and simulates every machine
+that shares it.  Specs are plain frozen dataclasses of picklable
+values (workload *names*, not objects: input builders are closures and
+the registry is re-imported in the worker).
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ class JobSpec:
     cache_dir: str
     workload: str
     model_name: str
-    machine: MachineDescription
+    #: the machines to measure; all share one compiled program
+    machines: tuple[MachineDescription, ...]
     scale: float
     options: ToolchainOptions
     max_steps: int
@@ -59,25 +63,18 @@ def _finish(ctx: PipelineContext) -> dict:
 
 
 def prepare_workload(spec: JobSpec) -> dict:
-    """Stage 1: frontend + profile for one workload (model-agnostic)."""
+    """Frontend + profile for one workload (model-agnostic)."""
     ctx = spec.context()
     ctx.profile(get_workload(spec.workload))
     return _finish(ctx)
 
 
-def compile_emulate(spec: JobSpec) -> dict:
-    """Stage 2: compile for one model + emulate to a trace."""
+def measure(spec: JobSpec) -> dict:
+    """Compile for one model, emulate once, and simulate every machine
+    in the spec; stores each machine's ``stats``."""
     ctx = spec.context()
     workload = get_workload(spec.workload)
     model = Model[spec.model_name]
-    ctx.compiled(workload, model, spec.machine)
-    ctx.execution(workload, model, spec.machine)
-    return _finish(ctx)
-
-
-def simulate(spec: JobSpec) -> dict:
-    """Stage 3: cycle-simulate the trace under the full machine."""
-    ctx = spec.context()
-    workload = get_workload(spec.workload)
-    ctx.run_summary(workload, Model[spec.model_name], spec.machine)
+    for machine in spec.machines:
+        ctx.run_summary(workload, model, machine)
     return _finish(ctx)

@@ -9,8 +9,9 @@ with the emulation cost amortized across processor models.
 The pipeline itself lives in :class:`repro.engine.stages.PipelineContext`:
 stages are memoized under stable content digests and, when ``cache_dir``
 is set, persisted to a content-addressed artifact store so a repeated
-figure run performs zero compilations and emulations.  ``jobs > 1``
-fans the compile+emulate and trace x machine simulate work across a
+figure run performs zero compilations and emulations.  Only results
+are stored; a trace lives in the process that emulated it.  ``jobs > 1``
+fans one compile+emulate+simulate job per compiled program across a
 process pool via the DAG scheduler, with worker failures feeding the
 suite's ``degrade`` quarantine.
 
@@ -35,8 +36,7 @@ from repro.engine.scheduler import (Job, JobFailure, SchedulerOutcome,
                                    execute_jobs)
 from repro.engine.stages import PipelineContext, RunSummary
 from repro.engine.store import ArtifactStore
-from repro.engine.workers import (JobSpec, compile_emulate,
-                                  prepare_workload, simulate)
+from repro.engine.workers import JobSpec, measure, prepare_workload
 from repro.engines import DEFAULT_ENGINE
 from repro.ir.function import IRError
 from repro.machine.descriptor import (CacheConfig, MachineDescription,
@@ -97,9 +97,10 @@ class ExperimentSuite:
     ``cache_dir`` attaches the content-addressed artifact store (None
     keeps everything in-memory, as hermetic tests expect); ``jobs``
     selects the process-pool width for the prefetch DAG (1 = serial,
-    in-process).  Parallel execution communicates through the store, so
-    ``jobs > 1`` without a ``cache_dir`` gets a throwaway temp store,
-    which :meth:`close_journal` deletes.
+    in-process).  Pool workers hand their ``stats`` back through the
+    store (traces stay in the worker), so ``jobs > 1`` without a
+    ``cache_dir`` gets a throwaway temp store, which
+    :meth:`close_journal` deletes.
 
     Every store-backed run is journaled: a ``run_id`` (generated unless
     given) names an fsync'd JSONL journal under ``<cache_dir>/runs/``
@@ -271,9 +272,9 @@ class ExperimentSuite:
     # ----- parallel prefetch ----------------------------------------------
 
     def _job_spec(self, name: str, model: Model,
-                  machine: MachineDescription) -> JobSpec:
+                  machines: tuple[MachineDescription, ...]) -> JobSpec:
         return JobSpec(cache_dir=self.cache_dir, workload=name,
-                       model_name=model.name, machine=machine,
+                       model_name=model.name, machines=machines,
                        scale=self.scale, options=self.options,
                        max_steps=self.max_steps, paranoid=self.paranoid,
                        wall_clock_budget=self.wall_clock_budget,
@@ -281,77 +282,59 @@ class ExperimentSuite:
 
     def prefetch(self, targets: list[
             tuple[MachineDescription, tuple[Model, ...]]]) -> None:
-        """Populate the artifact store for the exact (machine, models)
-        pairs a figure query will consume.
+        """Populate the artifact store with the ``stats`` of the exact
+        (machine, models) pairs a figure query will consume.
 
-        Builds the three-stage job DAG (prepare -> compile+emulate ->
-        simulate), skips any node whose artifact is already stored, and
-        fans the rest across ``jobs`` pool workers.  Every
-        compile+emulate job of a (workload, model) after the first
-        depends on the first, so it reads the stored optimized program
-        instead of running the passes again.  The plan is
-        per-machine precise — the speedup figures need all three models
-        on the evaluated machine but only SUPERBLOCK on the scalar
-        baseline, and prefetching more would make a warm serial cache
-        look cold to the parallel path.  No-op when running serially or
-        without a store.
+        Builds a two-stage job DAG (prepare -> measure), skips every
+        triple whose stats are already stored, and fans the rest across
+        ``jobs`` pool workers.  One measure job covers a (workload,
+        model, compile key): it compiles, emulates once and simulates
+        every target machine sharing that compiled program, so its
+        trace never leaves the worker.  Every measure job of a
+        (workload, model) after the first depends on the first, so it
+        reads the stored optimized program instead of running the
+        passes again.  The plan is per-machine precise — the speedup
+        figures need all three models on the evaluated machine but
+        only SUPERBLOCK on the scalar baseline, and prefetching more
+        would make a warm serial cache look cold to the parallel path.
+        No-op when running serially or without a store.
         """
         store = self.ctx.store
         if self.jobs <= 1 or store is None:
             return
         jobs: list[Job] = []
-        job_ids: set[str] = set()
         for w in self.workloads:
             if w.name in self._failed:
                 continue
-            prep_id = f"prepare:{w.name}"
-            prep_needed = False
-            first_compile: dict[Model, str] = {}
+            # (model, compile key) -> stats key -> machine
+            groups: dict[tuple[Model, str],
+                         dict[str, MachineDescription]] = {}
             for machine, models in targets:
-                ce_done: set[str] = set()
                 for model in models:
                     skey = self.ctx.stats_key(w, model, machine)
-                    if store.contains("stats", skey):
-                        continue
-                    ce_key = self.ctx.compile_key(w, model, machine)
-                    exec_key = self.ctx.execution_key(w, model, machine)
-                    ce_id = f"compile:{w.name}:{model.name}:{ce_key[:12]}"
-                    ce_cached = store.contains("compiled", ce_key) \
-                        and store.contains("execution", exec_key)
-                    if ce_id not in ce_done and ce_id not in job_ids \
-                            and not ce_cached:
-                        prep_needed = True
-                        jobs.append(Job(
-                            job_id=ce_id, fn=compile_emulate,
-                            args=(self._job_spec(w.name, model, machine),),
-                            deps=(first_compile.get(model, prep_id),),
-                            workload=w.name,
-                            stage="compile+emulate",
-                            artifacts=(("compiled", ce_key),
-                                       ("execution", exec_key))))
-                        job_ids.add(ce_id)
-                        first_compile.setdefault(model, ce_id)
-                    ce_done.add(ce_id)
-                    sim_deps = (ce_id,) if ce_id in job_ids else ()
-                    sim_id = f"simulate:{w.name}:{model.name}:{skey[:12]}"
-                    if sim_id not in job_ids:
-                        jobs.append(Job(
-                            job_id=sim_id, fn=simulate,
-                            args=(self._job_spec(w.name, model, machine),),
-                            deps=sim_deps, workload=w.name,
-                            stage="simulate",
-                            artifacts=(("stats", skey),)))
-                        job_ids.add(sim_id)
-            if prep_needed:
-                first_machine, first_models = targets[0]
+                    if not store.contains("stats", skey):
+                        ce_key = self.ctx.compile_key(w, model, machine)
+                        groups.setdefault((model, ce_key), {})[skey] = \
+                            machine
+            if not groups:
+                continue
+            prep_id = f"prepare:{w.name}"
+            first_model = next(iter(groups))[0]
+            jobs.append(Job(
+                job_id=prep_id, fn=prepare_workload,
+                args=(self._job_spec(w.name, first_model, ()),),
+                workload=w.name, stage="prepare"))
+            first_compile: dict[Model, str] = {}
+            for (model, ce_key), machines in groups.items():
+                job_id = f"measure:{w.name}:{model.name}:{ce_key[:12]}"
                 jobs.append(Job(
-                    job_id=prep_id, fn=prepare_workload,
-                    args=(self._job_spec(w.name, first_models[0],
-                                         first_machine),),
-                    workload=w.name, stage="prepare"))
-                job_ids.add(prep_id)
-        if not jobs:
-            return
+                    job_id=job_id, fn=measure,
+                    args=(self._job_spec(w.name, model,
+                                         tuple(machines.values())),),
+                    deps=(first_compile.get(model, prep_id),),
+                    workload=w.name, stage="measure",
+                    artifacts=tuple(("stats", skey) for skey in machines)))
+                first_compile.setdefault(model, job_id)
         self.execute_plan(jobs)
 
     def execute_plan(self, jobs: list[Job]) -> SchedulerOutcome | None:

@@ -20,9 +20,8 @@ Appending an event is a few C-level ``array.append`` calls — no object
 allocation.  ``to_events`` reconstructs the legacy ``TraceEvent`` view
 for the integrity checker, the fault-injection campaign, and old tests.
 
-Pickling goes through :func:`_rebuild_columns` with ``tobytes()``
-payloads so the RPRO envelope's restricted unpickler (which refuses the
-``array`` module) accepts it and the on-disk artifact stays compact.
+A trace never leaves the process that emulated it, so nothing pickles
+one.
 """
 
 from __future__ import annotations
@@ -45,18 +44,6 @@ _SIDX_TYPECODE = "i"
 _FLAG_TYPECODE = "B"
 _ADDR_TYPECODE = "q"
 _VIDX_TYPECODE = "i"
-
-
-def _rebuild_columns(sidx: bytes, flags: bytes, addr: bytes, vidx: bytes,
-                     values: tuple) -> "TraceColumns":
-    """Reconstruct a :class:`TraceColumns` from its pickled payload."""
-    cols = TraceColumns()
-    cols.sidx.frombytes(sidx)
-    cols.flags.frombytes(flags)
-    cols.addr.frombytes(addr)
-    cols.vidx.frombytes(vidx)
-    cols.values = list(values)
-    return cols
 
 
 class TraceColumns:
@@ -182,14 +169,6 @@ class TraceColumns:
             raise ValueError("chunk size must be positive")
         for start in range(0, len(self.sidx), size):
             yield self.slice(start, start + size)
-
-    # ----- pickling ------------------------------------------------------
-
-    def __reduce__(self):
-        return (_rebuild_columns,
-                (self.sidx.tobytes(), self.flags.tobytes(),
-                 self.addr.tobytes(), self.vidx.tobytes(),
-                 tuple(self.values)))
 
 
 def _instruction_table(program) -> Sequence["Instruction"]:

@@ -51,16 +51,18 @@ def _is_self_loop(block: BasicBlock) -> bool:
             and last.target == block.name)
 
 
-def _renamable_regs(fn: Function, block: BasicBlock) -> set:
+def _renamable_regs(fn: Function, block: BasicBlock) -> list:
     """Registers private to one iteration: defined in the block and not
-    live into or out of it."""
+    live into or out of it, in first-definition order (the order the
+    copies allocate their fresh names in, so it must not follow the
+    hash seed)."""
     live = liveness(fn)
     keep = set(live.live_in.get(block.name, frozenset()))
     keep |= set(live.live_out.get(block.name, frozenset()))
-    defined = set()
+    defined: dict = {}
     for inst in block.instructions:
-        defined.update(inst.defined_regs())
-    return {r for r in defined if r not in keep}
+        defined.update(dict.fromkeys(inst.defined_regs()))
+    return [r for r in defined if r not in keep]
 
 
 def unroll_self_loop(fn: Function, block: BasicBlock,

@@ -95,23 +95,6 @@ class TraceIntegrityError(ReproError):
     exit_code = 14
 
 
-class ArtifactLockTimeout(ReproError):
-    """The store's advisory write lock could not be acquired in time.
-
-    Transient by classification (:mod:`repro.engine.recovery.retry`):
-    the holder is usually another live writer about to finish, and a
-    crashed holder's lease expires on its own.
-    """
-
-    exit_code = 17
-
-    def __init__(self, message: str, *, lock_path: str | None = None,
-                 waited: float = 0.0):
-        super().__init__(message)
-        self.lock_path = lock_path
-        self.waited = waited
-
-
 class ModelDivergenceError(ReproError):
     """Two processor models disagreed on observable program behavior.
 

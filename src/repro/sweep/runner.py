@@ -5,16 +5,17 @@ runs it through the same :class:`ExperimentSuite` the figures use:
 
 * **planning** — ``suite.prefetch`` over the scalar baseline plus every
   lattice point's machine with the spec's models.  At ``jobs > 1`` it
-  fans prepare, compile+emulate (once per distinct schedule digest:
-  points differing only in caches/BTB share these jobs) and per-triple
-  simulate jobs across the process pool; serially it is a no-op;
+  fans prepare jobs and one measure job per distinct schedule digest
+  (points differing only in caches/BTB share it: one compile, one
+  emulation, a simulation per point) across the process pool;
+  serially it is a no-op;
 * **aggregation** — ``suite.run`` per (workload, model, point), in
   workload -> model -> point order, then the workload's baseline.
   After a parallel prefetch this is store reads; serially it is the
   compute itself, the paper's emulation-driven simulation: each
   compiled program is emulated once and its in-memory trace simulated
   at every point.  After each (workload, model) the context drops its
-  memoized traces (the store keeps them), so memory holds one pair's
+  memoized traces (nothing stores them), so memory holds one pair's
   traces at a time.
 
 Both paths journal the same per-triple ``simulate:`` tasks figure runs

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.emu.memory import (EmulationFault, GLOBAL_BASE, Memory,
-                              SAFE_ADDR, layout_globals)
+                              SAFE_ADDR, _write_values, layout_globals)
 from repro.ir import GlobalVar, Program
 
 
@@ -111,3 +111,65 @@ def test_oversized_initializer_rejected():
     mem = Memory()
     with pytest.raises(EmulationFault):
         layout_globals(prog, mem, inputs={"n": [1, 2]})
+
+
+# ----- bulk initial writes against the per-element loop they replaced ------
+
+def _reference_write(memory, base, g, values):
+    """The per-element loop ``_write_values`` replaced."""
+    if len(values) > g.count:
+        raise EmulationFault(
+            f"initializer for {g.name} has {len(values)} elements, "
+            f"declared {g.count}")
+    for i, v in enumerate(values):
+        if g.is_float:
+            memory.store_float(base + 8 * i, float(v))
+        elif g.elem_size == 1:
+            memory.store_byte(base + i, int(v))
+        else:
+            memory.store_word(base + 4 * i, int(v))
+
+
+def _outcome(write, g, values, base=GLOBAL_BASE, size=4096):
+    memory = Memory(size)
+    try:
+        write(memory, base, g, values)
+    except EmulationFault as exc:
+        return "fault", str(exc)
+    return "ok", bytes(memory.data)
+
+
+@pytest.mark.parametrize("g, values", [
+    (GlobalVar("w", 4, 8), [1, -1, 0x7FFFFFFF, -0x80000000, 2 ** 40 + 5,
+                            -(2 ** 35) - 3, 0xFFFFFFFF, 7.9]),
+    (GlobalVar("w", 4, 8), [3, 4]),
+    (GlobalVar("b", 1, 8), [300, -1, 255, 0, 65]),
+    (GlobalVar("b", 1, 8), b"hi\xff\x00"),
+    (GlobalVar("w", 4, 8), b"\x01\xfe"),
+    (GlobalVar("f", 8, 6, is_float=True),
+     [2.5, -0.0, float("nan"), float("-inf"), 1e300, 3]),
+    (GlobalVar("w", 4, 2), []),
+    (GlobalVar("b", 1, 2), b""),
+    (GlobalVar("f", 8, 2, is_float=True), []),
+    (GlobalVar("w", 4, 2), [1, 2, 3]),
+    (GlobalVar("b", 1, 2), b"abc"),
+    (GlobalVar("f", 8, 1, is_float=True), [1.0, 2.0]),
+])
+def test_bulk_write_matches_per_element_loop(g, values):
+    assert _outcome(_write_values, g, values) == \
+        _outcome(_reference_write, g, values)
+
+
+@pytest.mark.parametrize("g, base", [
+    (GlobalVar("w", 4, 8), 4096 - 10),
+    (GlobalVar("w", 4, 8), 4096 - 28),
+    (GlobalVar("w", 4, 8), 4096 + 8),
+    (GlobalVar("b", 1, 8), 4096 - 3),
+    (GlobalVar("f", 8, 4, is_float=True), 4096 - 20),
+    (GlobalVar("w", 4, 2), SAFE_ADDR - 8),
+])
+def test_bulk_write_faults_at_the_same_address(g, base):
+    values = list(range(1, g.count + 1))
+    bulk = _outcome(_write_values, g, values, base=base)
+    assert bulk[0] == "fault"
+    assert bulk == _outcome(_reference_write, g, values, base=base)

@@ -7,7 +7,8 @@ from repro.machine.descriptor import (CacheConfig, MachineDescription,
                                       fig8_machine, fig9_machine,
                                       fig11_machine)
 from repro.regions.hyperblock import HyperblockParams
-from repro.toolchain import ToolchainOptions
+from repro.toolchain import Model, ToolchainOptions
+from repro.workloads import get_workload
 
 
 def test_stable_digest_is_deterministic_and_order_sensitive():
@@ -77,3 +78,16 @@ def test_stage_keys_cover_their_inputs():
     ea = keys.execution_key(ka, 0.5, 1000)
     assert ea != keys.execution_key(ka, 0.5, 999)
     assert keys.stats_key(ea, "m1") != keys.stats_key(ea, "m2")
+
+
+def test_stored_keys_are_pinned():
+    """A warm store serves only while ``compiled`` and ``stats`` keys
+    keep their addresses; these are one triple's, as every earlier
+    version computed them."""
+    from repro.engine.stages import PipelineContext
+    ctx = PipelineContext(scale=1.0, native_enabled=False)
+    wc = get_workload("wc")
+    assert ctx.compile_key(wc, Model.CMOV, fig8_machine()) == \
+        "653326c14a16d23e754069546b15f02cef1d5173a6d74247c959ed501404cc80"
+    assert ctx.stats_key(wc, Model.CMOV, fig8_machine()) == \
+        "b2746a09ddbda2970a86cbac4819b953ced3331a1ca273fd93ff081c774761e3"

@@ -8,9 +8,9 @@ import pytest
 from repro.engine.metrics import PipelineMetrics
 from repro.engine.recovery.retry import RetryPolicy, is_transient
 from repro.engine.scheduler import Job, execute_jobs
-from repro.robustness.errors import (ArtifactLockTimeout, CompileError,
-                                     EmulationTimeout,
+from repro.robustness.errors import (CompileError, EmulationTimeout,
                                      ModelDivergenceError,
+                                     NativeKernelCrash,
                                      PassVerificationError,
                                      TraceIntegrityError)
 from tests.engine import jobhelpers
@@ -20,7 +20,7 @@ from tests.engine import jobhelpers
     BrokenProcessPool("pool died"),
     TraceIntegrityError("corrupt artifact"),
     EmulationTimeout("over budget"),
-    ArtifactLockTimeout("lock contention"),
+    NativeKernelCrash("sandboxed segfault"),
     TimeoutError("slow"),
     OSError(28, "No space left on device"),
 ])

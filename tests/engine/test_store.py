@@ -1,12 +1,15 @@
 """Artifact store: atomic persistence, verification, maintenance."""
 
 import errno
+import multiprocessing
+import os
 
 import pytest
 
 from repro.engine import store as store_module
 from repro.engine.keys import SCHEMA_VERSION, stable_digest
 from repro.engine.recovery.retry import is_transient
+from repro.engine.serialize import unpack
 from repro.engine.store import ArtifactStore
 
 KEY = stable_digest("some", "inputs")
@@ -56,11 +59,11 @@ def test_corrupted_artifact_is_quarantined_and_missed(tmp_path):
     for corrupt in (_flip_bit, _truncate):
         root = tmp_path / corrupt.__name__
         store = ArtifactStore(root)
-        store.put("execution", KEY, list(range(1000)))
-        path = store._path("execution", KEY)
+        store.put("stats", KEY, list(range(1000)))
+        path = store._path("stats", KEY)
         path.write_bytes(corrupt(path.read_bytes()))
-        assert store.get("execution", KEY) is None, corrupt.__name__
-        assert store.metrics.cache["execution"].misses == 1
+        assert store.get("stats", KEY) is None, corrupt.__name__
+        assert store.metrics.cache["stats"].misses == 1
         assert store.metrics.quarantined_artifacts == 1
         # The corrupt bytes moved aside (with a reason sidecar), the
         # lookup path is free for a recompute to rewrite.
@@ -68,8 +71,8 @@ def test_corrupted_artifact_is_quarantined_and_missed(tmp_path):
         quarantined = list((root / "quarantine").rglob("*.art"))
         assert len(quarantined) == 1
         # A rewrite serves cleanly again.
-        store.put("execution", KEY, list(range(1000)))
-        assert store.get("execution", KEY) == list(range(1000))
+        store.put("stats", KEY, list(range(1000)))
+        assert store.get("stats", KEY) == list(range(1000))
 
 
 def test_put_leaves_no_temp_files(tmp_path):
@@ -82,9 +85,8 @@ def test_put_leaves_no_temp_files(tmp_path):
 
 def test_disk_full_put_leaves_no_debris_and_is_transient(tmp_path,
                                                          monkeypatch):
-    """A write that hits ENOSPC removes its ``.tmp`` file and releases
-    its lock; the error is one the retry policy retries, and the retry
-    stores the artifact."""
+    """A write that hits ENOSPC removes its ``.tmp`` file; the error is
+    one the retry policy retries, and the retry stores the artifact."""
     real_open = open
 
     class FullDisk:
@@ -143,3 +145,57 @@ def test_schema_bump_orphans_old_artifacts(tmp_path):
     bumped.version_dir = tmp_path / f"v{SCHEMA_VERSION + 1}"
     assert bumped.get("stats", KEY) is None
     assert bumped.stats().stale_versions == [f"v{SCHEMA_VERSION}"]
+
+
+def test_temp_names_carry_pid_and_a_random_token(tmp_path, monkeypatch):
+    """Writers on two hosts sharing a store may have the same pid; the
+    random token keeps their temp files apart."""
+    renamed = []
+    real_replace = os.replace
+
+    def spy(src, dst):
+        renamed.append(os.path.basename(src))
+        real_replace(src, dst)
+
+    store = ArtifactStore(tmp_path)
+    monkeypatch.setattr(store_module.os, "replace", spy)
+    store.put("stats", KEY, 1)
+    store.put("stats", KEY, 1)
+    assert len(set(renamed)) == 2
+    assert all(f".{os.getpid()}." in name and name.endswith(".tmp")
+               for name in renamed)
+
+
+# ----- two processes, one artifact key ---------------------------------------
+
+def _hammer_store(root: str, key: str, tag: int, rounds: int) -> None:
+    store = ArtifactStore(root)
+    for n in range(rounds):
+        store.put("stats", key, {"writer": tag, "round": n,
+                                 "payload": list(range(200))})
+
+
+def test_concurrent_writers_one_valid_envelope(tmp_path):
+    """Two processes racing on one key, with no lock, must leave
+    exactly one valid, fully-verified envelope: the atomic rename
+    means no torn file, and no stray tmp debris."""
+    key = stable_digest("concurrent", "writers")
+    procs = [multiprocessing.Process(
+        target=_hammer_store, args=(str(tmp_path), key, tag, 25))
+        for tag in (1, 2)]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join(timeout=60)
+        assert p.exitcode == 0
+    store = ArtifactStore(tmp_path)
+    art_files = [p for p in tmp_path.rglob("*.art")
+                 if "quarantine" not in p.parts]
+    assert len(art_files) == 1
+    # The surviving envelope verifies end-to-end (digest included).
+    payload = unpack(art_files[0].read_bytes(), expect_kind="stats")
+    assert payload["writer"] in (1, 2) and payload["round"] == 24
+    assert store.get("stats", key) == payload
+    debris = [p for p in tmp_path.rglob("*")
+              if p.is_file() and not p.name.endswith(".art")]
+    assert debris == []

@@ -10,8 +10,7 @@ differential oracle.
 import pytest
 
 from repro.emu.interpreter import run_program
-from repro.engine.serialize import pack, unpack
-from repro.fastpath.columns import FLAG_EXECUTED, TraceColumns
+from repro.fastpath.columns import FLAG_EXECUTED
 from repro.fastpath.decode import decode_program
 from repro.fastpath.interp import run_program_fast
 from repro.fastpath.simulate import (emulate_and_simulate_stream,
@@ -122,29 +121,7 @@ def test_streaming_matches_batch_at_any_chunk_size(wc_compiled, machine8,
         assert getattr(streamed, field) == getattr(legacy, field), field
 
 
-# ----- columnar persistence ------------------------------------------------
-
-def test_columns_round_trip_through_rpro_envelope(wc_compiled):
-    fast = run_program_fast(wc_compiled.program, inputs=wc_inputs(),
-                            collect_trace=True)
-    loaded = unpack(pack("execution", fast), expect_kind="execution")
-    assert isinstance(loaded.trace, TraceColumns)
-    assert loaded.trace == fast.trace
-    assert loaded.trace.to_events(wc_compiled.program) == \
-        fast.trace.to_events(wc_compiled.program)
-    for field in _OBSERVABLES:
-        assert getattr(loaded, field) == getattr(fast, field), field
-
-
-def test_columns_are_smaller_than_event_list_on_disk(wc_compiled):
-    legacy = run_program(wc_compiled.program, inputs=wc_inputs(),
-                         collect_trace=True)
-    fast = run_program_fast(wc_compiled.program, inputs=wc_inputs(),
-                            collect_trace=True)
-    fast_blob = pack("execution", fast)
-    legacy_blob = pack("execution", legacy)
-    assert len(fast_blob) < len(legacy_blob)
-
+# ----- columnar traces -----------------------------------------------------
 
 def test_columns_slice_and_chunks_partition_the_trace(wc_compiled):
     fast = run_program_fast(wc_compiled.program, inputs=wc_inputs(),

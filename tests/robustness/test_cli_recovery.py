@@ -150,7 +150,3 @@ def test_recovery_flags_parse(argv):
     args = build_parser().parse_args(argv)
     assert args.command == argv[0]
 
-
-def test_exit_17_documented_for_lock_timeouts():
-    from repro.robustness.errors import ArtifactLockTimeout
-    assert ArtifactLockTimeout.exit_code == 17

@@ -6,7 +6,7 @@ import pkgutil
 import repro
 from repro.emu.memory import EmulationFault
 from repro.engine.recovery.retry import is_transient
-from repro.robustness.errors import (ArtifactLockTimeout, CompileError,
+from repro.robustness.errors import (CompileError,
                                      EmulationTimeout,
                                      FuzzFindingsError,
                                      ModelDivergenceError,
@@ -25,15 +25,15 @@ ALL = (ReproError, CompileError, PassVerificationError, EmulationTimeout,
 DOCUMENTED = {
     ReproError: 10, CompileError: 11, PassVerificationError: 12,
     EmulationTimeout: 13, TraceIntegrityError: 14,
-    ModelDivergenceError: 15, ArtifactLockTimeout: 17,
-    FuzzFindingsError: 18,
+    ModelDivergenceError: 15, FuzzFindingsError: 18,
     NativeBuildError: 22, NativeToolchainMissing: 23,
     NativeParityError: 24, NativeKernelCrash: 25,
 }
 
-#: exit codes of the retired job service and cluster (overloaded, quota,
-#: deadline, worker lost, lease fenced): never to be handed out again
-RETIRED_CODES = {19, 20, 21, 26, 27}
+#: retired exit codes, never to be handed out again: the artifact lock
+#: timeout (store writes take no lock), and the job service and
+#: cluster's (overloaded, quota, deadline, worker lost, lease fenced)
+RETIRED_CODES = {17, 19, 20, 21, 26, 27}
 
 
 def test_every_class_is_a_repro_error():
@@ -54,8 +54,7 @@ def test_transience_split_matches_the_readme_table():
     # byte-identical Python engines.  Build and parity failures are
     # permanent facts about the artifact.
     transient = {EmulationTimeout, TraceIntegrityError,
-                 ArtifactLockTimeout, NativeToolchainMissing,
-                 NativeKernelCrash}
+                 NativeToolchainMissing, NativeKernelCrash}
     for cls in DOCUMENTED:
         sample = cls("probe")
         assert is_transient(sample) == (cls in transient), cls

@@ -7,9 +7,9 @@ also leaves existing warm stores holding programs the code no longer
 produces.  A change that is meant to move compiled code must update
 the digest on purpose.
 
-Register numbering follows set iteration order in some passes, which
-follows ``PYTHONHASHSEED``; the digest is therefore taken in a child
-process at a fixed hash seed.
+Compiled code does not depend on ``PYTHONHASHSEED``
+(``tests/toolchain/test_hash_seed.py`` checks every workload), so the
+digest is taken in process.
 
 ``GOLDEN`` covers the Fig. 8 machine, each compile on its own;
 ``MACHINES_GOLDEN`` covers the other figures' machines, each program
@@ -18,19 +18,11 @@ way the figures compile it.
 """
 
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-import repro
-
-#: SHA-256 of :func:`compiled_digest` at PYTHONHASHSEED=0
-GOLDEN = "83bc4cdc240a627811e95887d045a4fe75c7641195cb030a95e80e5cf23e9711"
-#: SHA-256 of :func:`machines_digest` at PYTHONHASHSEED=0
-MACHINES_GOLDEN = "36b0bb2a36fe4140e3aaf49ee326ab176eb9feb2cb5b41c046573de0af71e94b"
-
-ROOT = Path(__file__).resolve().parents[2]
+#: SHA-256 of :func:`compiled_digest`
+GOLDEN = "eacb439cfa2b53508516c110d4de29a13765940cd09c3ffd867b9569dc3aa433"
+#: SHA-256 of :func:`machines_digest`
+MACHINES_GOLDEN = "68ec8259f49bed5935c18fb4a7b51181fe8f9aed09abe9c8a9e0715c7518b895"
 
 
 def compiled_digest() -> str:
@@ -90,23 +82,9 @@ def machines_digest() -> str:
     return digest.hexdigest()
 
 
-def _digest_at_seed_0(function: str) -> str:
-    src = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONHASHSEED="0",
-               PYTHONPATH=os.pathsep.join(
-                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         f"from tests.toolchain.test_compiled_golden import {function};"
-         f"print({function}())"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
-    return out.stdout.strip()
-
-
 def test_wc_grep_compiled_programs_are_pinned():
-    assert _digest_at_seed_0("compiled_digest") == GOLDEN
+    assert compiled_digest() == GOLDEN
 
 
 def test_wc_grep_programs_on_the_other_machines_are_pinned():
-    assert _digest_at_seed_0("machines_digest") == MACHINES_GOLDEN
+    assert machines_digest() == MACHINES_GOLDEN

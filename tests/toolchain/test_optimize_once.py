@@ -137,11 +137,11 @@ def test_later_compiles_of_a_model_wait_for_the_first(tmp_path,
     suite = ExperimentSuite(workloads=[get_workload("wc")], scale=SCALE,
                             cache_dir=str(tmp_path), jobs=2)
     compiles = [job for job in _plan(suite, monkeypatch)
-                if job.stage == "compile+emulate"]
+                if job.stage == "measure"]
     suite.close_journal()
     for model in Model:
         ids = [job for job in compiles
-               if job.job_id.startswith(f"compile:wc:{model.name}:")]
+               if job.job_id.startswith(f"measure:wc:{model.name}:")]
         assert ids[0].deps == ("prepare:wc",)
         assert all(job.deps == (ids[0].job_id,) for job in ids[1:])
     assert len(compiles) == 7
@@ -153,7 +153,7 @@ def test_failed_first_compile_skips_its_dependents(tmp_path, monkeypatch):
                             mode="degrade")
     jobs = _plan(suite, monkeypatch)
     first = next(job for job in jobs
-                 if job.job_id.startswith("compile:wc:SUPERBLOCK:"))
+                 if job.job_id.startswith("measure:wc:SUPERBLOCK:"))
     jobs = [dataclasses.replace(job, fn=jobhelpers.fail)
             if job is first else job for job in jobs]
     try:
@@ -163,7 +163,7 @@ def test_failed_first_compile_skips_its_dependents(tmp_path, monkeypatch):
     assert [f.job_id for f in outcome.failures] == [first.job_id]
     assert [f.workload for f in suite.failures] == ["wc"]
     later = [job.job_id for job in jobs
-             if job.job_id.startswith("compile:wc:SUPERBLOCK:")
+             if job.job_id.startswith("measure:wc:SUPERBLOCK:")
              and job.job_id != first.job_id]
     assert len(later) == 2
     for job_id in later:
@@ -172,5 +172,5 @@ def test_failed_first_compile_skips_its_dependents(tmp_path, monkeypatch):
     # every job either finished, failed or was skipped.
     assert len(outcome.results) + len(outcome.failures) \
         + len(outcome.skipped) == len(jobs)
-    assert all(not job_id.startswith("compile:wc:SUPERBLOCK:")
+    assert all(not job_id.startswith("measure:wc:SUPERBLOCK:")
                for job_id in outcome.results)
