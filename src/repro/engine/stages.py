@@ -16,6 +16,12 @@ process under every machine that shares its compiled program, and
 never stored.  Re-emulating costs less than writing and reading back
 the trace, and a warm run reads only ``stats``.
 
+The in-process emulation, decode and simulator-table memos are keyed
+by the scheduled program's content (:func:`program_content`), not by
+compile key: machines whose schedules of one program come out
+instruction for instruction alike share one emulation, though each
+keeps its own compiled artifact and stored ``stats``.
+
 Both the experiment suite (serial path) and the scheduler's pool
 workers (parallel path) drive this same class, so cache keying and
 metrics accounting cannot drift between the two.
@@ -39,6 +45,7 @@ from repro.engine.store import ArtifactStore
 from repro.engines import DEFAULT_ENGINE, check_engine
 from repro.ir.function import Program
 from repro.ir.instruction import ensure_uid_headroom
+from repro.ir.operands import Imm
 from repro.machine.descriptor import MachineDescription
 from repro.robustness.errors import TraceIntegrityError
 from repro.robustness.integrity import check_trace_integrity
@@ -47,6 +54,35 @@ from repro.sim.pipeline import SimulationStats, simulate_trace
 from repro.toolchain import (CompiledProgram, Model, OptimizedProgram,
                              ToolchainOptions, compile_for_model, frontend)
 from repro.workloads.base import Workload
+
+
+def program_content(program: Program) -> tuple:
+    """Everything an emulator reads of ``program``, as nested tuples.
+
+    That is the entry, the globals, and each function's name, params
+    and blocks in layout order, with every instruction's uid, opcode,
+    operands, guard, predicate destinations, target and ``speculative``
+    flag.  Programs with equal content emulate alike on equal inputs.
+    The tuple is compared by equality, so two programs never share by
+    a digest collision.  Constants enter by type and ``repr``: ``1``,
+    ``1.0`` and ``True`` (and ``0.0`` and ``-0.0``) are equal in Python
+    but not to the emulator.
+    """
+    return (
+        program.entry,
+        tuple((g.name, g.elem_size, g.count,
+               None if g.init is None else repr(g.init), g.is_float)
+              for g in program.globals.values()),
+        tuple((fn.name, tuple(fn.params),
+               tuple((b.name,
+                      tuple((i.uid, i.op, i.dest,
+                             tuple((type(s.value), repr(s.value))
+                                   if type(s) is Imm else s
+                                   for s in i.srcs),
+                             i.pred, i.pdests, i.target, i.speculative)
+                            for i in b.instructions))
+                     for b in fn.blocks))
+              for fn in program.functions.values()))
 
 
 @dataclass
@@ -99,45 +135,73 @@ class PipelineContext:
         # Workload inputs by profile key: built once, shared read-only
         # by the training run and every emulation.
         self._inputs: dict[str, dict] = {}
-        self._execution: dict[str, ExecutionResult] = {}
         self._summary: dict[str, RunSummary] = {}
-        # Pre-decoded form and simulator arrays, keyed by compile key:
-        # one decode serves the emulation plus every machine's
-        # simulation of that compiled program.
-        self._decoded: dict[str, DecodedProgram] = {}
-        self._prep: dict[str, SimPrep] = {}
-        # Vector-engine simulator tables (the native scan's CSR form of
-        # the SimPrep above), keyed the same way.
-        self._vprep: dict[str, vector.VectorSimPrep] = {}
+        # The profile key of each workload (name, source) and the
+        # (compile, execution, stats) keys of each (workload, model,
+        # machine): each is digested once.
+        self._profile_keys: dict[tuple[str, str], str] = {}
+        self._run_keys: dict[tuple, tuple[str, str, str]] = {}
+        # Each distinct scheduled program's content numbered in the
+        # order first seen, and each compile key's number: the memos
+        # below are keyed by the number.
+        self._program_numbers: dict[tuple, int] = {}
+        self._number_of: dict[str, int] = {}
+        # Emulations by (program number, profile key), and the same
+        # results by execution key, so a repeated query digests and
+        # compares nothing.
+        self._emulations: dict[tuple[int, str], ExecutionResult] = {}
+        self._execution: dict[str, ExecutionResult] = {}
+        # Pre-decoded form by program number: one decode serves the
+        # emulation plus every machine's simulation of that program.
+        # Simulator arrays, and the vector engine's CSR form of them,
+        # by (number, instruction bytes, latency overrides): the
+        # addresses and latencies are all they add.
+        self._decoded: dict[int, DecodedProgram] = {}
+        self._prep: dict[tuple, SimPrep] = {}
+        self._vprep: dict[tuple, vector.VectorSimPrep] = {}
 
     # ----- keys ---------------------------------------------------------
 
     def profile_key(self, workload: Workload) -> str:
-        return keys.profile_key(workload.name, workload.source, self.scale,
-                                self.max_steps)
+        memo_key = (workload.name, workload.source)
+        key = self._profile_keys.get(memo_key)
+        if key is None:
+            key = self._profile_keys[memo_key] = keys.profile_key(
+                workload.name, workload.source, self.scale, self.max_steps)
+        return key
 
     def optimize_key(self, workload: Workload, model: Model) -> str:
         return keys.optimize_key(workload.name, workload.source, self.scale,
                                  self.max_steps, model.name,
                                  self._options_digest)
 
+    def _keys(self, workload: Workload, model: Model,
+              machine: MachineDescription) -> tuple[str, str, str]:
+        """The compile, execution and stats keys of one triple."""
+        memo_key = (workload.name, workload.source, model, machine)
+        found = self._run_keys.get(memo_key)
+        if found is None:
+            compile_key = keys.compile_key(
+                workload.name, workload.source, self.scale, self.max_steps,
+                model.name, self._options_digest, machine.schedule_digest())
+            execution_key = keys.execution_key(compile_key, self.scale,
+                                               self.max_steps)
+            found = self._run_keys[memo_key] = (
+                compile_key, execution_key,
+                keys.stats_key(execution_key, machine.digest()))
+        return found
+
     def compile_key(self, workload: Workload, model: Model,
                     machine: MachineDescription) -> str:
-        return keys.compile_key(workload.name, workload.source, self.scale,
-                                self.max_steps, model.name,
-                                self._options_digest,
-                                machine.schedule_digest())
+        return self._keys(workload, model, machine)[0]
 
     def execution_key(self, workload: Workload, model: Model,
                       machine: MachineDescription) -> str:
-        return keys.execution_key(
-            self.compile_key(workload, model, machine), self.scale,
-            self.max_steps)
+        return self._keys(workload, model, machine)[1]
 
     def stats_key(self, workload: Workload, model: Model,
                   machine: MachineDescription) -> str:
-        return keys.stats_key(
-            self.execution_key(workload, model, machine), machine.digest())
+        return self._keys(workload, model, machine)[2]
 
     # ----- stages -------------------------------------------------------
 
@@ -154,32 +218,45 @@ class PipelineContext:
             (inst.uid for fn in program.functions.values()
              for inst in fn.all_instructions()), default=-1))
 
-    def _decoded_for(self, compile_key: str,
+    def _program_number(self, workload: Workload, model: Model,
+                        machine: MachineDescription) -> int:
+        """The number of the triple's scheduled program: equal for
+        every triple whose program has equal :func:`program_content`."""
+        compile_key = self.compile_key(workload, model, machine)
+        number = self._number_of.get(compile_key)
+        if number is None:
+            content = program_content(
+                self.compiled(workload, model, machine).program)
+            number = self._number_of[compile_key] = \
+                self._program_numbers.setdefault(
+                    content, len(self._program_numbers))
+        return number
+
+    def _decoded_for(self, number: int,
                      compiled: CompiledProgram) -> DecodedProgram:
-        decoded = self._decoded.get(compile_key)
+        decoded = self._decoded.get(number)
         if decoded is None:
-            decoded = self._decoded[compile_key] = decode_program(
+            decoded = self._decoded[number] = decode_program(
                 compiled.program)
         return decoded
 
-    def _prep_for(self, compile_key: str, compiled: CompiledProgram,
+    def _prep_for(self, number: int, compiled: CompiledProgram,
                   machine: MachineDescription) -> SimPrep:
-        # Keyed by compile key: latency overrides are part of the
-        # schedule digest, so every machine mapping to this key
-        # resolves the same latency table.
-        prep = self._prep.get(compile_key)
+        key = (number, machine.instruction_bytes, machine.latency_overrides)
+        prep = self._prep.get(key)
         if prep is None:
-            prep = self._prep[compile_key] = prepare_sim(
-                self._decoded_for(compile_key, compiled),
-                compiled.addresses, machine)
+            prep = self._prep[key] = prepare_sim(
+                self._decoded_for(number, compiled), compiled.addresses,
+                machine)
         return prep
 
-    def _vprep_for(self, compile_key: str, compiled: CompiledProgram,
+    def _vprep_for(self, number: int, compiled: CompiledProgram,
                    machine: MachineDescription) -> vector.VectorSimPrep:
-        vprep = self._vprep.get(compile_key)
+        key = (number, machine.instruction_bytes, machine.latency_overrides)
+        vprep = self._vprep.get(key)
         if vprep is None:
-            vprep = self._vprep[compile_key] = vector.VectorSimPrep(
-                self._prep_for(compile_key, compiled, machine))
+            vprep = self._vprep[key] = vector.VectorSimPrep(
+                self._prep_for(number, compiled, machine))
         return vprep
 
     def inputs(self, workload: Workload) -> dict:
@@ -267,43 +344,55 @@ class PipelineContext:
     def execution(self, workload: Workload, model: Model,
                   machine: MachineDescription) -> ExecutionResult:
         """Emulation trace of the compiled program on its inputs,
-        memoized in this process only."""
+        memoized in this process only.
+
+        The emulation is keyed by the scheduled program's content and
+        the inputs' profile key: triples whose programs come out alike
+        (say, one model's schedules for machines whose issue width never
+        binds) share one.  In paranoid mode each triple's program is
+        still checked against the trace it is given.
+        """
         key = self.execution_key(workload, model, machine)
         execution = self._execution.get(key)
         if execution is None:
             compiled = self.compiled(workload, model, machine)
-            watchdog = None
-            if self.wall_clock_budget is not None:
-                watchdog = EmulationWatchdog(
-                    wall_clock_budget=self.wall_clock_budget)
-            with self.metrics.timer("emulate"):
-                inputs = self.inputs(workload)
-                if self.engine == "legacy":
-                    execution = run_program(
-                        compiled.program, inputs=inputs,
-                        collect_trace=True, max_steps=self.max_steps,
-                        watchdog=watchdog)
-                else:
-                    decoded = self._decoded_for(
-                        self.compile_key(workload, model, machine),
-                        compiled)
-                    # The native emulator falls back to the
-                    # interpreter by itself (watchdog, demotion).
-                    emulate = native.run_program_native \
-                        if self.native_enabled else run_program_fast
-                    execution = emulate(
-                        compiled.program, inputs=inputs,
-                        collect_trace=True, max_steps=self.max_steps,
-                        watchdog=watchdog, decoded=decoded)
+            number = self._program_number(workload, model, machine)
+            shared = (number, self.profile_key(workload))
+            execution = self._emulations.get(shared)
+            if execution is None:
+                execution = self._emulations[shared] = self._emulate(
+                    workload, compiled, number)
             if self.paranoid:
                 check_trace_integrity(execution, compiled.program)
             self._execution[key] = execution
         self._drain_native_counters()
         return execution
 
+    def _emulate(self, workload: Workload, compiled: CompiledProgram,
+                 number: int) -> ExecutionResult:
+        watchdog = None
+        if self.wall_clock_budget is not None:
+            watchdog = EmulationWatchdog(
+                wall_clock_budget=self.wall_clock_budget)
+        with self.metrics.timer("emulate"):
+            inputs = self.inputs(workload)
+            if self.engine == "legacy":
+                return run_program(
+                    compiled.program, inputs=inputs, collect_trace=True,
+                    max_steps=self.max_steps, watchdog=watchdog)
+            # The native emulator falls back to the interpreter by
+            # itself (watchdog, demotion).
+            emulate = native.run_program_native \
+                if self.native_enabled else run_program_fast
+            return emulate(
+                compiled.program, inputs=inputs, collect_trace=True,
+                max_steps=self.max_steps, watchdog=watchdog,
+                decoded=self._decoded_for(number, compiled))
+
     def release_traces(self) -> None:
-        """Drop the memoized traces.  Nothing stores them: a later
-        query for one emulates again."""
+        """Drop the memoized emulations, shared ones included.  Nothing
+        stores them: a later query for one emulates again."""
+        self._emulations.clear()
         self._execution.clear()
 
     def run_summary(self, workload: Workload, model: Model,
@@ -319,7 +408,7 @@ class PipelineContext:
             summary = self.store.get("stats", key)
         if summary is None:
             compiled = self.compiled(workload, model, machine)
-            compile_key = self.compile_key(workload, model, machine)
+            number = self._program_number(workload, model, machine)
             execution = self.execution(workload, model, machine)
             trace = execution.trace
             if trace is None:
@@ -333,12 +422,12 @@ class PipelineContext:
                 elif self.native_enabled:
                     stats = vector.simulate_columns_vector(
                         trace,
-                        self._vprep_for(compile_key, compiled, machine),
+                        self._vprep_for(number, compiled, machine),
                         machine, metrics=self.metrics)
                 else:
                     stats = simulate_columns(
                         trace,
-                        self._prep_for(compile_key, compiled, machine),
+                        self._prep_for(number, compiled, machine),
                         machine)
             self.metrics.add_cycles(stats.cycles)
             summary = RunSummary(stats=stats,

@@ -29,7 +29,7 @@ from repro.fastpath.columns import TraceColumns
 from repro.fastpath.decode import DecodedProgram, decode_program
 from repro.ir.opcodes import OpCategory
 from repro.machine.descriptor import MachineDescription
-from repro.machine.latencies import latency as _pa7100_latency
+from repro.machine.latencies import PA7100_LATENCY
 from repro.sim.btb import BranchTargetBuffer
 from repro.sim.cache import DirectMappedCache
 from repro.sim.pipeline import SimulationStats
@@ -75,11 +75,11 @@ def prepare_sim(decoded: DecodedProgram, addresses: dict[int, int],
 
     ``machine`` supplies the latency table (PA-7100 defaults plus any
     ``latency_overrides``); omitting it keeps the plain PA-7100 table.
-    Latencies are schedule-relevant (DAG edge weights), so every
-    machine sharing a compiled program's ``schedule_digest`` resolves
-    the same table and one prep serves all of them.
+    The prep reads nothing else of the machine, so one serves every
+    machine with the same program, addresses and latency table.
     """
-    latency_of = _pa7100_latency if machine is None else machine.latency
+    latency_of = (PA7100_LATENCY if machine is None
+                  else machine.latency_table).__getitem__
     regmap: dict = {}
 
     def rid(r) -> int:

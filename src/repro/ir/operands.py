@@ -22,6 +22,11 @@ class RegClass(enum.Enum):
     FLOAT = "f"
     PRED = "p"
 
+    def __init__(self, prefix: str):
+        #: 0, 1, 2 in declaration order: the class's part of a
+        #: register hash (see :meth:`VReg.__hash__`)
+        self.ordinal = len(type(self).__members__)
+
 
 @dataclass(frozen=True, slots=True)
 class VReg:
@@ -33,6 +38,11 @@ class VReg:
 
     index: int
     rclass: RegClass = RegClass.INT
+
+    def __hash__(self) -> int:
+        # An int from (index, class): no enum hash per lookup, and the
+        # same value in every process.  PReg takes the fourth residue.
+        return self.index << 2 | self.rclass.ordinal
 
     def __repr__(self) -> str:
         return f"{self.rclass.value}{self.index}"
@@ -51,6 +61,9 @@ class PReg:
     """A 1-bit predicate register from the predicate register file."""
 
     index: int
+
+    def __hash__(self) -> int:
+        return self.index << 2 | 3
 
     def __repr__(self) -> str:
         return f"p{self.index}"

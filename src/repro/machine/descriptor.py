@@ -8,11 +8,13 @@ paper's configurations (Figures 8-11) are provided as constructors.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from types import MappingProxyType
 
 from repro.ir.opcodes import Opcode, OpCategory
-from repro.machine.latencies import latency as _pa7100_latency
+from repro.machine.latencies import PA7100_LATENCY
 
 #: op-class names a latency override may target: a coarse category
 #: ("load", "falu") or an individual opcode mnemonic ("mul", "div_f").
@@ -62,8 +64,9 @@ def normalize_latency_overrides(overrides) -> tuple[tuple[str, int], ...]:
 
 @lru_cache(maxsize=64)
 def _latency_table(overrides: tuple[tuple[str, int], ...]
-                   ) -> dict[Opcode, int]:
-    """Every opcode's latency under canonical ``overrides``.
+                   ) -> Mapping[Opcode, int]:
+    """Every opcode's latency under canonical ``overrides``: one flat,
+    shared, read-only table per override set.
 
     An opcode-named override beats a category-named one, which beats
     the PA-7100 default.  Names that are both a category and an opcode
@@ -71,6 +74,8 @@ def _latency_table(overrides: tuple[tuple[str, int], ...]
     latency table entry named "load" reads as "all loads", matching the
     paper's tables.
     """
+    if not overrides:
+        return PA7100_LATENCY
     by_op: dict[Opcode, int] = {}
     by_cat: dict[OpCategory, int] = {}
     for name, cycles in overrides:
@@ -78,8 +83,9 @@ def _latency_table(overrides: tuple[tuple[str, int], ...]
             by_cat[_CATEGORY_NAMES[name]] = cycles
         else:
             by_op[_OPCODE_NAMES[name]] = cycles
-    return {op: by_op.get(op, by_cat.get(op.category, _pa7100_latency(op)))
-            for op in Opcode}
+    return MappingProxyType({
+        op: by_op.get(op, by_cat.get(op.category, PA7100_LATENCY[op]))
+        for op in Opcode})
 
 
 @dataclass(frozen=True)
@@ -131,10 +137,14 @@ class MachineDescription:
                 self, "latency_overrides",
                 normalize_latency_overrides(self.latency_overrides))
 
+    @property
+    def latency_table(self) -> Mapping[Opcode, int]:
+        """Every opcode's result latency on this machine.  Machines with
+        equal ``latency_overrides`` share one table."""
+        return _latency_table(self.latency_overrides)
+
     def latency(self, op: Opcode) -> int:
-        if self.latency_overrides:
-            return _latency_table(self.latency_overrides)[op]
-        return _pa7100_latency(op)
+        return _latency_table(self.latency_overrides)[op]
 
     def with_issue(self, width: int, branches: int) -> "MachineDescription":
         return replace(self, issue_width=width, branch_issue_limit=branches,

@@ -9,6 +9,9 @@ multiply runs through the FP unit.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from types import MappingProxyType
+
 from repro.ir.opcodes import OpCategory, Opcode, category
 
 #: Cycles from issue until the result may be consumed.
@@ -43,8 +46,12 @@ _LATENCY_BY_CATEGORY: dict[OpCategory, int] = {
 }
 
 
+#: every opcode's result latency, flattened so a query is one lookup
+PA7100_LATENCY: Mapping[Opcode, int] = MappingProxyType({
+    op: _LATENCY_BY_OPCODE.get(op, _LATENCY_BY_CATEGORY[category(op)])
+    for op in Opcode})
+
+
 def latency(op: Opcode) -> int:
     """Result latency in cycles of opcode ``op``."""
-    if op in _LATENCY_BY_OPCODE:
-        return _LATENCY_BY_OPCODE[op]
-    return _LATENCY_BY_CATEGORY[category(op)]
+    return PA7100_LATENCY[op]

@@ -45,16 +45,22 @@ class DepGraph:
     """Nodes are instruction indices; ``succs[i]`` holds (j, latency).
 
     ``latency[i]`` is instruction ``i``'s result latency on the machine
-    the graph was built for.
+    the graph was built for.  Only ``insts`` belongs to one block
+    object: the other lists may be shared by the graphs of every clone
+    of the block on one latency table, and are read-only.
     """
 
     insts: list[Instruction]
     succs: list[list[tuple[int, int]]] = field(default_factory=list)
     preds: list[list[tuple[int, int]]] = field(default_factory=list)
     latency: list[int] = field(default_factory=list)
+    #: :meth:`heights`, once computed
+    height: list[int] | None = field(default=None, repr=False)
 
     def heights(self) -> list[int]:
         """Longest-path-to-sink priority for list scheduling."""
+        if self.height is not None:
+            return self.height
         n = len(self.insts)
         height = [0] * n
         for i in range(n - 1, -1, -1):
@@ -62,6 +68,7 @@ class DepGraph:
             for j, lat in self.succs[i]:
                 best = max(best, lat + height[j])
             height[i] = best
+        self.height = height
         return height
 
 
@@ -122,11 +129,13 @@ class DagEdges:
     the order the edges were found; ``kind`` is 0, 1, :data:`LATENCY`
     or :data:`WAW`.  The DAG reads the machine only through the result
     latencies, so one edge list serves every machine a block is
-    scheduled for.
+    scheduled for, and ``resolved`` holds the block's graph once per
+    latency table, keyed by the machine's ``latency_overrides``.
     """
 
     succs: list[list[tuple[int, int]]]
     preds: list[list[tuple[int, int]]]
+    resolved: dict[tuple, DepGraph] = field(default_factory=dict)
 
 
 def build_dag(fn: Function, block: BasicBlock, live: Liveness,
@@ -137,7 +146,10 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
 
     ``memo``, when given, holds edge lists by (function, block) name: a
     missing entry is found and added, so the blocks of clones of one
-    unscheduled program share one edge list across machines.
+    unscheduled program share one edge list across machines.  Each
+    entry also keeps the graph resolved for every latency table it was
+    asked for (heights included), so machines that differ only in
+    issue width or branch slots resolve a block once.
     """
     edges = None
     if memo is not None:
@@ -148,14 +160,22 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
         if memo is not None:
             memo[key] = edges
     insts = block.instructions
-    latency = [machine.latency(inst.op) for inst in insts]
+    resolved = edges.resolved.get(machine.latency_overrides)
+    if resolved is not None:
+        return DepGraph(insts, resolved.succs, resolved.preds,
+                        resolved.latency, resolved.heights())
+    table = machine.latency_table
+    latency = [table[inst.op] for inst in insts]
     # Each node's edge latency by kind: 0, 1, LATENCY, WAW.
     rows = [(0, 1, lat, 1 if lat > 1 else 0) for lat in latency]
     succs = [[(j, row[kind]) for j, kind in out]
              for row, out in zip(rows, edges.succs)]
     preds = [[(i, rows[i][kind]) for i, kind in into]
              for into in edges.preds]
-    return DepGraph(insts, succs, preds, latency)
+    graph = DepGraph(insts, succs, preds, latency)
+    if memo is not None:
+        edges.resolved[machine.latency_overrides] = graph
+    return graph
 
 
 def dependence_edges(block: BasicBlock, live: Liveness) -> DagEdges:

@@ -161,8 +161,8 @@ def schedule_program(program, machine: MachineDescription,
     schedule of clones of one unscheduled program solves each function
     once: liveness is keyed by block names and registers, both values,
     so it holds for every clone.  ``dags`` does the same for each
-    block's dependence edges, keyed by (function, block) name; only
-    their latencies are resolved per machine.
+    block's dependence edges, keyed by (function, block) name; their
+    latencies are resolved once per latency table.
     """
     merged = ScheduleResult()
     for fn in program.functions.values():

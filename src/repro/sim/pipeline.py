@@ -81,7 +81,7 @@ def simulate_trace(trace: list[TraceEvent], addresses: dict[int, int],
 
     width = machine.issue_width
     branch_limit = machine.branch_issue_limit
-    latency_of = machine.latency
+    latency_of = machine.latency_table.__getitem__
 
     ready: dict = {}
     cur_cycle = 0

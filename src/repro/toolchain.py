@@ -137,8 +137,9 @@ class OptimizedProgram:
     #: each function's liveness by name, filled by the first schedule
     #: and read by the later ones
     live: dict[str, Liveness] = field(default_factory=dict)
-    #: each block's dependence edges by (function, block) name, filled
-    #: and read the same way.  In process only: pickling leaves it out
+    #: each block's dependence edges by (function, block) name, with
+    #: its graph resolved per latency table, filled and read the same
+    #: way.  In process only: pickling leaves it out
     #: (it would grow the stored artifact by half), and a loaded
     #: program refills it on its first schedule.
     dags: dict[tuple[str, str], DagEdges] = field(default_factory=dict,

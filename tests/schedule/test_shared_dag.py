@@ -107,3 +107,23 @@ def test_memoized_schedules_match_unmemoized_ones(program, monkeypatch):
             assert len(found) == (nblocks if machine is MACHINES[0]
                                   else 0)
         assert len(optimized.dags) == nblocks
+
+
+@pytest.mark.parametrize("first, then", [
+    (fig8_machine(), fig8_machine().with_latencies({"load": 3})),
+    (fig8_machine(), fig10_machine())], ids=["latencies", "width"])
+def test_one_memo_resolves_each_latency_table_once(first, then):
+    """A block's graph is resolved once per latency table: a machine
+    with other latencies gets its own graph, one with other widths
+    reuses the first machine's.  Either schedules as on a fresh memo."""
+    for optimized in _optimized("compress"):
+        optimized.dags.clear()
+        schedule_for_machine(optimized, first)
+        got = schedule_for_machine(optimized, then)
+        alone = dataclasses.replace(optimized, live={}, dags={})
+        assert _printed(got) == _printed(schedule_for_machine(alone, then))
+        tables = {first.latency_overrides, then.latency_overrides}
+        for edges in optimized.dags.values():
+            assert set(edges.resolved) == tables
+            for graph in edges.resolved.values():
+                assert graph.height is not None
