@@ -40,7 +40,7 @@ Examples::
     python -m repro run kernel.c --paranoid --time-budget 30
     python -m repro bench wc --scale 0.5
     python -m repro report --scale 0.5 --mode degrade -o RESULTS.txt
-    python -m repro report --jobs 4 --bench-json BENCH_pipeline.json
+    python -m repro report --jobs 4 --bench-json bench.json
     python -m repro figures --resume R20260805-120000-abcd1234
     python -m repro cache stats
     python -m repro cache fsck --repair
@@ -172,19 +172,9 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_perf_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bench-json", metavar="PATH",
-                        help="dump pipeline metrics (wall time, cache "
-                             "hit/miss, byte volume, cycles) as JSON "
-                             "with a dated timing trajectory, e.g. "
-                             "BENCH_pipeline.json")
-    parser.add_argument("--compare", metavar="BASELINE_JSON",
-                        help="compare stage wall times against a "
-                             "baseline bench JSON; exit "
-                             f"{_BENCH_REGRESSION_EXIT} if any stage "
-                             "regresses by more than 25%%")
-    parser.add_argument("--profile", action="store_true",
-                        help="cProfile each pipeline stage; write "
-                             "per-stage .pstats and a top-20 cumulative "
-                             "summary next to --bench-json (or CWD)")
+                        help="write this run's pipeline metrics (wall "
+                             "time, cache hit/miss, byte volume, "
+                             "cycles) as JSON")
 
 
 def _cache_dir(args) -> str | None:
@@ -193,53 +183,17 @@ def _cache_dir(args) -> str | None:
     return getattr(args, "cache_dir", None)
 
 
-#: exit code for a >threshold stage-walltime regression (--compare)
-_BENCH_REGRESSION_EXIT = 3
-
-
-def _attach_profiler(suite, args):
-    """Hook a per-stage cProfile collector into the suite's metrics."""
-    if not getattr(args, "profile", False):
-        return None
-    from repro.engine.profiling import StageProfiler
-    profiler = StageProfiler()
-    suite.metrics.profiler = profiler
-    if getattr(args, "jobs", 1) > 1:
-        print("note: --profile captures in-process work only; pool "
-              "workers (--jobs) are not profiled", file=sys.stderr)
-    return profiler
-
-
-def _print_metrics(metrics, args, profiler=None) -> int:
-    """Pipeline summary to stderr; counters to --bench-json; profiles
-    next to it; baseline comparison last.  Returns the exit code the
-    comparison demands (0 when clean or not requested)."""
-    print(metrics.render(), file=sys.stderr)
+def _write_bench_json(metrics, args) -> None:
     bench_json = getattr(args, "bench_json", None)
     if bench_json:
         metrics.write_json(bench_json)
         print(f"wrote {bench_json}", file=sys.stderr)
-    if profiler is not None:
-        out_dir = os.path.dirname(bench_json) or "." if bench_json else "."
-        for path in profiler.write(out_dir):
-            print(f"wrote {path}", file=sys.stderr)
-    baseline_path = getattr(args, "compare", None)
-    if baseline_path:
-        from repro.engine.metrics import compare_stage_walltimes
-        import json as _json
-        with open(baseline_path) as handle:
-            baseline = _json.load(handle)
-        current = metrics.to_dict()
-        regressions = compare_stage_walltimes(current, baseline)
-        if regressions:
-            print(f"stage regressions vs {baseline_path}:",
-                  file=sys.stderr)
-            for line in regressions:
-                print(f"  {line}", file=sys.stderr)
-            return _BENCH_REGRESSION_EXIT
-        print(f"no stage regressions vs {baseline_path}",
-              file=sys.stderr)
-    return 0
+
+
+def _print_metrics(metrics, args) -> None:
+    """Pipeline summary to stderr; counters to --bench-json."""
+    print(metrics.render(), file=sys.stderr)
+    _write_bench_json(metrics, args)
 
 
 def _suite_recovery_kwargs(args) -> dict:
@@ -342,14 +296,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.micro:
-        from repro.fastpath import micro
-        print(micro.render(micro.run_all(repeat=args.repeat)))
-        return 0
-    if args.name is None:
-        print("error: a workload name is required unless --micro is "
-              "given (see `repro list`)", file=sys.stderr)
-        return 2
     workload = get_workload(args.name)
     suite = ExperimentSuite(workloads=[workload], scale=args.scale,
                             options=_options(args),
@@ -359,7 +305,6 @@ def _cmd_bench(args) -> int:
                             engine=args.engine,
                             **_suite_recovery_kwargs(args))
     _announce_run(suite)
-    profiler = _attach_profiler(suite, args)
     machine = _machine(args)
     try:
         base = suite.baseline_cycles(workload.name)
@@ -379,9 +324,9 @@ def _cmd_bench(args) -> int:
     except BaseException:
         suite.close_journal(ok=False)
         raise
-    exit_code = _print_metrics(suite.metrics, args, profiler)
+    _print_metrics(suite.metrics, args)
     _finish_run(suite)
-    return exit_code
+    return 0
 
 
 def _run_differential(workload, machine, args) -> None:
@@ -414,7 +359,6 @@ def _cmd_report(args) -> int:
                             engine=args.engine,
                             **_suite_recovery_kwargs(args))
     _announce_run(suite)
-    profiler = _attach_profiler(suite, args)
     try:
         text = render_all(suite)
     except BaseException:
@@ -428,11 +372,9 @@ def _cmd_report(args) -> int:
         print(f"wrote {args.output}")
     else:
         print(text)
-    compare_exit = _print_metrics(suite.metrics, args, profiler)
+    _print_metrics(suite.metrics, args)
     _finish_run(suite)
-    if suite.failures:
-        return 1
-    return compare_exit
+    return 1 if suite.failures else 0
 
 
 def _cmd_cache(args) -> int:
@@ -501,14 +443,6 @@ def _cmd_sweep_run(args) -> int:
     from repro.sweep.report import render
     spec = SweepSpec.from_file(args.spec)
     metrics = PipelineMetrics()
-    profiler = None
-    if args.profile:
-        from repro.engine.profiling import StageProfiler
-        profiler = StageProfiler()
-        metrics.profiler = profiler
-        if args.jobs > 1:
-            print("note: --profile captures in-process work only; pool "
-                  "workers (--jobs) are not profiled", file=sys.stderr)
     outcome = run_sweep(spec, cache_dir=_cache_dir(args),
                         jobs=args.jobs, metrics=metrics,
                         engine=args.engine,
@@ -528,7 +462,8 @@ def _cmd_sweep_run(args) -> int:
         print(render(outcome.result.to_dict()), end="")
     elif not args.output:
         print(result_json)
-    return _print_metrics(metrics, args, profiler)
+    _print_metrics(metrics, args)
+    return 0
 
 
 def _cmd_sweep_report(args) -> int:
@@ -602,17 +537,7 @@ def _cmd_fuzz_run(args) -> int:
                   f"{stats.tests_run} probes)")
     for entry_id in result.saved_entries:
         print(f"    saved corpus/{entry_id}")
-    if args.bench_json:
-        # Fold any existing bench baseline forward so a fuzz campaign
-        # adds its throughput without clobbering the committed
-        # per-stage timings that `report --compare` checks against.
-        import json
-        try:
-            with open(args.bench_json) as handle:
-                metrics.merge_dict(json.load(handle))
-        except (OSError, ValueError):
-            pass
-        metrics.write_json(args.bench_json)
+    _write_bench_json(metrics, args)
     if result.finding_count:
         raise FuzzFindingsError(
             f"{result.finding_count} finding(s), "
@@ -746,15 +671,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("bench", help="run one workload, all models")
-    p.add_argument("name", nargs="?", default=None,
-                   help="workload name (see `list`); optional with "
-                        "--micro")
+    p.add_argument("name", help="workload name (see `list`)")
     p.add_argument("--scale", type=float, default=0.5)
-    p.add_argument("--micro", action="store_true",
-                   help="run the hot-loop timeit microbenchmarks "
-                        "(benchmarks/perf/) instead of a workload")
-    p.add_argument("--repeat", type=int, default=3,
-                   help="timeit repetitions for --micro (default 3)")
     p.add_argument("--differential", action="store_true",
                    help="after benchmarking, prove the legacy and "
                         "vector engines agree on every observable")
@@ -846,7 +764,8 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--no-save", action="store_true",
                     help="do not write findings to the corpus")
     fp.add_argument("--bench-json", default=None, metavar="FILE",
-                    help="append fuzz throughput to a bench JSON file")
+                    help="write the campaign's metrics (fuzz "
+                         "throughput) as JSON")
     _add_fuzz_exec_args(fp)
     fp.set_defaults(func=_cmd_fuzz_run)
 

@@ -17,7 +17,7 @@ parallel:
 * :mod:`repro.engine.scheduler` — a DAG job scheduler over a process
   pool with worker-crash containment;
 * :mod:`repro.engine.metrics` — per-stage wall time and cache hit/miss
-  counters, dumped as ``BENCH_pipeline.json``.
+  counters, dumped by ``--bench-json``.
 """
 
 from repro.engine.keys import SCHEMA_VERSION, stable_digest

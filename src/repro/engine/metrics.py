@@ -6,7 +6,7 @@ counters per artifact kind, and simulation volume.  Workers serialize
 their counters with :meth:`PipelineMetrics.to_dict` and the parent folds
 them back in with :meth:`PipelineMetrics.merge_dict`, so one object
 always holds the whole run's totals — the source of both the report
-summary block and ``BENCH_pipeline.json``.
+summary block and the ``--bench-json`` snapshot.
 """
 
 from __future__ import annotations
@@ -98,23 +98,14 @@ class PipelineMetrics:
     native_kernel_crashes: int = 0
     #: kernel shared objects quarantined by digest verification / fsck
     kernel_cache_quarantined: int = 0
-    #: optional per-stage cProfile collector (see
-    #: :mod:`repro.engine.profiling`); attached by the CLI's
-    #: ``--profile`` flag, never serialized
-    profiler: object | None = field(default=None, repr=False, compare=False)
 
     # ----- recording ----------------------------------------------------
 
     @contextmanager
     def timer(self, stage: str):
         start = time.perf_counter()
-        profiler = self.profiler
         try:
-            if profiler is not None:
-                with profiler.record(stage):
-                    yield
-            else:
-                yield
+            yield
         finally:
             m = self.stages[stage]
             m.invocations += 1
@@ -293,32 +284,10 @@ class PipelineMetrics:
         }
 
     def write_json(self, path: str) -> None:
-        """Dump the counters as ``BENCH_pipeline.json``-style JSON.
-
-        If ``path`` already holds a bench file, its timing trajectory is
-        carried forward: every write appends one dated entry (stage wall
-        times + cycle volume) to a bounded ``history`` list, so the
-        committed baseline records how the pipeline's performance moved
-        over time, not just its latest snapshot.
-        """
-        data = self.to_dict()
-        history: list[dict] = []
-        try:
-            with open(path) as handle:
-                previous = json.load(handle)
-            history = list(previous.get("history", []))
-        except (OSError, ValueError):
-            pass
-        history.append({
-            "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "schema": data["schema"],
-            "stages": {name: stage["wall_seconds"]
-                       for name, stage in data["stages"].items()},
-            "total_cycles_simulated": data["total_cycles_simulated"],
-        })
-        data["history"] = history[-_HISTORY_LIMIT:]
+        """Dump this run's counters (:meth:`to_dict`) as JSON to
+        ``path``, replacing whatever the file held."""
         with open(path, "w") as handle:
-            json.dump(data, handle, indent=2, sort_keys=True)
+            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
             handle.write("\n")
 
     def render(self) -> str:
@@ -380,41 +349,3 @@ class PipelineMetrics:
                 f"quarantined")
         return "\n".join(lines)
 
-
-#: bound on the trajectory carried inside a bench JSON file
-_HISTORY_LIMIT = 50
-
-
-def compare_stage_walltimes(current: dict, baseline: dict,
-                            threshold: float = 0.25,
-                            min_seconds: float = 0.05) -> list[str]:
-    """Compare two bench-JSON dicts; return one line per regression.
-
-    A stage regresses when its per-invocation wall time exceeds the
-    baseline's by more than ``threshold`` (fraction).  Stages cheaper
-    than ``min_seconds`` total in the baseline are ignored — their
-    timings are dominated by noise, not by the code under test.  An
-    empty return value means no stage regressed.
-    """
-    regressions: list[str] = []
-    for name, base in baseline.get("stages", {}).items():
-        base_wall = base.get("wall_seconds", 0.0)
-        base_inv = base.get("invocations", 0)
-        if base_wall < min_seconds or not base_inv:
-            continue
-        cur = current.get("stages", {}).get(name)
-        if cur is None:
-            continue
-        cur_wall = cur.get("wall_seconds", 0.0)
-        cur_inv = cur.get("invocations", 0)
-        if not cur_inv:
-            continue
-        base_per = base_wall / base_inv
-        cur_per = cur_wall / cur_inv
-        if cur_per > base_per * (1.0 + threshold):
-            regressions.append(
-                f"{name}: {cur_per * 1000:.2f} ms/invocation vs baseline "
-                f"{base_per * 1000:.2f} ms "
-                f"(+{(cur_per / base_per - 1.0) * 100:.0f}%, threshold "
-                f"+{threshold * 100:.0f}%)")
-    return regressions

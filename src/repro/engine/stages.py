@@ -441,8 +441,8 @@ class PipelineContext:
 
     def _drain_native_counters(self) -> None:
         """Fold the supervisor's degradation telemetry into this run's
-        metrics, so demotions reach the summary and
-        ``BENCH_pipeline.json``, from pool workers too via their
+        metrics, so demotions reach the summary and the
+        ``--bench-json`` snapshot, from pool workers too via their
         ``to_dict`` round-trip."""
         from repro.fastpath import supervisor
         supervisor.drain_into(self.metrics)

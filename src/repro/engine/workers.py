@@ -55,7 +55,7 @@ def _finish(ctx: PipelineContext) -> dict:
     Drains the native-engine supervisor first, so a demotion that
     happened in this worker process rides the same ``to_dict`` →
     ``merge_dict`` round-trip as every other counter and reaches the
-    parent's summary and ``BENCH_pipeline.json``.
+    parent's summary and ``--bench-json`` snapshot.
     """
     from repro.fastpath import supervisor
     supervisor.drain_into(ctx.metrics)

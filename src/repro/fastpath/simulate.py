@@ -348,7 +348,7 @@ def emulate_and_simulate_stream(
     the fused run times every simulator feed separately and credits the
     split to the ``emulate`` and ``simulate`` stages (one invocation
     each), so streamed runs stay comparable with the unfused engines in
-    ``BENCH_pipeline.json``.
+    the ``--bench-json`` snapshot.
     """
     from time import perf_counter
 

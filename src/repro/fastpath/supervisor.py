@@ -37,7 +37,7 @@ compiler.  This module owns everything about *trusting* that code:
   ``native_parity_failures``, ``native_kernel_crashes``,
   ``kernel_cache_quarantined``) that :func:`drain_into` folds into a
   :class:`~repro.engine.metrics.PipelineMetrics`, so demotions reach
-  the run summary and ``BENCH_pipeline.json``.  All rungs are
+  the run summary and the ``--bench-json`` snapshot.  All rungs are
   byte-identical, so degradation is observable but never changes a
   figure.
 

@@ -82,11 +82,15 @@ def test_empty_corpus_messages(tmp_path, capsys):
 
 
 def test_bench_json_carries_fuzz_throughput(tmp_path):
+    """Each campaign writes its own counters; a second campaign into
+    the same file replaces the first's instead of adding to them."""
     bench = tmp_path / "bench.json"
-    code = main(["fuzz", "run", "--budget", "1", "--seed", "1",
-                 "--corpus-dir", str(tmp_path),
-                 "--bench-json", str(bench)] + _FAST)
-    assert code == 0
+    for _ in range(2):
+        code = main(["fuzz", "run", "--budget", "1", "--seed", "1",
+                     "--corpus-dir", str(tmp_path),
+                     "--bench-json", str(bench)] + _FAST)
+        assert code == 0
     data = json.loads(bench.read_text())
     assert data["fuzz_cases"] == 1
     assert data["fuzz_cases_per_second"] > 0
+    assert "history" not in data

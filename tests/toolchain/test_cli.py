@@ -29,6 +29,21 @@ def test_parser_requires_subcommand():
         build_parser().parse_args([])
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "--compare", "baseline.json"],
+    ["report", "--profile"],
+    ["figures", "--profile"],
+    ["bench", "--micro"],
+    ["bench", "wc", "--repeat", "3"],
+])
+def test_retired_bench_harness_flags_are_usage_errors(argv):
+    """Performance is measured by perfbench/; the in-product harness's
+    flags are gone, so argparse rejects them with exit code 2."""
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(argv)
+    assert excinfo.value.code == 2
+
+
 def test_list_workloads(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
