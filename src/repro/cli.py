@@ -24,8 +24,9 @@ Subcommands:
   corpus from the workload suite and examples;
 * ``list``     — list the registered workloads.
 
-``bench`` and ``report`` cache every compiled program and simulation
-result (never a trace) in a content-addressed store (``--cache-dir``,
+``bench`` and ``report`` cache the frontend IR, profiles, optimized
+programs and simulation results (never a scheduled program or a trace)
+in a content-addressed store (``--cache-dir``,
 default ``.repro-cache`` or ``$REPRO_CACHE_DIR``), so a repeated run is
 served entirely from artifacts; ``--jobs N`` fans the pipeline across a
 process pool.  Every store-backed suite run writes an fsync'd JSONL

@@ -23,12 +23,12 @@ from typing import Any
 #: bump to invalidate every artifact ever written (schema evolution of
 #: Program / stats serialization, simulator semantics changes).
 #: v2: execution artifacts stored columnar ``TraceColumns`` traces.
-#: Traces are no longer stored; bumping only for that would orphan every
-#: warm ``compiled`` and ``stats`` artifact for nothing.
+#: Traces and compiled programs are no longer stored; bumping for that
+#: would orphan every warm ``optimized`` and ``stats`` artifact.
 SCHEMA_VERSION = 2
 
-#: artifact kinds the store recognizes, in pipeline order
-KINDS = ("frontend", "profile", "optimized", "compiled", "stats")
+#: artifact kinds the store writes, in pipeline order
+KINDS = ("frontend", "profile", "optimized", "stats")
 
 
 def _canonical(obj: Any) -> Any:
@@ -99,7 +99,8 @@ def optimize_key(name: str, source: str, scale: float, max_steps: int,
 def compile_key(name: str, source: str, scale: float, max_steps: int,
                 model_name: str, options_digest: str,
                 schedule_digest: str) -> str:
-    """Key of a compiled program (depends on the profile's inputs too)."""
+    """Key of a compiled program (depends on the profile's inputs too);
+    it keys the in-process memo and :func:`execution_key`, not a file."""
     return stable_digest(SCHEMA_VERSION, "compiled", name, source, scale,
                          max_steps, model_name, options_digest,
                          schedule_digest)

@@ -9,9 +9,10 @@ bit-flipped artifacts are reported — and with ``--repair`` moved into
 temporary files (a writer died mid-write) and expired lock sidecars
 (left by older versions, which locked each write).
 
-Artifacts of a retired kind (``execution``: traces, no longer stored)
-are checked down to the body digest but not deserialized; nothing reads
-them, and ``repro cache clear`` reclaims them.
+Artifacts of a retired kind (``compiled`` and ``execution``: scheduled
+programs and traces, no longer stored) are checked down to the body
+digest but not deserialized; nothing reads them, and ``repro cache
+clear`` reclaims them.
 
 The scan never deletes artifact bytes: repair *moves* corrupt files
 aside for post-mortem; only disposable debris (tmp files, expired

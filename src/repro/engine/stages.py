@@ -11,16 +11,16 @@ machine — with two levels of reuse:
   before any computation and fed after it, so artifacts survive the
   process and are shared across processes.
 
-Traces are the exception: each is emulated once, simulated in the same
-process under every machine that shares its compiled program, and
-never stored.  Re-emulating costs less than writing and reading back
-the trace, and a warm run reads only ``stats``.
+Compiled programs and traces are the exception: scheduled from the
+optimized program, emulated once, simulated under every machine that
+shares them, and never stored.  Redoing them costs less than a store
+round trip, and a warm run reads only ``stats``.
 
 The in-process emulation, decode and simulator-table memos are keyed
 by the scheduled program's content (:func:`program_content`), not by
 compile key: machines whose schedules of one program come out
 instruction for instruction alike share one emulation, though each
-keeps its own compiled artifact and stored ``stats``.
+keeps its own stored ``stats``.
 
 Both the experiment suite (serial path) and the scheduler's pool
 workers (parallel path) drive this same class, so cache keying and
@@ -308,18 +308,14 @@ class PipelineContext:
                  machine: MachineDescription) -> CompiledProgram:
         """Program compiled for ``model`` on the schedule-relevant
         machine parameters (machines differing only in memory hierarchy
-        share the artifact).
+        share it).
 
         The passes run once per (workload, model): their output is
-        memoized here and stored as an ``optimized`` artifact, and each
-        further machine only schedules it.
+        memoized here and stored as an ``optimized`` artifact; each
+        machine only schedules it, and that result is never stored.
         """
         key = self.compile_key(workload, model, machine)
         compiled = self._compiled.get(key)
-        if compiled is None and self.store is not None:
-            compiled = self.store.get("compiled", key)
-            if compiled is not None:
-                self._adopt_uids(compiled.program)
         if compiled is None:
             base = self.frontend_program(workload)
             profile = self.profile(workload)
@@ -334,11 +330,9 @@ class PipelineContext:
             with self.metrics.timer("compile"):
                 compiled = compile_for_model(base, model, profile, machine,
                                              self.options, optimized=memo)
-            if self.store is not None:
-                if fresh:
-                    self.store.put("optimized", optimize_key, memo[model])
-                self.store.put("compiled", key, compiled)
-        self._compiled[key] = compiled
+            if fresh and self.store is not None:
+                self.store.put("optimized", optimize_key, memo[model])
+            self._compiled[key] = compiled
         return compiled
 
     def execution(self, workload: Workload, model: Model,

@@ -7,8 +7,8 @@ Layout::
     <root>/runs/<RUN_ID>.jsonl          (run journals; see recovery)
 
 ``kind`` is one of :data:`repro.engine.keys.KINDS`: the frontend IR,
-the training profile, the optimized and the compiled program, and the
-simulation stats.  Traces are not stored.  ``key`` is a
+the training profile, the optimized program and the simulation stats.
+Traces and scheduled programs are not stored.  ``key`` is a
 :func:`repro.engine.keys.stable_digest` of the artifact's inputs, so
 the path *is* the cache lookup.
 
@@ -71,14 +71,15 @@ class StoreStats:
                  f"  schema version : v{SCHEMA_VERSION}",
                  f"  artifacts      : {self.entries} "
                  f"({self.total_bytes / 1024:.1f} KiB)"]
-        # Kinds no longer written (``execution``) still show up in a
-        # store an older version filled.
+        # Kinds no longer written (``compiled``, ``execution``) still
+        # show up in a store an older version filled.
         retired = sorted(set(self.by_kind) - set(KINDS))
         for kind in KINDS + tuple(retired):
             if self.by_kind.get(kind):
                 lines.append(
                     f"    {kind:<9s}: {self.by_kind[kind]:>5d}  "
-                    f"{self.bytes_by_kind.get(kind, 0) / 1024:>9.1f} KiB")
+                    f"{self.bytes_by_kind.get(kind, 0) / 1024:>9.1f} KiB"
+                    + ("" if kind in KINDS else "  (retired)"))
         if self.stale_versions:
             lines.append(f"  stale versions : "
                          f"{', '.join(self.stale_versions)} "

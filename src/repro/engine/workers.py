@@ -3,11 +3,11 @@
 Each worker builds a short-lived :class:`PipelineContext` over the
 shared on-disk store, runs its stages, and returns only its metrics
 counters.  What it computed reaches the parent as stored artifacts —
-``stats`` for the figures, plus the ``profile``, ``optimized`` and
-``compiled`` programs later jobs reuse.  Traces never leave the worker:
-a job emulates a compiled program once and simulates every machine
-that shares it.  Specs are plain frozen dataclasses of picklable
-values (workload *names*, not objects: input builders are closures and
+``stats`` for the figures, plus the ``profile`` and ``optimized``
+program later jobs reuse.  Compiled programs and traces never leave
+the worker: a job compiles for one model, emulates once and simulates
+every machine that shares the program.  Specs are plain frozen
+dataclasses of picklable values (workload *names*, not objects: input builders are closures and
 the registry is re-imported in the worker).
 """
 

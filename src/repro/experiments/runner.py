@@ -289,10 +289,10 @@ class ExperimentSuite:
         triple whose stats are already stored, and fans the rest across
         ``jobs`` pool workers.  One measure job covers a (workload,
         model, compile key): it compiles, emulates once and simulates
-        every target machine sharing that compiled program, so its
-        trace never leaves the worker.  Every measure job of a
-        (workload, model) after the first depends on the first, so it
-        reads the stored optimized program instead of running the
+        every target machine sharing that compiled program, so neither
+        the program nor its trace leaves the worker.  Every measure job
+        of a (workload, model) after the first depends on the first, so
+        it reads the stored optimized program instead of running the
         passes again.  The plan is per-machine precise — the speedup
         figures need all three models on the evaluated machine but
         only SUPERBLOCK on the scalar baseline, and prefetching more

@@ -54,6 +54,9 @@ class PredDest:
     reg: PReg
     ptype: PType
 
+    def __reduce__(self):
+        return PredDest, (self.reg, self.ptype)
+
     def __repr__(self) -> str:
         return f"{self.reg}<{self.ptype.value}>"
 

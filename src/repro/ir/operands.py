@@ -44,6 +44,11 @@ class VReg:
         # same value in every process.  PReg takes the fourth residue.
         return self.index << 2 | self.rclass.ordinal
 
+    def __reduce__(self):
+        # Frozen slots dataclasses otherwise pickle through a generated
+        # __getstate__ that calls dataclasses.fields() per object.
+        return VReg, (self.index, self.rclass)
+
     def __repr__(self) -> str:
         return f"{self.rclass.value}{self.index}"
 
@@ -65,6 +70,9 @@ class PReg:
     def __hash__(self) -> int:
         return self.index << 2 | 3
 
+    def __reduce__(self):
+        return PReg, (self.index,)
+
     def __repr__(self) -> str:
         return f"p{self.index}"
 
@@ -78,6 +86,9 @@ class Imm:
     """An immediate (literal) operand; int or float."""
 
     value: int | float
+
+    def __reduce__(self):
+        return Imm, (self.value,)
 
     def __repr__(self) -> str:
         return f"#{self.value}"
@@ -93,6 +104,9 @@ class GlobalAddr:
 
     name: str
     offset: int = 0
+
+    def __reduce__(self):
+        return GlobalAddr, (self.name, self.offset)
 
     def __repr__(self) -> str:
         if self.offset:

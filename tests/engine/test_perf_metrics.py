@@ -24,10 +24,10 @@ def test_store_counts_bytes_written_and_read(tmp_path):
 def test_store_stats_reports_bytes_per_kind(tmp_path):
     store = ArtifactStore(tmp_path)
     store.put("stats", KEY, {"cycles": 42})
-    store.put("compiled", KEY, list(range(500)))
+    store.put("optimized", KEY, list(range(500)))
     stats = store.stats()
     assert stats.bytes_by_kind["stats"] > 0
-    assert stats.bytes_by_kind["compiled"] > stats.bytes_by_kind["stats"]
+    assert stats.bytes_by_kind["optimized"] > stats.bytes_by_kind["stats"]
     assert stats.total_bytes == sum(stats.bytes_by_kind.values())
     assert "KiB" in stats.render()
 

@@ -32,8 +32,8 @@ def test_empty_store_is_clean(tmp_path):
 
 def test_corrupt_artifact_reported_without_repair(tmp_path):
     store = _store_with(tmp_path, n=2)
-    store.put("compiled", KEY, list(range(100)))
-    path = store._path("compiled", KEY)
+    store.put("optimized", KEY, list(range(100)))
+    path = store._path("optimized", KEY)
     blob = bytearray(path.read_bytes())
     blob[-2] ^= 0xFF
     path.write_bytes(bytes(blob))
@@ -46,8 +46,8 @@ def test_corrupt_artifact_reported_without_repair(tmp_path):
 
 def test_repair_quarantines_corrupt_artifacts(tmp_path):
     store = _store_with(tmp_path, n=2)
-    store.put("compiled", KEY, list(range(100)))
-    path = store._path("compiled", KEY)
+    store.put("optimized", KEY, list(range(100)))
+    path = store._path("optimized", KEY)
     path.write_bytes(path.read_bytes()[:10])  # truncated envelope
     report = fsck_store(store, repair=True)
     assert report.corrupt == 1

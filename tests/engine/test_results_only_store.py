@@ -1,16 +1,19 @@
-"""The store holds results, not traces.
+"""The store holds results, not traces or scheduled programs.
 
-A trace is emulated, simulated under every machine that shares its
-compiled program, and dropped; only ``frontend``, ``profile``,
-``optimized``, ``compiled`` and ``stats`` artifacts reach the disk, on
+A program is scheduled for a machine from the stored ``optimized``
+program, and a trace is emulated, simulated under every machine that
+shares its compiled program, and dropped; only ``frontend``,
+``profile``, ``optimized`` and ``stats`` artifacts reach the disk, on
 the serial path and through the process pool alike.  A store written
-before traces stopped being stored keeps serving: its ``compiled`` and
-``stats`` keys are unchanged, and its leftover ``execution`` files
-neither break a warm run nor make ``cache fsck`` complain.
+before traces and compiled programs stopped being stored keeps
+serving: its ``optimized`` and ``stats`` keys are unchanged, and its
+leftover ``execution`` and ``compiled`` files neither break a warm run
+nor make ``cache fsck`` complain.
 """
 
 import hashlib
 import json
+import pickle
 import shutil
 
 import pytest
@@ -19,9 +22,13 @@ from repro.engine.keys import KINDS, SCHEMA_VERSION, stable_digest
 from repro.engine.metrics import STAGES
 from repro.engine.recovery.fsck import fsck_store
 from repro.engine.serialize import MAGIC
+from repro.engine.stages import PipelineContext
 from repro.engine.store import ArtifactStore
 from repro.experiments.render import render_all
 from repro.experiments.runner import ExperimentSuite
+from repro.machine.descriptor import CacheConfig, fig8_machine
+from repro.robustness.passgate import PassGate
+from repro.toolchain import Model
 from repro.workloads import get_workload
 
 SCALE = 0.2
@@ -60,6 +67,7 @@ def test_cold_serial_report_stores_no_traces(cold):
     assert suite.metrics.stages["emulate"].invocations > 0
     assert _stored_kinds(cache_dir) == set(KINDS)
     assert not list(cache_dir.glob("v*/execution"))
+    assert not list(cache_dir.glob("v*/compiled"))
 
 
 def test_cold_parallel_report_stores_no_traces(cold, tmp_path):
@@ -69,6 +77,7 @@ def test_cold_parallel_report_stores_no_traces(cold, tmp_path):
     assert parallel.metrics.jobs_dispatched > 0
     assert _stored_kinds(tmp_path) == set(KINDS)
     assert not list(tmp_path.glob("v*/execution"))
+    assert not list(tmp_path.glob("v*/compiled"))
 
 
 def test_warm_report_is_compute_free_and_byte_identical(cold):
@@ -78,34 +87,51 @@ def test_warm_report_is_compute_free_and_byte_identical(cold):
     _assert_compute_free(warm)
 
 
-def _old_trace_envelope() -> bytes:
-    """An ``execution`` artifact as older versions wrote it: a valid
-    envelope whose body rebuilds a trace through a function that no
-    longer exists."""
-    body = b"\x80\x04crepro.fastpath.columns\n_rebuild_columns\n)R."
-    header = json.dumps({"schema": SCHEMA_VERSION, "kind": "execution",
+def _old_envelope(kind: str, body: bytes) -> bytes:
+    """An artifact of a retired kind as older versions wrote it."""
+    header = json.dumps({"schema": SCHEMA_VERSION, "kind": kind,
                          "sha256": hashlib.sha256(body).hexdigest(),
                          "length": len(body)}, sort_keys=True).encode()
     return MAGIC + len(header).to_bytes(4, "big") + header + body
 
 
+def _seed_old(store_dir, kind: str, key: str, blob: bytes) -> None:
+    path = store_dir / f"v{SCHEMA_VERSION}" / kind / key[:2] / f"{key}.art"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(blob)
+
+
 def test_store_with_old_traces_serves_warm_and_fscks_clean(cold, tmp_path):
-    cache_dir, _suite, text = cold
+    cache_dir, suite, text = cold
     old = tmp_path / "old-store"
     shutil.copytree(cache_dir, old)
+    # A trace body that rebuilds through a function that no longer
+    # exists, and every compiled program of the cold run under its
+    # compile key, pickled as older versions stored them.
+    trace_body = b"\x80\x04crepro.fastpath.columns\n_rebuild_columns\n)R."
     for n in range(3):
-        key = stable_digest("old", "trace", n)
-        path = old / f"v{SCHEMA_VERSION}" / "execution" / key[:2] \
-            / f"{key}.art"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(_old_trace_envelope())
+        _seed_old(old, "execution", stable_digest("old", "trace", n),
+                  _old_envelope("execution", trace_body))
+    compiled = suite.ctx._compiled
+    assert compiled
+    for key, program in compiled.items():
+        _seed_old(old, "compiled", key, _old_envelope(
+            "compiled", pickle.dumps(program, protocol=4)))
     warm, warm_text = _report(old)
     assert warm_text == text
     _assert_compute_free(warm)
-    report = fsck_store(ArtifactStore(old))
-    assert report.clean, report.render()
+    report = fsck_store(ArtifactStore(old), repair=True)
+    assert report.clean and not report.issues, report.render()
+    assert not (old / "quarantine").exists()
     assert report.ok_by_kind["execution"] == 3
-    assert "execution" in ArtifactStore(old).stats().render()
+    assert report.ok_by_kind["compiled"] == len(compiled)
+    rendered = ArtifactStore(old).stats().render()
+    for kind in ("execution", "compiled"):
+        line = next(line for line in rendered.splitlines()
+                    if line.strip().startswith(kind))
+        assert line.endswith("(retired)"), line
+    stats = ArtifactStore(old).stats()
+    assert ArtifactStore(old).clear() == stats.entries
 
 
 def test_memoized_inputs_survive_a_full_figure_run(cold):
@@ -114,3 +140,41 @@ def test_memoized_inputs_survive_a_full_figure_run(cold):
     memoized = suite.ctx.inputs(wc)
     assert memoized is suite.ctx.inputs(wc)
     assert memoized == wc.inputs(SCALE)
+
+
+def test_a_later_context_schedules_the_stored_optimized_program(
+        tmp_path, monkeypatch):
+    """A stats miss in a later process runs no pass: it loads each
+    model's ``optimized`` program once and schedules it."""
+    wc = get_workload("wc")
+    suite = ExperimentSuite(workloads=[wc], scale=SCALE,
+                            cache_dir=str(tmp_path))
+    try:
+        suite.figure8()
+    finally:
+        suite.close_journal()
+    machine = fig8_machine().with_real_caches(CacheConfig(size_bytes=512),
+                                              CacheConfig(size_bytes=1024))
+    assert machine.schedule_digest() == fig8_machine().schedule_digest()
+    assert machine.digest() != fig8_machine().digest()
+
+    runs = []
+    original = PassGate.run
+
+    def counting(self, *args, **kwargs):
+        runs.append(args[1])
+        return original(self, *args, **kwargs)
+    monkeypatch.setattr(PassGate, "run", counting)
+    later = PipelineContext(scale=SCALE, store=ArtifactStore(tmp_path))
+    summaries = {model: later.run_summary(wc, model, machine)
+                 for model in Model}
+    monkeypatch.undo()
+
+    assert runs == []
+    assert later.metrics.cache["optimized"].hits == len(Model)
+    assert later.metrics.cache["optimized"].misses == 0
+    assert later.metrics.stages["compile"].invocations == len(Model)
+    assert not list(tmp_path.glob("v*/compiled"))
+    storeless = PipelineContext(scale=SCALE)
+    for model, summary in summaries.items():
+        assert summary == storeless.run_summary(wc, model, machine), model

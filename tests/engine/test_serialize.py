@@ -1,5 +1,6 @@
 """Round-trip serialization: program, stats."""
 
+import dataclasses
 import pathlib
 import pickle
 
@@ -13,18 +14,24 @@ from repro.engine.serialize import (MAGIC, pack, program_fingerprint,
 from repro.machine.descriptor import fig8_machine
 from repro.robustness.errors import TraceIntegrityError
 from repro.sim.pipeline import simulate_trace
-from repro.toolchain import Model, compile_for_model, frontend
+from repro.toolchain import (Model, frontend, optimize_for_model,
+                             schedule_for_machine)
 from repro.workloads import get_workload
 
 SCALE = 0.2
 
 
 @pytest.fixture(scope="module")
-def compiled():
+def optimized():
     wc = get_workload("wc")
     base = frontend(wc.source)
     profile = Profile.collect(base, inputs=wc.inputs(SCALE))
-    return compile_for_model(base, Model.CMOV, profile, fig8_machine())
+    return optimize_for_model(base, Model.CMOV, profile)
+
+
+@pytest.fixture(scope="module")
+def compiled(optimized):
+    return schedule_for_machine(optimized, fig8_machine())
 
 
 @pytest.fixture(scope="module")
@@ -34,14 +41,37 @@ def execution(compiled):
                        collect_trace=True)
 
 
-def test_program_round_trip(compiled):
-    blob = pack("compiled", compiled)
-    loaded = unpack(blob, expect_kind="compiled")
+def test_program_round_trip(optimized, compiled):
+    blob = pack("optimized", optimized)
+    loaded = unpack(blob, expect_kind="optimized")
     assert program_fingerprint(loaded.program) == \
+        program_fingerprint(optimized.program)
+    assert loaded.model is optimized.model
+    # The loaded program schedules to the same code and addresses.
+    rescheduled = schedule_for_machine(loaded, fig8_machine())
+    assert program_fingerprint(rescheduled.program) == \
         program_fingerprint(compiled.program)
-    assert loaded.addresses == compiled.addresses
-    assert loaded.model is compiled.model
-    assert loaded.static_size == compiled.static_size
+    assert rescheduled.addresses == compiled.addresses
+    assert rescheduled.static_size == compiled.static_size
+
+
+def test_packing_a_program_calls_no_dataclass_fields(monkeypatch):
+    """Operands pickle through their own ``__reduce__``, not the
+    ``dataclasses.fields()`` call per object that frozen slots
+    dataclasses otherwise make."""
+    program = frontend(get_workload("espresso").source)
+    calls = []
+    fields = dataclasses.fields
+
+    def counting(obj):
+        calls.append(type(obj).__name__)
+        return fields(obj)
+    monkeypatch.setattr(dataclasses, "fields", counting)
+    blob = pack("frontend", program)
+    monkeypatch.undo()
+    assert calls == []
+    loaded = unpack(blob, expect_kind="frontend")
+    assert program_fingerprint(loaded) == program_fingerprint(program)
 
 
 def test_stats_round_trip(compiled, execution):

@@ -118,11 +118,11 @@ def test_disk_full_put_leaves_no_debris_and_is_transient(tmp_path,
 def test_stats_inventory_and_stale_versions(tmp_path):
     store = ArtifactStore(tmp_path)
     store.put("stats", KEY, 1)
-    store.put("compiled", stable_digest("other"), 2)
+    store.put("optimized", stable_digest("other"), 2)
     (tmp_path / "v0" / "stats").mkdir(parents=True)
     inventory = store.stats()
     assert inventory.entries == 2
-    assert inventory.by_kind == {"compiled": 1, "stats": 1}
+    assert inventory.by_kind == {"optimized": 1, "stats": 1}
     assert inventory.total_bytes > 0
     assert inventory.stale_versions == ["v0"]
     rendered = inventory.render()

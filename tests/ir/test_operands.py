@@ -1,5 +1,10 @@
-"""Operand identity, hashing and display."""
+"""Operand identity, hashing, display and pickling."""
 
+import pickle
+
+import pytest
+
+from repro.ir.instruction import PredDest, PType
 from repro.ir.operands import (GlobalAddr, Imm, PReg, RegClass, VReg,
                                is_register)
 
@@ -44,3 +49,14 @@ def test_is_register():
     assert is_register(PReg(0))
     assert not is_register(Imm(1))
     assert not is_register(GlobalAddr("g"))
+
+
+@pytest.mark.parametrize("operand", [
+    VReg(3), VReg(7, RegClass.FLOAT), VReg(2, RegClass.PRED), PReg(4),
+    Imm(42), Imm(1.5), GlobalAddr("tab"), GlobalAddr("tab", 8),
+    PredDest(PReg(1), PType.OR_BAR)], ids=repr)
+def test_operands_round_trip_through_pickle(operand):
+    loaded = pickle.loads(pickle.dumps(operand, protocol=4))
+    assert type(loaded) is type(operand)
+    assert loaded == operand
+    assert hash(loaded) == hash(operand)
