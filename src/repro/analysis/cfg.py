@@ -18,10 +18,16 @@ def successors_map(fn: Function) -> dict[str, list[str]]:
     return succs
 
 
-def predecessors_map(fn: Function) -> dict[str, list[str]]:
+def predecessors_map(fn: Function,
+                     succs: dict[str, list[str]] | None = None
+                     ) -> dict[str, list[str]]:
+    """Predecessor labels of each block; ``succs`` is the function's
+    :func:`successors_map`, for a caller that already has it."""
+    if succs is None:
+        succs = successors_map(fn)
     preds: dict[str, list[str]] = {b.name: [] for b in fn.blocks}
-    for name, succs in successors_map(fn).items():
-        for s in succs:
+    for name, targets in succs.items():
+        for s in targets:
             preds[s].append(name)
     return preds
 
@@ -59,7 +65,7 @@ def reverse_postorder(fn: Function,
 def dominators(fn: Function) -> dict[str, set[str]]:
     """Classic iterative dominator sets (small CFGs, clarity over speed)."""
     succs = successors_map(fn)
-    preds = predecessors_map(fn)
+    preds = predecessors_map(fn, succs)
     order = reverse_postorder(fn, succs)
     all_blocks = set(order)
     entry = fn.entry.name

@@ -111,7 +111,9 @@ def _scan_block(facts: list[InstFacts], live_out: frozenset[Reg],
 
 
 def liveness(fn: Function,
-             facts: dict[str, list[InstFacts]] | None = None) -> Liveness:
+             facts: dict[str, list[InstFacts]] | None = None,
+             succs: dict[str, list[str]] | None = None,
+             preds: dict[str, list[str]] | None = None) -> Liveness:
     """Worklist fixpoint, seeded in layout order and driven backward.
 
     A block is rescanned only when some successor's live-in actually
@@ -124,12 +126,16 @@ def liveness(fn: Function,
     ``facts`` maps block names to :func:`instruction_facts` of their
     instructions, for a caller that already has them; by default they
     are computed here, once per block rather than once per rescan.
+    ``succs`` and ``preds`` are the function's :func:`successors_map`
+    and :func:`predecessors_map`, likewise.
     """
     if facts is None:
         facts = {b.name: instruction_facts(b.instructions)
                  for b in fn.blocks}
-    succs = successors_map(fn)
-    preds = predecessors_map(fn)
+    if succs is None:
+        succs = successors_map(fn)
+    if preds is None:
+        preds = predecessors_map(fn, succs)
     live_in: dict[str, frozenset[Reg]] = {b.name: frozenset()
                                           for b in fn.blocks}
     live_out: dict[str, frozenset[Reg]] = {b.name: frozenset()

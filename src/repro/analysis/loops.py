@@ -28,7 +28,7 @@ class Loop:
 def find_loops(fn: Function) -> list[Loop]:
     """All natural loops, merged per header, with nesting links."""
     succs = successors_map(fn)
-    preds = predecessors_map(fn)
+    preds = predecessors_map(fn, succs)
     dom = dominators(fn)
     loops: dict[str, Loop] = {}
     for block, targets in succs.items():

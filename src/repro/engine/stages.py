@@ -317,8 +317,6 @@ class PipelineContext:
         key = self.compile_key(workload, model, machine)
         compiled = self._compiled.get(key)
         if compiled is None:
-            base = self.frontend_program(workload)
-            profile = self.profile(workload)
             memo = self._optimized.setdefault(self.profile_key(workload), {})
             optimize_key = self.optimize_key(workload, model)
             if model not in memo and self.store is not None:
@@ -327,6 +325,9 @@ class PipelineContext:
                     self._adopt_uids(optimized.program)
                     memo[model] = optimized
             fresh = model not in memo
+            # Scheduling a memoized program needs neither input.
+            base = self.frontend_program(workload) if fresh else None
+            profile = self.profile(workload) if fresh else None
             with self.metrics.timer("compile"):
                 compiled = compile_for_model(base, model, profile, machine,
                                              self.options, optimized=memo)

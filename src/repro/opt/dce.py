@@ -8,20 +8,40 @@ at that point even if the straight-line code redefines it later.
 
 from __future__ import annotations
 
+from repro.analysis.cfg import predecessors_map, successors_map
 from repro.analysis.liveness import liveness
 from repro.ir.function import Function
-from repro.ir.instruction import instruction_facts
+from repro.ir.instruction import InstFacts, instruction_facts
 
 
 def eliminate_dead_code(fn: Function) -> bool:
     """Remove pure instructions whose results are never used."""
+    return bool(remove_dead_instructions(fn, {}))
+
+
+def remove_dead_instructions(fn: Function,
+                             facts: dict[str, list[InstFacts]]
+                             ) -> set[str]:
+    """Remove pure instructions whose results are never used; returns
+    the names of the blocks it rewrote.
+
+    ``facts`` maps block names to :func:`instruction_facts` of their
+    instructions.  A missing entry is computed here and every rewritten
+    block's entry is replaced, so the cache stays valid for a caller
+    that drops the entry of each block it changes itself.
+    """
     # Removing an instruction changes no other's facts, so one
     # computation serves every round: the swept lists shrink in step
     # with the blocks.
-    facts = {b.name: instruction_facts(b.instructions) for b in fn.blocks}
-    changed = False
+    for block in fn.blocks:
+        if block.name not in facts:
+            facts[block.name] = instruction_facts(block.instructions)
+    # Nor does removing a pure instruction change the CFG.
+    succs = successors_map(fn)
+    preds = predecessors_map(fn, succs)
+    rewritten: set[str] = set()
     while True:
-        live = liveness(fn, facts)
+        live = liveness(fn, facts, succs, preds)
         round_changed = False
         for block in fn.blocks:
             live_now = set(live.live_out[block.name])
@@ -46,6 +66,6 @@ def eliminate_dead_code(fn: Function) -> bool:
                 kept.reverse()
                 block.instructions = [inst for inst, _ in kept]
                 facts[block.name] = [f for _, f in kept]
+                rewritten.add(block.name)
         if not round_changed:
-            return changed
-        changed = True
+            return rewritten

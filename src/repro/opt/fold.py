@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.emu.memory import EmulationFault
-from repro.ir.function import Function
+from repro.ir.function import BasicBlock, Function
 from repro.ir.instruction import Instruction
 from repro.ir.opcodes import OpCategory, Opcode
 from repro.ir.operands import Imm
@@ -113,30 +113,34 @@ def _fold_instruction(inst: Instruction) -> Instruction | None:
     return None
 
 
+def fold_block(block: BasicBlock) -> bool:
+    """Fold constant expressions in ``block``; returns True if changed."""
+    changed = False
+    new_insts: list[Instruction] = []
+    for inst in block.instructions:
+        # Fold constant conditional branches to jumps / fallthroughs.
+        if inst.cat is OpCategory.BRANCH \
+                and all(isinstance(s, Imm) for s in inst.srcs) \
+                and inst.pred is None:
+            taken = _CMP_EVAL[inst.condition](inst.srcs[0].value,
+                                              inst.srcs[1].value)
+            changed = True
+            if taken:
+                new_insts.append(inst.copy(op=Opcode.JUMP, srcs=()))
+                # The rest of the block is unreachable behind the
+                # now-unconditional jump.
+                break
+            continue
+        folded = _fold_instruction(inst)
+        if folded is not None:
+            new_insts.append(folded)
+            changed = True
+        else:
+            new_insts.append(inst)
+    block.instructions = new_insts
+    return changed
+
+
 def fold_constants(fn: Function) -> bool:
     """Fold constant expressions in place; returns True if changed."""
-    changed = False
-    for block in fn.blocks:
-        new_insts: list[Instruction] = []
-        for inst in block.instructions:
-            # Fold constant conditional branches to jumps / fallthroughs.
-            if inst.cat is OpCategory.BRANCH \
-                    and all(isinstance(s, Imm) for s in inst.srcs) \
-                    and inst.pred is None:
-                taken = _CMP_EVAL[inst.condition](inst.srcs[0].value,
-                                                  inst.srcs[1].value)
-                changed = True
-                if taken:
-                    new_insts.append(inst.copy(op=Opcode.JUMP, srcs=()))
-                    # The rest of the block is unreachable behind the
-                    # now-unconditional jump.
-                    break
-                continue
-            folded = _fold_instruction(inst)
-            if folded is not None:
-                new_insts.append(folded)
-                changed = True
-            else:
-                new_insts.append(inst)
-        block.instructions = new_insts
-    return changed
+    return any([fold_block(block) for block in fn.blocks])

@@ -92,7 +92,7 @@ def select_blocks(fn: Function, entry: str, candidates: set[str],
         selected.add(label)
 
     succs = successors_map(fn)
-    preds = predecessors_map(fn)
+    preds = predecessors_map(fn, succs)
 
     def close(sel: set[str]) -> set[str]:
         """Blocks reachable from entry inside ``sel``."""

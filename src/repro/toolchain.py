@@ -346,7 +346,8 @@ def compile_for_model(base: Program, model: Model, profile: Profile,
     ``optimized``, when given, memoizes the first step by model: an
     entry is scheduled as it is, a missing one is optimized and added.
     One memo must only ever see one (``base``, ``profile``,
-    ``options``).
+    ``options``).  ``base`` and ``profile`` are read only on a miss, so
+    a caller that knows the memo holds ``model`` may pass None.
     """
     result = optimized.get(model) if optimized is not None else None
     if result is None:

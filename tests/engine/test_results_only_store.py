@@ -178,3 +178,29 @@ def test_a_later_context_schedules_the_stored_optimized_program(
     storeless = PipelineContext(scale=SCALE)
     for model, summary in summaries.items():
         assert summary == storeless.run_summary(wc, model, machine), model
+
+
+def test_a_stored_optimized_program_needs_no_frontend_or_profile(
+        tmp_path):
+    """Scheduling the stored ``optimized`` program reads neither of the
+    artifacts only optimizing needs."""
+    wc = get_workload("wc")
+    suite = ExperimentSuite(workloads=[wc], scale=SCALE,
+                            cache_dir=str(tmp_path))
+    try:
+        suite.figure8()
+    finally:
+        suite.close_journal()
+    machine = fig8_machine().with_real_caches(CacheConfig(size_bytes=512),
+                                              CacheConfig(size_bytes=1024))
+    later = PipelineContext(scale=SCALE, store=ArtifactStore(tmp_path))
+    summaries = {model: later.run_summary(wc, model, machine)
+                 for model in Model}
+
+    cache = later.metrics.cache
+    assert cache["optimized"].hits == len(Model)
+    assert [cache[kind].hits + cache[kind].misses
+            for kind in ("frontend", "profile")] == [0, 0]
+    storeless = PipelineContext(scale=SCALE)
+    for model, summary in summaries.items():
+        assert summary == storeless.run_summary(wc, model, machine), model
