@@ -13,7 +13,10 @@ Integers are 32-bit two's-complement words; floats occupy 8 bytes.
 
 from __future__ import annotations
 
+import mmap
 import struct
+import sys
+from array import array
 
 from repro.ir.function import GlobalVar, Program
 
@@ -26,12 +29,29 @@ class EmulationFault(Exception):
     """A program-terminating exception (illegal address, divide by zero)."""
 
 
-class Memory:
-    """Byte-addressed memory with typed word accessors."""
+def zero_pages(size: int) -> mmap.mmap:
+    """``size`` zero bytes of private anonymous memory.
 
-    def __init__(self, size: int = DEFAULT_SIZE):
+    The OS fills a page with zeros on its first write, so a user pays
+    only for the pages it touches (a ``bytearray`` zeroes all of them),
+    and they go back to the OS when the mapping is dropped.  Copy
+    access makes the mapping private: a forked worker writes its own
+    copy, never its parent's pages.
+    """
+    return mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
+
+
+class Memory:
+    """Byte-addressed memory with typed word accessors.
+
+    ``data`` lends an all-zero writable buffer of ``size`` bytes, such
+    as a view of :func:`zero_pages`, to use instead of a new one.
+    """
+
+    def __init__(self, size: int = DEFAULT_SIZE,
+                 data: bytearray | memoryview | None = None):
         self.size = size
-        self.data = bytearray(size)
+        self.data = bytearray(size) if data is None else data
         self.stack_pointer = size
 
     def _check(self, addr: int, nbytes: int) -> None:
@@ -132,20 +152,48 @@ def _write_values(memory: Memory, base: int, g: GlobalVar,
         raise EmulationFault(
             f"initializer for {g.name} has {count} elements, "
             f"declared {g.count}")
-    if g.is_float:
-        width = 8
-        blob = struct.pack(f"<{count}d", *map(float, values))
-    elif g.elem_size == 1:
-        width = 1
-        blob = values if isinstance(values, bytes) \
-            else bytes(int(v) & 0xFF for v in values)
-    else:
-        width = 4
-        blob = struct.pack(f"<{count}I",
-                           *[int(v) & 0xFFFFFFFF for v in values])
+    width = 8 if g.is_float else 1 if g.elem_size == 1 else 4
+    blob = _bulk_image(values, width)
+    if blob is None:
+        blob = _exact_image(values, width)
     if count and (base < SAFE_ADDR or base + len(blob) > memory.size):
         first_bad = 0 if base < SAFE_ADDR \
             else max(0, (memory.size - base) // width)
         raise EmulationFault(
             f"illegal memory access at {base + width * first_bad:#x}")
     memory.data[base:base + len(blob)] = blob
+
+
+def _exact_image(values, width: int) -> bytes:
+    """The image element by element: ``float`` each value, or mask its
+    ``int`` to the width."""
+    if width == 8:
+        return struct.pack(f"<{len(values)}d", *map(float, values))
+    if width == 1:
+        return values if isinstance(values, bytes) \
+            else bytes(int(v) & 0xFF for v in values)
+    return struct.pack(f"<{len(values)}I",
+                       *[int(v) & 0xFFFFFFFF for v in values])
+
+
+#: ``array`` typecodes whose items are exactly each width, signed and
+#: unsigned: a list whose every element fits one of them (floats:
+#: converts to one) packs in C, and its bytes are the masked image.
+_BULK_TYPECODES = {8: "d", 4: "iI", 1: "Bb"}
+
+
+def _bulk_image(values, width: int) -> bytes | None:
+    """The little-endian image of a list or tuple of ``values`` packed
+    at ``width`` in C, or None when some element needs the exact
+    per-element path (out of range, wrong type)."""
+    if type(values) not in (list, tuple):
+        return None
+    for code in _BULK_TYPECODES[width]:
+        try:
+            packed = array(code, values)
+        except (TypeError, OverflowError, ValueError):
+            continue
+        if sys.byteorder == "big":
+            packed.byteswap()
+        return packed.tobytes()
+    return None

@@ -15,7 +15,8 @@ the text below is compiled on demand with the system C compiler (see
   arithmetic, dynamic int/float typing, guard nullification,
   predicate truth tables, speculative-op behaviour, trace event
   stream, block/branch profile counting with first-occurrence order,
-  fault codes at the exact serial fault points).  It suspends when
+  fault codes at the exact serial fault points, and the store-stream
+  signature folded with CPython's own hash).  It suspends when
   the trace chunk buffer fills (``EMU_CHUNK``), letting Python drain
   the chunk and resume — which is how both the streamed (sink) and
   collected trace modes are produced byte-identically.
@@ -266,6 +267,8 @@ enum {
 #define NXT_NONE (-10)
 #define TGT_UNKNOWN (-2)
 
+#define SAFE_ADDR 32
+
 typedef struct { int64_t i; double f; uint8_t isf; } Val;
 
 typedef struct {
@@ -303,6 +306,8 @@ typedef struct {
     int64_t steps, suppressed;
     int64_t tn, nvals;
     int64_t order_n, border_n;
+    int64_t out_count;
+    uint64_t sig;
     int32_t fid, pc;
     int64_t rbase, pbase;
     int64_t *ri; double *rf; uint8_t *rtag;
@@ -425,12 +430,92 @@ static int ensure_regs(Emu *e, int64_t nr, int64_t np)
     return 1;
 }
 
+/* ---------------------------------------------------------------- */
+/* Store-stream signature: CPython's hash((addr, value)), folded      */
+/* FNV-style exactly as emu/interpreter.py folds it.  64-bit hashes:  */
+/* an int hashes to itself mod 2^61-1, a float by _Py_HashDouble, a   */
+/* tuple by the xxHash-style combine of CPython 3.8+.  NaN stores     */
+/* fold through NAN_KEY (hash(nan) is id-based on 3.10+).             */
+/* ---------------------------------------------------------------- */
+
+#define PYHASH_BITS 61
+#define PYHASH_MOD ((UINT64_C(1) << PYHASH_BITS) - 1)
+#define PYHASH_INF UINT64_C(314159)
+#define XXPRIME_1 UINT64_C(11400714785074694791)
+#define XXPRIME_2 UINT64_C(14029467366897019727)
+#define XXPRIME_5 UINT64_C(2870177450012600261)
+#define SIG_PRIME UINT64_C(1099511628211)
+#define NAN_KEY INT64_C(0x7FF8000000000000)
+
+static inline uint64_t py_hash_int(int64_t v)
+{
+    const uint64_t mag = v < 0 ? UINT64_C(0) - (uint64_t)v : (uint64_t)v;
+    uint64_t x = mag % PYHASH_MOD;
+    if (v < 0)
+        x = UINT64_C(0) - x;
+    return x == UINT64_MAX ? UINT64_MAX - 1 : x;
+}
+
+static uint64_t py_hash_double(double v)
+{
+    if (isnan(v))
+        return py_hash_int(NAN_KEY);
+    if (isinf(v))
+        return v > 0 ? PYHASH_INF : UINT64_C(0) - PYHASH_INF;
+    int e;
+    double m = frexp(v, &e);
+    int neg = 0;
+    if (m < 0) {
+        neg = 1;
+        m = -m;
+    }
+    uint64_t x = 0;
+    while (m != 0.0) {
+        x = ((x << 28) & PYHASH_MOD) | x >> (PYHASH_BITS - 28);
+        m *= 268435456.0;  /* 2**28 */
+        e -= 28;
+        const uint64_t y = (uint64_t)m;
+        m -= (double)y;
+        x += y;
+        if (x >= PYHASH_MOD)
+            x -= PYHASH_MOD;
+    }
+    e = e >= 0 ? e % PYHASH_BITS
+               : PYHASH_BITS - 1 - ((-1 - e) % PYHASH_BITS);
+    x = ((x << e) & PYHASH_MOD) | x >> (PYHASH_BITS - e);
+    if (neg)
+        x = UINT64_C(0) - x;
+    return x == UINT64_MAX ? UINT64_MAX - 1 : x;
+}
+
+static inline uint64_t xx_lane(uint64_t acc, uint64_t lane)
+{
+    acc += lane * XXPRIME_2;
+    acc = (acc << 31) | (acc >> 33);
+    return acc * XXPRIME_1;
+}
+
+static inline void fold_store(Emu *e, int64_t addr, Val v)
+{
+    if (addr == SAFE_ADDR)
+        return;
+    uint64_t acc = XXPRIME_5;
+    acc = xx_lane(acc, py_hash_int(addr));
+    acc = xx_lane(acc, v.isf ? py_hash_double(v.f) : py_hash_int(v.i));
+    acc += 2 ^ (XXPRIME_5 ^ UINT64_C(3527539));
+    if (acc == UINT64_MAX)
+        acc = UINT64_C(1546275796);
+    e->out_count++;
+    e->sig = (e->sig ^ acc) * SIG_PRIME;
+}
+
 /* ptrs layout: see native.py _EMU_PTRS.  cfg:
    0 nfuncs 1 ncode 2 memsize 3 max_steps 4 chunk_cap 5 entry_fid
    6 nsites 7 nbuids 8 max_call_args
    out (i64[16]):
    0 steps 1 suppressed 2 ret_isf 3 ret_i 4 fault_code 5 fault_pc
-   6 fault_aux 7 order_n 8 border_n 9 tn 10 nvals 11 fault_fid */
+   6 fault_aux 7 order_n 8 border_n 9 tn 10 nvals 11 fault_fid
+   12 output_count 13 output_signature (the uint64 bits) */
 
 void *emu_new(const int64_t *ptrs, const int64_t *cfg)
 {
@@ -539,6 +624,8 @@ static int emu_finish(Emu *e, int status, int64_t fault_code,
     e->out[9] = e->tn;
     e->out[10] = e->nvals;
     e->out[11] = e->fid;
+    e->out[12] = e->out_count;
+    memcpy(&e->out[13], &e->sig, sizeof e->sig);
     e->out_f[0] = ret.f;
     return status;
 }
@@ -866,6 +953,7 @@ int emu_run(void *h)
             e->val_i[e->nvals] = sval.i;
             e->val_f[e->nvals] = sval.f;
             e->val_isf[e->nvals] = sval.isf;
+            fold_store(e, addr, sval);
             EMIT(sx, 1, addr, e->nvals);
             e->nvals++;
             goto advance;

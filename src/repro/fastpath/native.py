@@ -21,16 +21,17 @@ Two kernels:
   serial dict insertion order, store-stream signature, memory digest,
   fault messages) and the same :class:`TraceColumns` chunk stream.
   The C side suspends whenever its chunk buffer fills; Python drains
-  the buffer (sink flush or trace merge, signature update) and
-  resumes, so sink chunk boundaries match the serial engine exactly.
+  the buffer (sink flush or trace merge) and resumes, so sink chunk
+  boundaries match the serial engine exactly.  The kernel folds the
+  store-stream signature itself, with CPython's hash reproduced in C.
 * :func:`sim_scan_chunk` — one ``StreamSimulator.feed`` pass over a
   chunk with all carried state (scoreboard, BTB, cache tags, issue
   counters) in caller-owned numpy arrays, driven by
   :class:`~repro.fastpath.vector.VectorSimulator`.
 
-The emulator marshals a :class:`DecodedProgram` once into flat int32/
-int64/float64 arrays (:class:`NativeProgram`, cached per decoded
-program) — per-pc operand fields, CSR tables for call args, predicate
+Each run marshals its :class:`DecodedProgram` into flat int32/
+int64/float64 arrays (:class:`NativeProgram`, one array per dtype) —
+per-pc operand fields, CSR tables for call args, predicate
 define tables, params, constants, and the pre-walked fall-through
 chains whose block keys the C kernel counts in first-occurrence order
 so Python can rebuild ``block_counts`` with serial insertion order.
@@ -42,19 +43,20 @@ import ctypes
 import hashlib
 import threading
 import time
+from itertools import chain
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.emu.interpreter import _CMP, StepLimitExceeded
-from repro.emu.memory import (GLOBAL_BASE, SAFE_ADDR, EmulationFault,
-                              Memory, layout_globals)
+from repro.emu.memory import (DEFAULT_SIZE, GLOBAL_BASE, EmulationFault,
+                              Memory, layout_globals, zero_pages)
 from repro.emu.trace import ExecutionResult
 from repro.fastpath.columns import TraceColumns
 from repro.fastpath.decode import (
-    K_BRANCH, K_CALL, K_CMOV, K_CMP, K_DIV, K_FDIV, K_FLOAD, K_JUMP,
-    K_LOAD, K_LOAD_B, K_NOP, K_PREDDEF, K_PREDSET, K_REM, K_RET,
-    K_STORE, K_STORE_B, K_FSTORE, DecodedProgram, decode_program)
+    K_BRANCH, K_CALL, K_CMP, K_FSTORE, K_JUMP, K_NOP, K_PREDDEF,
+    K_PREDSET, K_RET, K_STORE, K_STORE_B, DecodedProgram,
+    decode_program)
 from repro.fastpath.interp import run_program_fast
 
 if TYPE_CHECKING:
@@ -62,11 +64,6 @@ if TYPE_CHECKING:
     from repro.ir.function import Program
 
 _U64 = 0xFFFFFFFFFFFFFFFF
-_SIG_PRIME = 1099511628211
-#: signature stand-in for NaN store values (quiet-NaN bit
-#: pattern); int hashes are deterministic where hash(nan)
-#: is id-based on 3.10+
-_NAN_KEY = 0x7FF8000000000000
 
 # emu_run statuses / fault codes — keep in sync with _native_src.
 _ST_DONE = 0
@@ -220,76 +217,87 @@ _CMP_ORD = _cmp_ordinals()
 # Program marshaling                                                #
 # ----------------------------------------------------------------- #
 
+#: Per-pc columns of the program image, in their ``emu_new`` slot
+#: order: the first 16 fill slots 10..25, the last 4 slots 32..35.
+_PC_COLUMNS = ("kind", "sidx", "dest", "m0", "i0", "m1", "i1", "m2",
+               "i2", "guard", "cond", "spec", "buid", "tgt_pc",
+               "tgt_chain", "callee", "pdp", "nxt_pc", "nxt_chain",
+               "fn_of_pc")
+#: Pointer slots of ``emu_new`` (see the C source).
+_NSLOTS = 52
+_SLOT_MEM = 36       # 36: memory, 37..43: the chunk buffers
+_SLOT_RESULTS = 44   # 44..49: profile counters and the out vectors
+_SLOT_CHAIN = 50     # 50/51: the chain CSR
+
+
+def _addr(a: np.ndarray) -> int:
+    return a.ctypes.data
+
+
 class NativeProgram:
     """Flat array image of a :class:`DecodedProgram` (+ resolved
-    constants) shared by every native run of that program."""
+    constants) for one native run.
+
+    Every section (a per-pc column, a CSR table, ...) is gathered as a
+    Python list, and the sections are packed into one array per dtype
+    (``arrays``).  ``ptrs`` holds the image's slots of the ``emu_new``
+    pointer vector, which each run copies and completes.
+    """
 
     __slots__ = (
-        "static_arrays", "chain_off", "chain_keys", "nfuncs", "ncode",
-        "entry_fid", "nkeys", "nbuids", "max_call_args", "keys_list",
-        "uids", "names", "branch_msgs", "jump_msgs", "decoded")
+        "arrays", "ptrs", "nfuncs", "ncode", "entry_fid", "nkeys",
+        "nbuids", "max_call_args", "keys_list", "uids", "names",
+        "branch_msgs", "jump_msgs")
 
     def __init__(self, decoded: DecodedProgram, layout: dict[str, int]):
-        self.decoded = decoded
         fns = list(decoded.functions.values())
         fid_of = {fn.name: i for i, fn in enumerate(fns)}
-        nf = len(fns)
-        self.nfuncs = nf
+        self.nfuncs = len(fns)
         self.names = [fn.name for fn in fns]
         self.entry_fid = fid_of[decoded.entry]
-
-        pc_base = []
-        ncode = 0
-        for fn in fns:
-            pc_base.append(ncode)
-            ncode += len(fn.code)
-        self.ncode = ncode
 
         # Shared namespaces: block-profile keys, chains, branch uids.
         key_id: dict[tuple, int] = {}
         keys_list: list[tuple] = []
         chain_id: dict[tuple, int] = {}
-        chain_rows: list[tuple] = []
+        chain_off = [0]
+        chain_keys: list[int] = []
 
         def intern_chain(keys: tuple) -> int:
-            kids = []
-            for k in keys:
-                i = key_id.get(k)
-                if i is None:
-                    i = key_id[k] = len(keys_list)
-                    keys_list.append(k)
-                kids.append(i)
-            row = tuple(kids)
-            ci = chain_id.get(row)
+            ci = chain_id.get(keys)
             if ci is None:
-                ci = chain_id[row] = len(chain_rows)
-                chain_rows.append(row)
+                ci = chain_id[keys] = len(chain_off) - 1
+                for k in keys:
+                    i = key_id.get(k)
+                    if i is None:
+                        i = key_id[k] = len(keys_list)
+                        keys_list.append(k)
+                    chain_keys.append(i)
+                chain_off.append(len(chain_keys))
             return ci
 
         uid_id: dict[int, int] = {}
         uids: list[int] = []
 
-        i32 = np.int32
-        fn_nregs = np.zeros(max(nf, 1), i32)
-        fn_npregs = np.zeros(max(nf, 1), i32)
-        fn_entry_pc = np.zeros(max(nf, 1), i32)
-        fn_entry_chain = np.zeros(max(nf, 1), i32)
-        fn_params_off = np.zeros(nf + 1, i32)
-        fn_const_off = np.zeros(nf + 1, i32)
+        fn_nregs: list[int] = []
+        fn_npregs: list[int] = []
+        fn_entry_pc: list[int] = []
+        fn_entry_chain: list[int] = []
+        fn_params_off = [0]
+        fn_const_off = [0]
         params_flat: list[int] = []
         const_i: list[int] = []
         const_f: list[float] = []
         const_isf: list[int] = []
-
-        col = {name: np.zeros(max(ncode, 1), i32)
-               for name in ("kind", "sidx", "dest", "m0", "i0", "m1",
-                            "i1", "m2", "i2", "guard", "cond", "spec",
-                            "buid", "tgt_pc", "tgt_chain", "callee",
-                            "pdp", "nxt_pc", "nxt_chain", "fn_of_pc")}
-        cargs_off = np.zeros(ncode + 2, i32)
+        # The per-pc columns, interleaved one pc after another.  Each
+        # row tuple is freed as soon as it is appended, so building the
+        # image leaves the cyclic GC nothing new to track.
+        flat: list[int] = []
+        ncode = 0
+        cargs_off = [0]
         cargs_mode: list[int] = []
         cargs_idx: list[int] = []
-        pd_off = np.zeros(ncode + 2, i32)
+        pd_off = [0]
         pd_pidx: list[int] = []
         pd_table: list[int] = []
         branch_msgs: dict[int, str] = {}
@@ -297,21 +305,19 @@ class NativeProgram:
         max_call_args = 1
 
         for fid, fn in enumerate(fns):
-            base = pc_base[fid]
-            fn_nregs[fid] = fn.nregs
-            fn_npregs[fid] = fn.npregs
+            base = ncode
+            fn_nregs.append(fn.nregs)
+            fn_npregs.append(fn.npregs)
             ek, epc = fn.entry
-            fn_entry_pc[fid] = base + epc if epc >= 0 else -1
-            fn_entry_chain[fid] = intern_chain(ek)
-            fn_params_off[fid + 1] = fn_params_off[fid] + len(fn.params)
+            fn_entry_pc.append(base + epc if epc >= 0 else -1)
+            fn_entry_chain.append(intern_chain(ek))
             params_flat.extend(fn.params)
-            fn_const_off[fid + 1] = fn_const_off[fid] \
-                + len(fn.consts_spec)
-            for spec in fn.consts_spec:
-                if spec[0] == "imm":
-                    v = spec[1]
+            fn_params_off.append(len(params_flat))
+            for cspec in fn.consts_spec:
+                if cspec[0] == "imm":
+                    v = cspec[1]
                 else:
-                    v = layout[spec[1]] + spec[2]
+                    v = layout[cspec[1]] + cspec[2]
                 if isinstance(v, float):
                     const_i.append(0)
                     const_f.append(v)
@@ -320,105 +326,78 @@ class NativeProgram:
                     const_i.append(int(v))
                     const_f.append(0.0)
                     const_isf.append(0)
+            fn_const_off.append(len(const_i))
+            top_reg = max(fn.nregs, 1) - 1
 
-            for lpc, t in enumerate(fn.code):
-                pc = base + lpc
+            for t, ne in zip(fn.code, fn.nxt):
                 (kind, sidx, dest, m0, i0, m1, i1, m2, i2, guard,
                  aux) = t
-                c = col
-                c["kind"][pc] = kind
-                c["sidx"][pc] = sidx
-                c["m0"][pc] = m0
-                c["i0"][pc] = i0
-                c["m1"][pc] = m1
-                c["i1"][pc] = i1
-                c["m2"][pc] = m2
-                c["i2"][pc] = i2
-                c["guard"][pc] = guard
-                c["fn_of_pc"][pc] = fid
                 if dest < 0 and kind not in _NO_REG_WRITE:
-                    dest = max(fn.nregs, 1) - 1
-                c["dest"][pc] = dest
-                cargs_off[pc + 1] = cargs_off[pc]
-                pd_off[pc + 1] = pd_off[pc]
-
-                if kind == K_CMP:
-                    c["cond"][pc] = _CMP_ORD[id(aux)]
+                    dest = top_reg
+                cond = spec = buid = tgt_pc = tgt_chain = callee = 0
+                pdp = 0
+                target = None
+                if aux is None:  # a plain op: no payload
+                    pass
+                elif kind == K_CMP:
+                    cond = _CMP_ORD[id(aux)]
                 elif kind == K_BRANCH:
                     cmpfn, uid, target, label = aux
-                    c["cond"][pc] = _CMP_ORD[id(cmpfn)]
-                    bi = uid_id.get(uid)
-                    if bi is None:
-                        bi = uid_id[uid] = len(uids)
+                    cond = _CMP_ORD[id(cmpfn)]
+                    buid = uid_id.get(uid)
+                    if buid is None:
+                        buid = uid_id[uid] = len(uids)
                         uids.append(uid)
-                    c["buid"][pc] = bi
                     if target is None:
-                        c["tgt_pc"][pc] = _TGT_UNKNOWN
-                        branch_msgs[pc] = (f"{fn.name}: branch to "
-                                           f"unknown label {label!r}")
-                    else:
-                        tk, tpc = target
-                        c["tgt_pc"][pc] = base + tpc if tpc >= 0 else -1
-                        c["tgt_chain"][pc] = intern_chain(tk)
+                        tgt_pc = _TGT_UNKNOWN
+                        branch_msgs[ncode] = (
+                            f"{fn.name}: branch to unknown label "
+                            f"{label!r}")
                 elif kind == K_JUMP:
                     target, label = aux
                     if target is None:
-                        c["tgt_pc"][pc] = _TGT_UNKNOWN
-                        jump_msgs[pc] = (f"{fn.name}: jump to "
-                                         f"unknown label {label!r}")
-                    else:
-                        tk, tpc = target
-                        c["tgt_pc"][pc] = base + tpc if tpc >= 0 else -1
-                        c["tgt_chain"][pc] = intern_chain(tk)
+                        tgt_pc = _TGT_UNKNOWN
+                        jump_msgs[ncode] = (
+                            f"{fn.name}: jump to unknown label "
+                            f"{label!r}")
                 elif kind == K_CALL:
                     callee_name, argspec = aux
-                    c["callee"][pc] = fid_of[callee_name]
+                    callee = fid_of[callee_name]
                     for m, i in argspec:
                         cargs_mode.append(m)
                         cargs_idx.append(i)
-                    cargs_off[pc + 1] = cargs_off[pc] + len(argspec)
                     if len(argspec) > max_call_args:
                         max_call_args = len(argspec)
-                elif kind == K_RET:
-                    c["spec"][pc] = 1 if aux else 0
                 elif kind == K_PREDDEF:
-                    cmpfn, p_in_idx, pdspec = aux
-                    c["cond"][pc] = _CMP_ORD[id(cmpfn)]
-                    c["pdp"][pc] = p_in_idx
+                    cmpfn, pdp, pdspec = aux
+                    cond = _CMP_ORD[id(cmpfn)]
                     for pidx, table in pdspec:
                         pd_pidx.append(pidx)
                         pd_table.extend(-1 if nv is None else int(nv)
                                         for nv in table)
-                    pd_off[pc + 1] = pd_off[pc] + len(pdspec)
                 elif kind == K_PREDSET:
-                    c["spec"][pc] = aux
-                elif kind == K_CMOV:
-                    c["spec"][pc] = 1 if aux else 0
-                elif kind in (K_DIV, K_REM, K_FDIV, K_LOAD, K_LOAD_B,
-                              K_FLOAD):
-                    c["spec"][pc] = 1 if aux else 0
+                    spec = aux
+                else:  # ret, cmov and the speculative ops: a flag
+                    spec = 1 if aux else 0
+                if target is not None:
+                    tk, tpc = target
+                    tgt_pc = base + tpc if tpc >= 0 else -1
+                    tgt_chain = intern_chain(tk)
+                cargs_off.append(len(cargs_mode))
+                pd_off.append(len(pd_pidx))
 
-                ne = fn.nxt[lpc]
                 if ne is None:
-                    c["nxt_pc"][pc] = _NXT_NONE
+                    nxt_pc, nxt_chain = _NXT_NONE, 0
                 else:
                     nk, npc = ne
-                    c["nxt_pc"][pc] = base + npc if npc >= 0 else -1
-                    c["nxt_chain"][pc] = intern_chain(nk)
+                    nxt_pc = base + npc if npc >= 0 else -1
+                    nxt_chain = intern_chain(nk)
+                flat += (kind, sidx, dest, m0, i0, m1, i1, m2, i2, guard,
+                         cond, spec, buid, tgt_pc, tgt_chain, callee, pdp,
+                         nxt_pc, nxt_chain, fid)
+                ncode += 1
 
-        chain_off = np.zeros(len(chain_rows) + 1, i32)
-        chain_keys: list[int] = []
-        for ci, row in enumerate(chain_rows):
-            chain_keys.extend(row)
-            chain_off[ci + 1] = chain_off[ci] + len(row)
-
-        def arr(seq, dtype):
-            return np.array(seq, dtype=dtype) if len(seq) \
-                else np.zeros(1, dtype=dtype)
-
-        self.chain_off = chain_off
-        self.chain_keys = arr(chain_keys, i32)
-
+        self.ncode = ncode
         self.keys_list = keys_list
         self.uids = uids
         self.nkeys = len(keys_list)
@@ -426,45 +405,118 @@ class NativeProgram:
         self.max_call_args = max_call_args
         self.branch_msgs = branch_msgs
         self.jump_msgs = jump_msgs
+
+        i32 = np.int32
+        ncols = len(_PC_COLUMNS)
+        cols = [flat[j::ncols] for j in range(ncols)]
         # Slot order must match emu_new in the C source.
-        self.static_arrays = [
-            fn_nregs, fn_npregs, fn_entry_pc, fn_entry_chain,
-            fn_params_off, arr(params_flat, i32), fn_const_off,
-            arr(const_i, np.int64), arr(const_f, np.float64),
-            arr(const_isf, np.uint8),
-            col["kind"], col["sidx"], col["dest"], col["m0"],
-            col["i0"], col["m1"], col["i1"], col["m2"], col["i2"],
-            col["guard"], col["cond"], col["spec"], col["buid"],
-            col["tgt_pc"], col["tgt_chain"], col["callee"],
-            cargs_off, arr(cargs_mode, i32), arr(cargs_idx, i32),
-            pd_off, arr(pd_pidx, i32), arr(pd_table, np.int8),
-            col["pdp"], col["nxt_pc"], col["nxt_chain"],
-            col["fn_of_pc"],
-        ]
+        self.arrays, addrs = _pack_sections([
+            (i32, fn_nregs), (i32, fn_npregs), (i32, fn_entry_pc),
+            (i32, fn_entry_chain), (i32, fn_params_off),
+            (i32, params_flat), (i32, fn_const_off),
+            (np.int64, const_i), (np.float64, const_f),
+            (np.uint8, const_isf),
+            *[(i32, c) for c in cols[:16]],
+            (i32, cargs_off), (i32, cargs_mode), (i32, cargs_idx),
+            (i32, pd_off), (i32, pd_pidx), (np.int8, pd_table),
+            *[(i32, c) for c in cols[16:]],
+            (i32, chain_off), (i32, chain_keys),
+        ])
+        # Slots 36..49 are the run's own and stay 0 here.
+        self.ptrs = np.zeros(_NSLOTS, np.int64)
+        self.ptrs[:_SLOT_MEM] = addrs[:-2]
+        self.ptrs[_SLOT_CHAIN:] = addrs[-2:]
 
 
-_NPROG_CACHE: dict[int, tuple[DecodedProgram, NativeProgram]] = {}
-_NPROG_CACHE_MAX = 8
+def _pack_sections(sections) -> tuple[list[np.ndarray], list[int]]:
+    """Pack ``(dtype, values)`` sections into one array per dtype.
 
-
-def _native_program(decoded: DecodedProgram,
-                    layout: dict[str, int]) -> NativeProgram:
-    """Marshal (or fetch the cached image of) ``decoded``.
-
-    ``layout`` is deterministic per program (inputs only change global
-    *contents*), so one image serves every run of the same decoded
-    program.  The cache holds a strong reference to ``decoded`` to
-    keep ``id()`` keys stable.
+    Returns the arrays, which must stay alive while the kernel reads
+    them, and each section's address in section order.  An empty
+    section still gets one element of its own.
     """
-    key = id(decoded)
-    hit = _NPROG_CACHE.get(key)
-    if hit is not None and hit[0] is decoded:
-        return hit[1]
-    nprog = NativeProgram(decoded, layout)
-    if len(_NPROG_CACHE) >= _NPROG_CACHE_MAX:
-        _NPROG_CACHE.pop(next(iter(_NPROG_CACHE)))
-    _NPROG_CACHE[key] = (decoded, nprog)
-    return nprog
+    parts: dict = {}
+    lengths: dict = {}
+    placed = []
+    for dtype, values in sections:
+        values = values if len(values) else (0,)
+        offset = lengths.get(dtype, 0)
+        placed.append((dtype, offset))
+        lengths[dtype] = offset + len(values)
+        parts.setdefault(dtype, []).append(values)
+    arrays = {dtype: np.fromiter(chain.from_iterable(seqs), dtype,
+                                 lengths[dtype])
+              for dtype, seqs in parts.items()}
+    bases = {dtype: _addr(a) for dtype, a in arrays.items()}
+    addrs = [bases[dtype] + offset * arrays[dtype].itemsize
+             for dtype, offset in placed]
+    return list(arrays.values()), addrs
+
+
+#: The chunk buffers in ``emu_new`` slot order (37..43).
+_CHUNK_FIELDS = (("sidx", np.int32), ("flags", np.uint8),
+                 ("addr", np.int64), ("vidx", np.int32),
+                 ("val_i", np.int64), ("val_f", np.float64),
+                 ("val_isf", np.uint8))
+
+
+class _ChunkBuffers:
+    """The trace-chunk buffers the kernel fills between suspensions.
+
+    The kernel rewrites them from index 0 every chunk and Python reads
+    only what the current chunk wrote, so they hold no results and one
+    set serves run after run: a run pays no page faults for them.  They
+    live in one :func:`~repro.emu.memory.zero_pages` mapping, so only
+    pages some chunk has written are resident.
+    """
+
+    __slots__ = ("events", "ptrs") + tuple(n for n, _ in _CHUNK_FIELDS)
+
+    def __init__(self, events: int):
+        self.events = events
+        block = zero_pages(events * sum(np.dtype(t).itemsize
+                                        for _, t in _CHUNK_FIELDS))
+        # Widest fields first, so every field is aligned.
+        offset = 0
+        for name, dtype in sorted(_CHUNK_FIELDS,
+                                  key=lambda f: -np.dtype(f[1]).itemsize):
+            setattr(self, name, np.frombuffer(block, dtype, events, offset))
+            offset += events * np.dtype(dtype).itemsize
+        self.ptrs = [_addr(getattr(self, n)) for n, _ in _CHUNK_FIELDS]
+
+    def drain(self, tn: int, nvals: int, cols: TraceColumns) -> None:
+        """Append the current chunk (``tn`` events, ``nvals`` store
+        values) to ``cols``."""
+        vbase = len(cols.values)
+        cols.sidx.frombytes(self.sidx[:tn].view(np.uint8))
+        cols.flags.frombytes(self.flags[:tn])
+        cols.addr.frombytes(self.addr[:tn].view(np.uint8))
+        vidx = self.vidx[:tn]
+        if vbase:
+            vidx = vidx.copy()
+            vidx[vidx >= 0] += vbase
+        cols.vidx.frombytes(vidx.view(np.uint8))
+        if nvals:
+            values = self.val_i[:nvals].tolist()
+            isf = self.val_isf[:nvals]
+            if isf.any():
+                values = [f if is_f else i for i, f, is_f in zip(
+                    values, self.val_f[:nvals].tolist(), isf.tolist())]
+            cols.values.extend(values)
+
+
+#: Idle chunk-buffer sets.  A run takes one out and puts it back, so
+#: concurrent or nested runs never share a set.
+_IDLE_BUFFERS: list[_ChunkBuffers] = []
+
+
+def _take_buffers(events: int) -> _ChunkBuffers:
+    try:
+        buffers = _IDLE_BUFFERS.pop()
+    except IndexError:
+        return _ChunkBuffers(events)
+    return buffers if buffers.events == events \
+        else _ChunkBuffers(events)
 
 
 # ----------------------------------------------------------------- #
@@ -515,172 +567,138 @@ def run_program_native(program: "Program",
 
     Serves a traced run (``collect_trace`` or ``sink``) and an untraced
     one, such as a profile's training run, which keeps only the
-    counts, branch outcomes and block counts.  A watchdog needs
-    in-loop heartbeats, which stay on the interpreter: a watchdogged
-    run (and any run without a kernel) delegates to
-    :func:`repro.fastpath.interp.run_program_fast`; results are
-    identical on both paths.
+    counts, branch outcomes and block counts.  The kernel folds the
+    store-stream signature itself; Python only marshals the program
+    and the globals in, and the chunks (when traced) and the run's
+    summary out.  A watchdog needs in-loop heartbeats, which stay on
+    the interpreter: a watchdogged run (and any run without a kernel)
+    delegates to :func:`repro.fastpath.interp.run_program_fast`;
+    results are identical on both paths.
 
     ``native=False`` skips the kernel outright — callers thread the
     :class:`~repro.engine.stages.PipelineContext`'s once-per-process
     engine resolution through here instead of re-reading the
-    environment.  A kernel fault mid-run (injected or real) without a
-    ``sink`` demotes the process and reruns on the interpreter.  With
-    a ``sink`` the fault re-raises as the typed, transient
-    :class:`NativeKernelCrash`, whether the emulator or the sink
-    raised it: the sink's consumer may already hold chunks, so only
-    the caller can restart the stream, and the caller records it.
+    environment.  Only an injected kernel fault
+    (``supervisor.maybe_fault_emu``) reaches the mid-run fault path:
+    the C source installs no signal handler, so a real crash ends the
+    process.  Without a ``sink`` an injected fault demotes the process
+    and reruns on the interpreter.  With a ``sink`` it re-raises as the
+    typed, transient :class:`NativeKernelCrash`, as does one the sink
+    raises: the sink's consumer may already hold chunks, so only the
+    caller can restart the stream, and the caller records it.
     """
     lib = None if native is False else _get_lib()
-    if lib is None or watchdog is not None:
-        return run_program_fast(program, inputs=inputs,
-                                collect_trace=collect_trace,
-                                max_steps=max_steps, watchdog=watchdog,
-                                sink=sink,
-                                chunk_events=chunk_events or (1 << 16),
-                                decoded=decoded)
-    if decoded is None:
-        decoded = decode_program(program)
-    if chunk_events is None:
-        chunk_events = 1 << 16
+    if lib is not None and watchdog is None:
+        if decoded is None:
+            decoded = decode_program(program)
+        if chunk_events is None:
+            chunk_events = 1 << 16
+        from repro.fastpath import supervisor
+        from repro.robustness.errors import NativeKernelCrash
+        buffers = _take_buffers(chunk_events)
+        try:
+            execution = _run_kernel(lib, buffers, program, decoded, inputs,
+                                    collect_trace, max_steps, sink)
+        except NativeKernelCrash as crash:
+            if sink is not None:
+                raise
+            # No chunk has left this function: demote the process and
+            # rerun from scratch on the interpreter (identical result).
+            supervisor.report_kernel_fault(crash)
+            execution = None
+        finally:
+            _IDLE_BUFFERS.append(buffers)
+        if execution is not None:
+            return execution
+    return run_program_fast(program, inputs=inputs,
+                            collect_trace=collect_trace,
+                            max_steps=max_steps, watchdog=watchdog,
+                            sink=sink,
+                            chunk_events=chunk_events or (1 << 16),
+                            decoded=decoded)
 
-    memory = Memory()
+
+def _run_kernel(lib, buffers: _ChunkBuffers, program: "Program",
+                decoded: DecodedProgram, inputs: dict | None,
+                collect_trace: bool, max_steps: int,
+                sink: Callable[[TraceColumns], None] | None
+                ) -> ExecutionResult | None:
+    """One run on the kernel, or None when the kernel cannot start."""
+    from repro.fastpath import supervisor
+
+    image = np.frombuffer(zero_pages(DEFAULT_SIZE), np.uint8)
+    memory = Memory(DEFAULT_SIZE, data=memoryview(image))
     layout = layout_globals(program, memory, inputs)
     global_end = max((layout[g.name] + g.byte_size
                       for g in program.globals.values()),
                      default=GLOBAL_BASE)
-    nprog = _native_program(decoded, layout)
+    nprog = NativeProgram(decoded, layout)
 
-    t_sidx = np.zeros(chunk_events, np.int32)
-    t_flags = np.zeros(chunk_events, np.uint8)
-    t_addr = np.zeros(chunk_events, np.int64)
-    t_vidx = np.zeros(chunk_events, np.int32)
-    val_i = np.zeros(chunk_events, np.int64)
-    val_f = np.zeros(chunk_events, np.float64)
-    val_isf = np.zeros(chunk_events, np.uint8)
-    site_counts = np.zeros(max(nprog.nkeys, 1), np.int64)
-    site_order = np.zeros(max(nprog.nkeys, 1), np.int32)
-    branch_counts = np.zeros(max(2 * nprog.nbuids, 1), np.int64)
-    branch_order = np.zeros(max(nprog.nbuids, 1), np.int32)
+    nkeys = max(nprog.nkeys, 1)
+    nbuids = max(nprog.nbuids, 1)
+    site_counts = np.zeros(nkeys, np.int64)
+    site_order = np.zeros(nkeys, np.int32)
+    branch_counts = np.zeros(2 * nbuids, np.int64)
+    branch_order = np.zeros(nbuids, np.int32)
     out = np.zeros(16, np.int64)
     out_f = np.zeros(2, np.float64)
-
-    membuf = (ctypes.c_ubyte * len(memory.data)).from_buffer(
-        memory.data)
-    # Slots 0..35 program image, 36 memory, 37..49 per-run buffers,
-    # 50/51 the chain CSR — must match emu_new in the C source.
-    ptrs_vec, ptrs = _as_ptrs(list(nprog.static_arrays) + [
-        ctypes.addressof(membuf),
-        t_sidx, t_flags, t_addr, t_vidx, val_i, val_f, val_isf,
-        site_counts, site_order, branch_counts, branch_order,
-        out, out_f, nprog.chain_off, nprog.chain_keys,
-    ])
-    cfg = np.array([nprog.nfuncs, nprog.ncode, len(memory.data),
-                    max_steps, chunk_events, nprog.entry_fid,
-                    nprog.nkeys, nprog.nbuids, nprog.max_call_args],
-                   dtype=np.int64)
+    ptrs = nprog.ptrs.copy()
+    ptrs[_SLOT_MEM] = _addr(image)
+    ptrs[_SLOT_MEM + 1:_SLOT_RESULTS] = buffers.ptrs
+    ptrs[_SLOT_RESULTS:_SLOT_CHAIN] = [_addr(a) for a in (
+        site_counts, site_order, branch_counts, branch_order, out,
+        out_f)]
+    cfg = np.array([nprog.nfuncs, nprog.ncode, memory.size, max_steps,
+                    buffers.events, nprog.entry_fid, nprog.nkeys,
+                    nprog.nbuids, nprog.max_call_args], dtype=np.int64)
+    p64 = ctypes.POINTER(ctypes.c_int64)
 
     started = time.monotonic()
-    handle = lib.emu_new(ptrs, cfg.ctypes.data_as(
-        ctypes.POINTER(ctypes.c_int64)))
+    handle = lib.emu_new(ptrs.ctypes.data_as(p64),
+                         cfg.ctypes.data_as(p64))
     if not handle:
-        del membuf
-        return run_program_fast(program, inputs=inputs,
-                                collect_trace=collect_trace,
-                                max_steps=max_steps, watchdog=watchdog,
-                                sink=sink, chunk_events=chunk_events,
-                                decoded=decoded)
-
-    from repro.fastpath import supervisor
-    from repro.robustness.errors import NativeKernelCrash
-
-    signature = 0
-    out_count = 0
+        return None
     trace = TraceColumns() if collect_trace else None
     try:
-        try:
-            while True:
-                supervisor.maybe_fault_emu()
-                rc = lib.emu_run(handle)
-                if rc == _ST_FAULT:
-                    _raise_fault(nprog, out, max_steps)
-                tn = int(out[9])
-                nvals = int(out[10])
-                if tn:
-                    values = [float(val_f[i]) if val_isf[i]
-                              else int(val_i[i]) for i in range(nvals)]
-                    if nvals:
-                        mask = t_vidx[:tn] >= 0
-                        for a, v in zip(t_addr[:tn][mask].tolist(),
-                                        values):
-                            if a != SAFE_ADDR:
-                                out_count += 1
-                                # NaN folds through _NAN_KEY:
-                                # hash(nan) is id-based on 3.10+
-                                key = v if v == v else _NAN_KEY
-                                signature = ((signature
-                                              ^ hash((a, key)))
-                                             * _SIG_PRIME) & _U64
-                    if sink is not None:
-                        cols = TraceColumns()
-                        cols.sidx.frombytes(t_sidx[:tn].tobytes())
-                        cols.flags.frombytes(t_flags[:tn].tobytes())
-                        cols.addr.frombytes(t_addr[:tn].tobytes())
-                        cols.vidx.frombytes(t_vidx[:tn].tobytes())
-                        cols.values = values
-                        sink(cols)
-                    elif collect_trace:
-                        vbase = len(trace.values)
-                        trace.sidx.frombytes(t_sidx[:tn].tobytes())
-                        trace.flags.frombytes(t_flags[:tn].tobytes())
-                        trace.addr.frombytes(t_addr[:tn].tobytes())
-                        if vbase:
-                            vv = t_vidx[:tn].copy()
-                            vv[vv >= 0] += vbase
-                            trace.vidx.frombytes(vv.tobytes())
-                        else:
-                            trace.vidx.frombytes(t_vidx[:tn].tobytes())
-                        trace.values.extend(values)
-                if rc == _ST_DONE:
-                    break
-        finally:
-            lib.emu_free(handle)
-            del membuf
-    except NativeKernelCrash as crash:
-        if sink is not None:
-            raise
-        # No chunk has left this function: demote the process and
-        # rerun from scratch on the interpreter (identical result).
-        supervisor.report_kernel_fault(crash)
-        return run_program_fast(program, inputs=inputs,
-                                collect_trace=collect_trace,
-                                max_steps=max_steps, watchdog=watchdog,
-                                sink=sink, chunk_events=chunk_events,
-                                decoded=decoded)
-
+        while True:
+            supervisor.maybe_fault_emu()
+            rc = lib.emu_run(handle)
+            if rc == _ST_FAULT:
+                _raise_fault(nprog, out, max_steps)
+            tn = int(out[9])
+            if tn and sink is not None:
+                cols = TraceColumns()
+                buffers.drain(tn, int(out[10]), cols)
+                sink(cols)
+            elif tn and collect_trace:
+                buffers.drain(tn, int(out[10]), trace)
+            if rc == _ST_DONE:
+                break
+    finally:
+        lib.emu_free(handle)
     wall_time = time.monotonic() - started
-    value = float(out_f[0]) if out[2] else int(out[3])
 
     block_counts: dict[tuple, int] = {}
     keys_list = nprog.keys_list
+    counts = site_counts.tolist()
     for kid in site_order[:int(out[7])].tolist():
-        block_counts[keys_list[kid]] = int(site_counts[kid])
+        block_counts[keys_list[kid]] = counts[kid]
     branch_outcomes: dict[int, list[int]] = {}
     uids = nprog.uids
+    counts = branch_counts.tolist()
     for bi in branch_order[:int(out[8])].tolist():
-        branch_outcomes[uids[bi]] = [int(branch_counts[2 * bi]),
-                                     int(branch_counts[2 * bi + 1])]
+        branch_outcomes[uids[bi]] = counts[2 * bi:2 * bi + 2]
     digest = hashlib.sha256(
-        bytes(memory.data[GLOBAL_BASE:global_end])).hexdigest()
+        memory.data[GLOBAL_BASE:global_end]).hexdigest()
     return ExecutionResult(
-        return_value=value,
+        return_value=float(out_f[0]) if out[2] else int(out[3]),
         dynamic_count=int(out[0]),
         suppressed_count=int(out[1]),
         trace=trace,
         branch_outcomes=branch_outcomes,
         block_counts=block_counts,
-        output_signature=signature,
-        output_count=out_count,
+        output_signature=int(out[13]) & _U64,
+        output_count=int(out[12]),
         memory_digest=digest,
         wall_time_seconds=wall_time,
         heartbeats=[],

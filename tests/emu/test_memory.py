@@ -1,9 +1,12 @@
 """Memory model tests: layout, faults, speculative silence."""
 
+import os
+
 import pytest
 
 from repro.emu.memory import (EmulationFault, GLOBAL_BASE, Memory,
-                              SAFE_ADDR, _write_values, layout_globals)
+                              SAFE_ADDR, _write_values, layout_globals,
+                              zero_pages)
 from repro.ir import GlobalVar, Program
 
 
@@ -154,6 +157,18 @@ def _outcome(write, g, values, base=GLOBAL_BASE, size=4096):
     (GlobalVar("w", 4, 2), [1, 2, 3]),
     (GlobalVar("b", 1, 2), b"abc"),
     (GlobalVar("f", 8, 1, is_float=True), [1.0, 2.0]),
+    # each packing path: signed and unsigned words and bytes, tuples,
+    # bools, ints into floats, and lists only the loop can convert
+    (GlobalVar("w", 4, 4), [2 ** 31, 2 ** 32 - 1, 0, 5]),
+    (GlobalVar("w", 4, 3), (True, -7, 2 ** 31 - 1)),
+    (GlobalVar("w", 4, 2), [2 ** 32 - 1, -1]),
+    (GlobalVar("w", 4, 2), [7.9, -7.9]),
+    (GlobalVar("b", 1, 4), [-128, -1, 0, 127]),
+    (GlobalVar("b", 1, 3), (0, 128, 255)),
+    (GlobalVar("b", 1, 2), bytearray(b"\x80\x01")),
+    (GlobalVar("f", 8, 3, is_float=True), (1, True, 2 ** 60 + 1)),
+    (GlobalVar("f", 8, 2, is_float=True), ["1.5", 2.0]),
+    (GlobalVar("f", 8, 2, is_float=True), b"\x01\x02"),
 ])
 def test_bulk_write_matches_per_element_loop(g, values):
     assert _outcome(_write_values, g, values) == \
@@ -173,3 +188,19 @@ def test_bulk_write_faults_at_the_same_address(g, base):
     bulk = _outcome(_write_values, g, values, base=base)
     assert bulk[0] == "fault"
     assert bulk == _outcome(_reference_write, g, values, base=base)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_zero_pages_stay_private_to_a_forked_child():
+    """A pool worker forked while a mapping exists (the native chunk
+    buffers live for the whole process) must not write its parent's
+    pages."""
+    pages = memoryview(zero_pages(2 * 4096))
+    pages[0] = 1
+    pid = os.fork()
+    if pid == 0:
+        pages[0] = 99
+        pages[4096] = 7
+        os._exit(0)
+    os.waitpid(pid, 0)
+    assert (pages[0], pages[4096]) == (1, 0)
