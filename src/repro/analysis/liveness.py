@@ -14,12 +14,19 @@ guarded definition removes its own guard from the set, and redefining a
 predicate register promotes needs conditioned on it to unconditional.
 This precision is what lets predicate promotion (paper Figure 2) see
 single-iteration temporaries as loop-dead.
+
+Most blocks hold no guarded instruction and no ``pred_set`` /
+``pred_clear``; there every need is unconditional and the scan reduces
+to set algebra on a :class:`BlockSummary`, computed once per block.
+The solver rescans such a block from its summary and keeps
+:func:`_scan_block`, the one exact transfer, for the rest.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.analysis.cfg import predecessors_map, successors_map
 from repro.ir.function import BasicBlock, Function
@@ -29,6 +36,7 @@ from repro.ir.operands import PReg, VReg
 Reg = VReg | PReg
 #: guard key meaning "needed unconditionally"
 ALWAYS = None
+_EMPTY: frozenset[Reg] = frozenset()
 
 
 @dataclass
@@ -110,24 +118,72 @@ def _scan_block(facts: list[InstFacts], live_out: frozenset[Reg],
     return frozenset(need)
 
 
+class BlockSummary(NamedTuple):
+    """The transfer of a block with no guarded instruction and no
+    ``pred_set``/``pred_clear``, as set algebra::
+
+        live_in = gen | (live_out - kill)
+                      | union(live_in[t] - above for t, above in exits)
+    """
+
+    #: upward-exposed uses
+    gen: frozenset[Reg]
+    #: registers definitely defined somewhere in the block
+    kill: frozenset[Reg]
+    #: each exit's target, in order, with the kills above that exit
+    exits: tuple[tuple[str, frozenset[Reg]], ...]
+
+
+def block_summary(facts: list[InstFacts]) -> BlockSummary | None:
+    """The :class:`BlockSummary` of a block, or None when the block
+    needs the exact :func:`_scan_block`: it holds a guarded instruction
+    or a ``pred_set``/``pred_clear``.
+
+    Without guards every need is unconditional and no predicate define
+    has a conditioned need to promote, so a forward walk that matches
+    the scan's order at each instruction (kills, then uses, then the
+    exit's target) gives the same live-in for any live-out.
+    """
+    gen: set[Reg] = set()
+    kill: set[Reg] = set()
+    exits = []
+    for f in facts:
+        if f.guard is not None or f.predset:
+            return None
+        for r in f.uses:
+            if r not in kill:
+                gen.add(r)
+        if f.exit is not None:
+            exits.append((f.exit, frozenset(kill)))
+        if not f.cond_write:
+            kill.update(f.defs)
+    return BlockSummary(frozenset(gen), frozenset(kill), tuple(exits))
+
+
 def liveness(fn: Function,
              facts: dict[str, list[InstFacts]] | None = None,
              succs: dict[str, list[str]] | None = None,
-             preds: dict[str, list[str]] | None = None) -> Liveness:
+             preds: dict[str, list[str]] | None = None,
+             summaries: dict[str, BlockSummary | None] | None = None
+             ) -> Liveness:
     """Worklist fixpoint, seeded in layout order and driven backward.
 
     A block is rescanned only when some successor's live-in actually
     grew — the round-robin formulation rescanned the whole function per
     sweep, which is quadratic-ish on the multi-thousand-block CFGs the
-    fuzzer's diamond-ladder programs produce.  The transfer functions
-    are unchanged and monotone, so the least fixpoint (and therefore
-    every client: DCE, promotion, scheduling) is identical.
+    fuzzer's diamond-ladder programs produce.  Each block's transfer is
+    summarized once (:func:`block_summary`), so a rescan is set algebra;
+    a block without a summary is rescanned by :func:`_scan_block`.  The
+    transfer functions are unchanged and monotone, so the least
+    fixpoint (and therefore every client: DCE, promotion, scheduling)
+    is identical.
 
     ``facts`` maps block names to :func:`instruction_facts` of their
     instructions, for a caller that already has them; by default they
     are computed here, once per block rather than once per rescan.
     ``succs`` and ``preds`` are the function's :func:`successors_map`
-    and :func:`predecessors_map`, likewise.
+    and :func:`predecessors_map`, and ``summaries`` maps every block
+    name to its :func:`block_summary`, likewise.
     """
     if facts is None:
         facts = {b.name: instruction_facts(b.instructions)
@@ -136,6 +192,9 @@ def liveness(fn: Function,
         succs = successors_map(fn)
     if preds is None:
         preds = predecessors_map(fn, succs)
+    if summaries is None:
+        summaries = {b.name: block_summary(facts[b.name])
+                     for b in fn.blocks}
     live_in: dict[str, frozenset[Reg]] = {b.name: frozenset()
                                           for b in fn.blocks}
     live_out: dict[str, frozenset[Reg]] = {b.name: frozenset()
@@ -149,7 +208,14 @@ def liveness(fn: Function,
         for s in succs[name]:
             out |= live_in[s]
         live_out[name] = out = frozenset(out)
-        new_in = _scan_block(facts[name], out, live_in)
+        summary = summaries[name]
+        if summary is None:
+            new_in = _scan_block(facts[name], out, live_in)
+        else:
+            gen, kill, exits = summary
+            new_in = gen.union(out - kill, *[
+                live_in.get(target, _EMPTY) - above
+                for target, above in exits])
         if new_in != live_in[name]:
             live_in[name] = new_in
             for p in preds[name]:

@@ -224,9 +224,11 @@ class Instruction:
 class InstFacts(NamedTuple):
     """What liveness, DCE and the dependence DAG read of one instruction.
 
-    Computed once per analysis call by :func:`instruction_facts` and
-    never cached on the :class:`Instruction`: passes rewrite
-    instructions in place, so a cached copy would go stale.
+    Computed by :func:`instruction_facts` for a whole block and never
+    cached on the :class:`Instruction`: passes rewrite instructions in
+    place, so a cached copy would go stale.  An analysis computes them
+    once per call; the scalar pass driver keeps each block's list in a
+    :class:`FactsCache` until a pass changes the block.
     """
 
     defs: tuple[VReg | PReg, ...]
@@ -259,3 +261,20 @@ def instruction_facts(insts: list[Instruction]) -> list[InstFacts]:
             else None,
             not op.side_effects))
     return facts
+
+
+class FactsCache(dict):
+    """Instruction facts by block name, shared by the passes that keep
+    them valid, and what a pass derives from each block's facts.
+
+    ``derived`` maps a block name to a record whose ``facts`` attribute
+    is the list it was derived from.  A record holds only while the
+    block's entry here *is* that list, so whoever drops or replaces a
+    block's facts invalidates what was derived from them too.
+    """
+
+    __slots__ = ("derived",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.derived: dict[str, object] = {}

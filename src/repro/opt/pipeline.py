@@ -6,7 +6,7 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 from repro.ir.function import BasicBlock, Function, Program
-from repro.ir.instruction import InstFacts
+from repro.ir.instruction import FactsCache
 from repro.opt.cfg_cleanup import cleanup_cfg
 from repro.opt.copyprop import propagate_block, propagate_copies
 from repro.opt.cse import cse_block, eliminate_common_subexpressions
@@ -19,7 +19,7 @@ FunctionPass = Callable[[Function], bool]
 BlockPass = Callable[[BasicBlock], bool]
 #: a pass that shares the driver's per-block instruction facts and
 #: returns the names of the blocks it rewrote
-FactsPass = Callable[[Function, dict[str, list[InstFacts]]], set[str]]
+FactsPass = Callable[[Function, FactsCache], set[str]]
 
 
 class PassEntry(NamedTuple):
@@ -67,7 +67,8 @@ def run_function_passes(fn: Function,
       it last ran;
     - a block-local pass on each block it has left as it is now;
     - the instruction facts of each block no pass but a ``facts``
-      pass (DCE) has changed since they were computed.
+      pass (DCE) has changed since they were computed, and what DCE
+      derives from them (see :class:`FactsCache`).
 
     Any other pass that changes the function drops all of this.
     """
@@ -79,7 +80,7 @@ def run_function_passes(fn: Function,
     # Per block-local pass: the blocks it has left as they are now.
     clean: dict[BlockPass, set[str]] = {}
     # Instruction facts by block name, shared by the ``facts`` passes.
-    facts: dict[str, list[InstFacts]] = {}
+    facts = FactsCache()
     for _ in range(max_rounds):
         round_change = False
         for name, run, fixpoint, block_pass, facts_pass in passes:

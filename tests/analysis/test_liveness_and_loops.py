@@ -1,9 +1,15 @@
 """Liveness (including predication subtleties) and loop detection."""
 
+import importlib
+import itertools
+
+import pytest
+
 from repro.analysis.liveness import block_use_def, live_before_each, liveness
 from repro.analysis.loops import find_loops, innermost_loops
 from repro.ir import (BasicBlock, Function, IRBuilder, Imm, Instruction,
                       Opcode, PReg, PredDest, PType, VReg)
+from tests.programs import ALL_PROGRAMS
 
 
 def test_block_use_def_simple():
@@ -220,3 +226,142 @@ def test_worklist_liveness_matches_round_robin_on_real_code():
             want = _round_robin_liveness(fn)
             assert got.live_in == want.live_in, (model, fn.name)
             assert got.live_out == want.live_out, (model, fn.name)
+
+
+def _functions_of(name):
+    """The frontend program of ``name`` and each model's optimized
+    program, as (tag, function) pairs."""
+    from repro.analysis.profile import Profile
+    from repro.toolchain import Model, frontend, optimize_for_model
+    from tests.programs import program_source
+
+    source, inputs = program_source(name)
+    base = frontend(source)
+    profile = Profile.collect(base, inputs=inputs, max_steps=2_000_000)
+    programs = [("frontend", base)] + [
+        (model.value, optimize_for_model(base, model, profile).program)
+        for model in Model]
+    for tag, program in programs:
+        for fn in program.functions.values():
+            yield tag, fn
+
+
+@pytest.mark.parametrize("name", ALL_PROGRAMS)
+def test_summary_liveness_matches_round_robin(name):
+    """Every kernel, corpus entry and short generated program, before
+    and after each model's optimization: the summary-driven worklist
+    solve equals the exact-scan round-robin oracle."""
+    for tag, fn in _functions_of(name):
+        got = liveness(fn)
+        want = _round_robin_liveness(fn)
+        assert got.live_in == want.live_in, (tag, fn.name)
+        assert got.live_out == want.live_out, (tag, fn.name)
+
+
+def _summary_transfer(summary, live_out, live_in_map):
+    return set(summary.gen) | (set(live_out) - summary.kill) | {
+        r for target, above in summary.exits
+        for r in live_in_map.get(target, ()) if r not in above}
+
+
+def _assert_summary_is_exact(block, regs, targets):
+    """The summary's transfer equals ``_scan_block`` for every live-out
+    drawn from ``regs`` and every exit-target live-in drawn from them."""
+    from repro.analysis.liveness import _scan_block, block_summary
+    from repro.ir.instruction import instruction_facts
+
+    facts = instruction_facts(block.instructions)
+    summary = block_summary(facts)
+    assert summary is not None
+    subsets = [frozenset(c) for n in range(len(regs) + 1)
+               for c in itertools.combinations(regs, n)]
+    for out in subsets:
+        for ins in itertools.product(subsets, repeat=len(targets)):
+            live_in_map = dict(zip(targets, ins))
+            assert _summary_transfer(summary, out, live_in_map) == set(
+                _scan_block(facts, out, live_in_map)), (out, live_in_map)
+    return summary
+
+
+def test_summary_exit_below_a_definite_kill():
+    """The kill above an exit hides the exit target's need; a kill
+    below it does not."""
+    block = BasicBlock("b")
+    block.append(Instruction(Opcode.MOV, dest=VReg(1), srcs=(Imm(5),)))
+    block.append(Instruction(Opcode.BEQ, srcs=(VReg(2), Imm(0)),
+                             target="cold"))
+    block.append(Instruction(Opcode.MOV, dest=VReg(3), srcs=(VReg(1),)))
+    block.append(Instruction(Opcode.JUMP, target="next"))
+    summary = _assert_summary_is_exact(
+        block, (VReg(1), VReg(3), VReg(4)), ("cold", "next"))
+    assert summary.exits == (("cold", frozenset({VReg(1)})),
+                             ("next", frozenset({VReg(1), VReg(3)})))
+    cold = frozenset({VReg(1), VReg(3), VReg(4)})
+    assert _summary_transfer(summary, frozenset(), {"cold": cold}) == {
+        VReg(2), VReg(3), VReg(4)}
+
+
+def test_summary_cmov_does_not_kill_its_destination():
+    block = BasicBlock("b")
+    block.append(Instruction(Opcode.CMOV, dest=VReg(0),
+                             srcs=(VReg(1), VReg(2))))
+    block.append(Instruction(Opcode.MOV, dest=VReg(3), srcs=(VReg(0),)))
+    summary = _assert_summary_is_exact(block, (VReg(0), VReg(3)), ())
+    assert VReg(0) not in summary.kill
+    assert VReg(0) in summary.gen
+
+
+def test_summary_unguarded_predicate_define_kills():
+    p = PReg(1)
+    block = BasicBlock("b")
+    block.append(Instruction(Opcode.PRED_EQ, srcs=(VReg(0), Imm(0)),
+                             pdests=(PredDest(p, PType.U),)))
+    block.append(Instruction(Opcode.MOV, dest=VReg(2), srcs=(VReg(0),)))
+    summary = _assert_summary_is_exact(block, (p, VReg(0), VReg(2)), ())
+    assert p in summary.kill
+    assert p not in summary.gen
+
+
+@pytest.mark.parametrize("inst", [
+    Instruction(Opcode.MOV, dest=VReg(0), srcs=(Imm(1),), pred=PReg(1)),
+    Instruction(Opcode.PRED_SET),
+], ids=["guarded", "pred_set"])
+def test_guarded_or_predset_block_takes_the_exact_scan(inst, monkeypatch):
+    """One guarded instruction or ``pred_set`` and the block has no
+    summary: the solver rescans it, and only it, with ``_scan_block``."""
+    from repro.ir.instruction import instruction_facts
+
+    # ``repro.analysis`` re-exports the function under the module's name.
+    live_mod = importlib.import_module("repro.analysis.liveness")
+
+    fn = Function("f")
+    entry = fn.new_block("entry")
+    loop = fn.new_block("loop")
+    fn.new_block("exit")
+    p = PReg(1)
+    entry.instructions = [
+        Instruction(Opcode.PRED_EQ, srcs=(VReg(9), Imm(0)),
+                    pdests=(PredDest(p, PType.U),)),
+        Instruction(Opcode.JUMP, target="loop")]
+    loop.instructions = [
+        inst,
+        Instruction(Opcode.ADD, dest=VReg(2), srcs=(VReg(0), Imm(1))),
+        Instruction(Opcode.BEQ, srcs=(VReg(2), Imm(0)), target="loop"),
+        Instruction(Opcode.JUMP, target="exit")]
+    fn.block("exit").instructions = [Instruction(Opcode.RET,
+                                                 srcs=(VReg(2),))]
+    assert live_mod.block_summary(
+        instruction_facts(loop.instructions)) is None
+    scanned = []
+    real_scan = live_mod._scan_block
+
+    def scan(facts, *args):
+        scanned.append(len(facts))
+        return real_scan(facts, *args)
+    monkeypatch.setattr(live_mod, "_scan_block", scan)
+    got = liveness(fn)
+    monkeypatch.undo()
+    assert scanned and set(scanned) == {len(loop.instructions)}
+    want = _round_robin_liveness(fn)
+    assert got.live_in == want.live_in
+    assert got.live_out == want.live_out

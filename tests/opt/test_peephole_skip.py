@@ -18,8 +18,6 @@ import pytest
 
 from repro.analysis.profile import Profile
 from repro.engine.serialize import program_fingerprint
-from repro.fuzz.corpus import list_entries
-from repro.fuzz.generator import generate_case
 from repro.ir import Function, Imm, Instruction, Opcode, VReg, instruction
 from repro.ir.instruction import ensure_uid_headroom
 from repro.ir.printer import format_block, format_function
@@ -29,41 +27,12 @@ from repro.opt.dce import eliminate_dead_code, remove_dead_instructions
 from repro.opt.fold import fold_block, fold_constants
 from repro.opt.pipeline import CLASSIC_PASSES, run_function_passes
 from repro.toolchain import Model, frontend, optimize_for_model
-from repro.workloads.base import all_workloads, get_workload
 import repro.opt.pipeline as pipeline
 import repro.toolchain as toolchain
+from tests.programs import ALL_PROGRAMS, CORPUS, program_source
 
-_ENTRIES = {e.entry_id: e for e in list_entries()}
 #: three paper kernels at scale 0.05, then every corpus entry
-PROGRAMS = ["wc", "grep", "compress"] + sorted(_ENTRIES)
-
-
-def _random_cases(seed: int, count: int, max_chars: int = 600) -> dict:
-    """The first ``count`` cases of ``seed`` with short sources."""
-    cases = {}
-    index = 0
-    while len(cases) < count:
-        case = generate_case(seed, index)
-        index += 1
-        if len(case.source) <= max_chars:
-            cases[case.case_id] = case
-    return cases
-
-
-_CASES = _random_cases(7, 20)
-#: every paper kernel at scale 0.05, every corpus entry and 20
-#: generated programs
-ALL_PROGRAMS = [w.name for w in all_workloads()] + sorted(_ENTRIES) \
-    + list(_CASES)
-
-
-def _source(name: str) -> tuple[str, dict]:
-    if name in _ENTRIES:
-        return _ENTRIES[name].source, _ENTRIES[name].inputs
-    if name in _CASES:
-        return _CASES[name].source, _CASES[name].inputs
-    workload = get_workload(name)
-    return workload.source, workload.inputs(0.05)
+PROGRAMS = ["wc", "grep", "compress"] + sorted(CORPUS)
 
 
 def _blocks(fn) -> dict[str, str]:
@@ -185,7 +154,7 @@ def test_a_block_dce_rewrites_is_dirty_for_the_block_passes():
 @pytest.mark.parametrize("name", PROGRAMS)
 def test_false_returns_change_nothing_and_skips_lose_nothing(
         name, monkeypatch):
-    source, inputs = _source(name)
+    source, inputs = program_source(name)
     base = frontend(source)
     profile = Profile.collect(base, inputs=inputs, max_steps=2_000_000)
 
@@ -219,7 +188,7 @@ def _optimized_fingerprints(source: str, inputs: dict) -> list[str]:
 def test_incremental_driver_matches_round_robin(name, monkeypatch):
     """Frontend and every model's optimized program, uids included:
     both compiles allocate uids from the same start."""
-    source, inputs = _source(name)
+    source, inputs = program_source(name)
     start = next(instruction._ids)
     monkeypatch.setattr(instruction, "_ids", itertools.count(start))
     incremental = _optimized_fingerprints(source, inputs)

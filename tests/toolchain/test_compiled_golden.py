@@ -14,15 +14,19 @@ digest is taken in process.
 ``GOLDEN`` covers the Fig. 8 machine, each compile on its own;
 ``MACHINES_GOLDEN`` covers the other figures' machines, each program
 optimized once per model and scheduled for every machine in turn, the
-way the figures compile it.
+way the figures compile it.  ``GENERATED_GOLDEN`` covers generated
+programs that no pass was tuned on, frontend and optimized.
 """
 
 import hashlib
+import itertools
 
 #: SHA-256 of :func:`compiled_digest`
 GOLDEN = "eacb439cfa2b53508516c110d4de29a13765940cd09c3ffd867b9569dc3aa433"
 #: SHA-256 of :func:`machines_digest`
 MACHINES_GOLDEN = "68ec8259f49bed5935c18fb4a7b51181fe8f9aed09abe9c8a9e0715c7518b895"
+#: SHA-256 of :func:`generated_digest`
+GENERATED_GOLDEN = "5df979a0d620034ce18d465c0c24f6013f26289a0ce3c0adc66b694f80aa333c"
 
 
 def compiled_digest() -> str:
@@ -82,9 +86,43 @@ def machines_digest() -> str:
     return digest.hexdigest()
 
 
+def generated_digest() -> str:
+    """SHA-256 of the :func:`program_fingerprint` of the frontend
+    program and each model's optimized program, uids included, of the
+    first 30 programs of ``generate_case(7, i)`` with at most 600
+    characters of source.  Uids count from 0 for each program."""
+    from repro.analysis.profile import Profile
+    from repro.engine.serialize import program_fingerprint
+    from repro.ir import instruction
+    from repro.toolchain import Model, frontend, optimize_for_model
+    from tests.programs import random_cases
+
+    digest = hashlib.sha256()
+    resume = next(instruction._ids)
+    try:
+        for case in random_cases(7, 30).values():
+            instruction._ids = itertools.count(0)
+            base = frontend(case.source)
+            profile = Profile.collect(base, inputs=case.inputs,
+                                      max_steps=2_000_000)
+            digest.update(program_fingerprint(base).encode())
+            for model in Model:
+                optimized = optimize_for_model(base, model, profile)
+                digest.update(
+                    program_fingerprint(optimized.program).encode())
+            resume = max(resume, next(instruction._ids))
+    finally:
+        instruction._ids = itertools.count(resume)
+    return digest.hexdigest()
+
+
 def test_wc_grep_compiled_programs_are_pinned():
     assert compiled_digest() == GOLDEN
 
 
 def test_wc_grep_programs_on_the_other_machines_are_pinned():
     assert machines_digest() == MACHINES_GOLDEN
+
+
+def test_generated_programs_are_pinned():
+    assert generated_digest() == GENERATED_GOLDEN
