@@ -61,6 +61,16 @@ class PredDest:
         return f"{self.reg}<{self.ptype.value}>"
 
 
+#: the operand types that are registers (no operand type is subclassed)
+_REGISTER_TYPES = frozenset({VReg, PReg})
+#: predicate define types that write without reading the old value
+_UNCONDITIONAL = frozenset({PType.U, PType.U_BAR})
+# Categories the register queries test, read once: an enum member read
+# through its class costs ten times a global read.
+_CALL = OpCategory.CALL
+_CMOV = OpCategory.CMOV
+_PREDSET = OpCategory.PREDSET
+
 _ids = itertools.count()
 
 
@@ -148,27 +158,32 @@ class Instruction:
 
     def defined_regs(self) -> tuple[VReg | PReg, ...]:
         """All registers written by this instruction."""
-        regs: list[VReg | PReg] = []
-        if self.dest is not None:
-            regs.append(self.dest)
-        regs.extend(pd.reg for pd in self.pdests)
-        return tuple(regs)
+        dest = self.dest
+        pdests = self.pdests
+        if not pdests:
+            return () if dest is None else (dest,)
+        regs = tuple([pd.reg for pd in pdests])
+        return regs if dest is None else (dest,) + regs
 
     def used_regs(self) -> tuple[VReg | PReg, ...]:
         """All registers read by this instruction (guard included)."""
-        regs: list[VReg | PReg] = [s for s in self.srcs
-                                   if isinstance(s, (VReg, PReg))]
+        regs = self.srcs
+        for s in regs:
+            if type(s) not in _REGISTER_TYPES:
+                regs = tuple([s for s in regs
+                              if type(s) in _REGISTER_TYPES])
+                break
         if self.pred is not None:
-            regs.append(self.pred)
+            regs += (self.pred,)
         # OR/AND-type predicate destinations read-modify-write the register.
         for pd in self.pdests:
-            if pd.ptype is not PType.U and pd.ptype is not PType.U_BAR:
-                regs.append(pd.reg)
+            if pd.ptype not in _UNCONDITIONAL:
+                regs += (pd.reg,)
         # Conditional moves implicitly read their destination: when the
         # condition blocks the move, the old value must survive.
-        if self.cat is OpCategory.CMOV and self.dest is not None:
-            regs.append(self.dest)
-        return tuple(regs)
+        if self.op.category is _CMOV and self.dest is not None:
+            regs += (self.dest,)
+        return regs
 
     @property
     def is_pure(self) -> bool:
@@ -177,12 +192,12 @@ class Instruction:
 
     def copy(self, **overrides: object) -> "Instruction":
         """Shallow copy with field overrides; keeps the same ``uid``."""
-        fields = dict(op=self.op, dest=self.dest, srcs=self.srcs,
-                      pred=self.pred, pdests=self.pdests, target=self.target,
-                      speculative=self.speculative, mem_hint=self.mem_hint,
-                      uid=self.uid)
-        fields.update(overrides)
-        return Instruction(**fields)  # type: ignore[arg-type]
+        inst = Instruction(self.op, self.dest, self.srcs, self.pred,
+                           self.pdests, self.target, self.speculative,
+                           self.mem_hint, self.uid)
+        for name, value in overrides.items():
+            setattr(inst, name, value)
+        return inst
 
     def fresh_copy(self, **overrides: object) -> "Instruction":
         """Copy with a new ``uid`` (for tail duplication)."""
@@ -248,17 +263,20 @@ class InstFacts(NamedTuple):
 def instruction_facts(insts: list[Instruction]) -> list[InstFacts]:
     """:class:`InstFacts` of each instruction, parallel to ``insts``."""
     facts = []
+    append = facts.append
     for inst in insts:
         op = inst.op
         cat = op.category
+        pred = inst.pred
         defs = inst.defined_regs()
-        facts.append(InstFacts(
-            defs, inst.used_regs(),
-            tuple(d for d in defs if isinstance(d, PReg)) if defs else (),
-            inst.pred, cat is OpCategory.PREDSET,
-            inst.pred is not None or cat is OpCategory.CMOV,
-            inst.target if op.control and cat is not OpCategory.CALL
-            else None,
+        if inst.pdests:
+            pdefs = tuple([d for d in defs if type(d) is PReg])
+        else:
+            pdefs = defs if type(inst.dest) is PReg else ()
+        append(InstFacts(
+            defs, inst.used_regs(), pdefs, pred, cat is _PREDSET,
+            pred is not None or cat is _CMOV,
+            inst.target if op.control and cat is not _CALL else None,
             not op.side_effects))
     return facts
 

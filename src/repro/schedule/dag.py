@@ -31,13 +31,20 @@ from dataclasses import dataclass, field
 
 from repro.analysis.liveness import Liveness
 from repro.ir.function import BasicBlock, Function
-from repro.ir.instruction import Instruction, PType, instruction_facts
+from repro.ir.instruction import (InstFacts, Instruction, PType,
+                                  instruction_facts)
 from repro.ir.opcodes import OpCategory, Opcode
 from repro.ir.operands import GlobalAddr, PReg
 from repro.machine.descriptor import MachineDescription
 
 _PARALLEL_SET = frozenset({PType.OR, PType.OR_BAR})
 _PARALLEL_CLEAR = frozenset({PType.AND, PType.AND_BAR})
+# Categories read once: an enum member read through its class is slow.
+_CALL = OpCategory.CALL
+_CMOV = OpCategory.CMOV
+_LOAD = OpCategory.LOAD
+_RET = OpCategory.RET
+_STORE = OpCategory.STORE
 
 
 @dataclass
@@ -84,12 +91,14 @@ def _parallel_family(inst: Instruction, reg) -> frozenset | None:
     return None
 
 
+_COMPLEMENTARY_PAIRS = ({Opcode.CMOV, Opcode.CMOV_COM},
+                        {Opcode.FCMOV, Opcode.FCMOV_COM})
+
+
 def _complementary_cmovs(a: Instruction, b: Instruction) -> bool:
     """cmov/cmov_com on the same dest and condition may issue together
     (paper Section 2.2: at most one of them modifies the register)."""
-    pair = {a.op, b.op}
-    if pair not in ({Opcode.CMOV, Opcode.CMOV_COM},
-                    {Opcode.FCMOV, Opcode.FCMOV_COM}):
+    if {a.op, b.op} not in _COMPLEMENTARY_PAIRS:
         return False
     return a.dest == b.dest and a.srcs[1] == b.srcs[1]
 
@@ -140,8 +149,8 @@ class DagEdges:
 
 def build_dag(fn: Function, block: BasicBlock, live: Liveness,
               machine: MachineDescription,
-              memo: dict[tuple[str, str], DagEdges] | None = None
-              ) -> DepGraph:
+              memo: dict[tuple[str, str], DagEdges] | None = None,
+              facts: list[InstFacts] | None = None) -> DepGraph:
     """The dependence DAG of ``block`` on ``machine``.
 
     ``memo``, when given, holds edge lists by (function, block) name: a
@@ -149,14 +158,16 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
     unscheduled program share one edge list across machines.  Each
     entry also keeps the graph resolved for every latency table it was
     asked for (heights included), so machines that differ only in
-    issue width or branch slots resolve a block once.
+    issue width or branch slots resolve a block once.  ``facts`` are
+    the block's :func:`instruction_facts`, read only when the edges
+    are found here.
     """
     edges = None
     if memo is not None:
         key = (fn.name, block.name)
         edges = memo.get(key)
     if edges is None:
-        edges = dependence_edges(block, live)
+        edges = dependence_edges(block, live, facts)
         if memo is not None:
             memo[key] = edges
     insts = block.instructions
@@ -178,11 +189,17 @@ def build_dag(fn: Function, block: BasicBlock, live: Liveness,
     return graph
 
 
-def dependence_edges(block: BasicBlock, live: Liveness) -> DagEdges:
-    """Every ordering requirement of ``block``, with latencies by kind."""
+def dependence_edges(block: BasicBlock, live: Liveness,
+                     facts: list[InstFacts] | None = None) -> DagEdges:
+    """Every ordering requirement of ``block``, with latencies by kind.
+
+    ``facts`` are the block's :func:`instruction_facts`, computed here
+    when None.
+    """
     insts = block.instructions
     n = len(insts)
-    facts = instruction_facts(insts)
+    if facts is None:
+        facts = instruction_facts(insts)
     edges = DagEdges([[] for _ in range(n)], [[] for _ in range(n)])
     succs, preds = edges.succs, edges.preds
 
@@ -192,80 +209,106 @@ def dependence_edges(block: BasicBlock, live: Liveness) -> DagEdges:
         succs[i].append((j, kind))
         preds[j].append((i, kind))
 
-    # Register dependences.  ``readers`` lists, per register, the
-    # earlier instructions reading it in ascending order, so a write
-    # finds its WAR predecessors without rescanning the block.
+    # Register dependences.  The definitions reaching a register are
+    # its last definite one, then its pending conditional ones in
+    # order; ``readers`` lists, per register, the earlier instructions
+    # reading it in ascending order, so a write finds its WAR
+    # predecessors without rescanning the block.  Every record holds
+    # only earlier instructions until the WAW step below updates it, so
+    # only a WAW edge can meet ``j`` itself (a repeated destination).
     last_definite: dict = {}
     pending: dict = {}  # reg -> list of conditional def indices
     readers: dict = {}
 
-    def defs_reaching(reg) -> list[int]:
-        out = []
-        if reg in last_definite:
-            out.append(last_definite[reg])
-        out.extend(pending.get(reg, ()))
-        return out
-
     for j, inst in enumerate(insts):
-        defs, uses = facts[j].defs, facts[j].uses
+        f = facts[j]
+        defs, uses = f.defs, f.uses
+        into = preds[j]
         # Only predicate defines and cmovs are ever unordered with an
         # instruction touching the same register.
-        may_pair = bool(inst.pdests) or inst.op.category is OpCategory.CMOV
+        may_pair = bool(inst.pdests) or inst.op.category is _CMOV
         # RAW (including guard predicates and cmov implicit dest reads).
         for r in uses:
-            for i in defs_reaching(r):
-                if may_pair and _unordered(insts[i], inst, r):
-                    continue
-                add_edge(i, j, LATENCY)
+            i = last_definite.get(r)
+            if i is not None and not (
+                    may_pair and _unordered(insts[i], inst, r)):
+                succs[i].append((j, LATENCY))
+                into.append((i, LATENCY))
+            for i in pending.get(r, ()):
+                if not (may_pair and _unordered(insts[i], inst, r)):
+                    succs[i].append((j, LATENCY))
+                    into.append((i, LATENCY))
         # WAR: writers wait for earlier readers (latency 0 keeps order).
         for r in defs:
-            reaching = defs_reaching(r)
-            for i in readers.get(r, ()):
-                if i in reaching \
+            listed = readers.get(r)
+            if not listed:
+                continue
+            definite = last_definite.get(r)
+            conditional = pending.get(r, ())
+            for i in listed:
+                if i == definite or i in conditional \
                         or may_pair and _unordered(insts[i], inst, r):
                     continue
-                add_edge(i, j, 0)
+                succs[i].append((j, 0))
+                into.append((i, 0))
         # WAW.
         for r in defs:
-            for i in defs_reaching(r):
-                if may_pair and _unordered(insts[i], inst, r):
-                    continue
-                # Predicate WAW must keep a cycle between writes (U-type
-                # defines "may not issue simultaneously"); register WAW
-                # only needs ordering unless the producer is slow.
-                add_edge(i, j, 1 if isinstance(r, PReg) else WAW)
+            # Predicate WAW must keep a cycle between writes (U-type
+            # defines "may not issue simultaneously"); register WAW
+            # only needs ordering unless the producer is slow.
+            kind = 1 if type(r) is PReg else WAW
+            i = last_definite.get(r)
+            if i is not None and i != j and not (
+                    may_pair and _unordered(insts[i], inst, r)):
+                succs[i].append((j, kind))
+                into.append((i, kind))
+            conditional = pending.get(r)
+            if conditional is not None:
+                for i in conditional:
+                    if i != j and not (
+                            may_pair and _unordered(insts[i], inst, r)):
+                        succs[i].append((j, kind))
+                        into.append((i, kind))
             # Update def records.  Parallel-type (OR/AND) predicate
             # destinations accumulate rather than overwrite, so they are
             # pending defs like guarded writes — a later reader depends
             # on *all* of them, not just the latest.
-            if facts[j].cond_write \
-                    or _parallel_family(inst, r) is not None:
-                pending.setdefault(r, []).append(j)
+            if f.cond_write or _parallel_family(inst, r) is not None:
+                if conditional is None:
+                    pending[r] = [j]
+                else:
+                    conditional.append(j)
             else:
                 last_definite[r] = j
-                pending.pop(r, None)
+                if conditional is not None:
+                    del pending[r]
         for r in uses:
-            listed = readers.setdefault(r, [])
-            if not listed or listed[-1] != j:
+            listed = readers.get(r)
+            if listed is None:
+                readers[r] = [j]
+            elif listed[-1] != j:
                 listed.append(j)
 
     # pred_clear / pred_set rewrite the entire predicate file: order them
     # against every instruction touching any predicate register.
-    touchers: list[int] = []
-    last_predset: int | None = None
-    for j, f in enumerate(facts):
-        if f.predset:
-            for i in touchers:
-                add_edge(i, j, 0)
-            if last_predset is not None:
-                add_edge(last_predset, j, 0)
-            last_predset = j
-            touchers = []
-        elif insts[j].pdests or any(isinstance(r, PReg) for r in f.uses):
-            # The guard is among the uses.
-            if last_predset is not None:
-                add_edge(last_predset, j, 1)
-            touchers.append(j)
+    # Most blocks hold neither.
+    if any(f.predset for f in facts):
+        touchers: list[int] = []
+        last_predset: int | None = None
+        for j, f in enumerate(facts):
+            if f.predset:
+                for i in touchers:
+                    add_edge(i, j, 0)
+                if last_predset is not None:
+                    add_edge(last_predset, j, 0)
+                last_predset = j
+                touchers = []
+            elif insts[j].pdests or any(isinstance(r, PReg)
+                                        for r in f.uses):
+                # The guard is among the uses.
+                if last_predset is not None:
+                    add_edge(last_predset, j, 1)
+                touchers.append(j)
 
     # Memory dependences with symbolic disambiguation: accesses through
     # distinct global objects cannot alias (globals do not overlap);
@@ -292,13 +335,13 @@ def dependence_edges(block: BasicBlock, live: Liveness) -> DagEdges:
 
     for j, inst in enumerate(insts):
         cat = inst.op.category
-        if cat is OpCategory.LOAD:
+        if cat is _LOAD:
             key = _mem_key(inst)
             for i in conflicting_stores(key):
                 add_edge(i, j, LATENCY)
             loads_since.setdefault(key, []).append(j)
-        elif cat is OpCategory.STORE or cat is OpCategory.CALL:
-            key = "*" if cat is OpCategory.CALL else _mem_key(inst)
+        elif cat is _STORE or cat is _CALL:
+            key = "*" if cat is _CALL else _mem_key(inst)
             for i in conflicting_stores(key):
                 add_edge(i, j, 1)
             for i in conflicting_loads(key):
@@ -330,9 +373,9 @@ def dependence_edges(block: BasicBlock, live: Liveness) -> DagEdges:
         if not control[b]:
             continue
         cat = binst.op.category
-        if cat is OpCategory.CALL:
+        if cat is _CALL:
             live_target = None  # a full barrier
-        elif cat is OpCategory.RET:
+        elif cat is _RET:
             # A return's "target" needs only the returned value: other
             # pure instructions may move across it like any exit branch.
             live_target = frozenset(facts[b].uses)
@@ -343,10 +386,13 @@ def dependence_edges(block: BasicBlock, live: Liveness) -> DagEdges:
         else:
             pinned = [not (f.pure and live_target.isdisjoint(f.defs))
                       for f in facts]
+        out, into = succs[b], preds[b]
         for j in range(b):
             if pinned[j] and not control[j]:
-                add_edge(j, b, 0)
+                succs[j].append((b, 0))
+                into.append((j, 0))
         for j in range(b + 1, n):
             if pinned[j] or control[j]:
-                add_edge(b, j, 0)
+                out.append((j, 0))
+                preds[j].append((b, 0))
     return edges

@@ -9,7 +9,7 @@ from repro.analysis.liveness import block_use_def, live_before_each, liveness
 from repro.analysis.loops import find_loops, innermost_loops
 from repro.ir import (BasicBlock, Function, IRBuilder, Imm, Instruction,
                       Opcode, PReg, PredDest, PType, VReg)
-from tests.programs import ALL_PROGRAMS
+from tests.programs import ALL_PROGRAMS, program_functions
 
 
 def test_block_use_def_simple():
@@ -228,30 +228,12 @@ def test_worklist_liveness_matches_round_robin_on_real_code():
             assert got.live_out == want.live_out, (model, fn.name)
 
 
-def _functions_of(name):
-    """The frontend program of ``name`` and each model's optimized
-    program, as (tag, function) pairs."""
-    from repro.analysis.profile import Profile
-    from repro.toolchain import Model, frontend, optimize_for_model
-    from tests.programs import program_source
-
-    source, inputs = program_source(name)
-    base = frontend(source)
-    profile = Profile.collect(base, inputs=inputs, max_steps=2_000_000)
-    programs = [("frontend", base)] + [
-        (model.value, optimize_for_model(base, model, profile).program)
-        for model in Model]
-    for tag, program in programs:
-        for fn in program.functions.values():
-            yield tag, fn
-
-
 @pytest.mark.parametrize("name", ALL_PROGRAMS)
 def test_summary_liveness_matches_round_robin(name):
     """Every kernel, corpus entry and short generated program, before
     and after each model's optimization: the summary-driven worklist
     solve equals the exact-scan round-robin oracle."""
-    for tag, fn in _functions_of(name):
+    for tag, fn in program_functions(name):
         got = liveness(fn)
         want = _round_robin_liveness(fn)
         assert got.live_in == want.live_in, (tag, fn.name)

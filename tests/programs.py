@@ -3,6 +3,8 @@ and short generated programs no pass was tuned on."""
 
 from __future__ import annotations
 
+import functools
+
 from repro.fuzz.corpus import list_entries
 from repro.fuzz.generator import FuzzCase, generate_case
 from repro.workloads.base import all_workloads, get_workload
@@ -39,3 +41,21 @@ def program_source(name: str) -> tuple[str, dict]:
         return CASES[name].source, CASES[name].inputs
     workload = get_workload(name)
     return workload.source, workload.inputs(0.05)
+
+
+@functools.cache
+def program_functions(name: str) -> tuple:
+    """(tag, function) pairs of the frontend program of a name in
+    :data:`ALL_PROGRAMS` and of each model's optimized program.  Shared
+    across tests, so callers must not change the functions."""
+    from repro.analysis.profile import Profile
+    from repro.toolchain import Model, frontend, optimize_for_model
+
+    source, inputs = program_source(name)
+    base = frontend(source)
+    profile = Profile.collect(base, inputs=inputs, max_steps=2_000_000)
+    programs = [("frontend", base)] + [
+        (model.value, optimize_for_model(base, model, profile).program)
+        for model in Model]
+    return tuple((tag, fn) for tag, program in programs
+                 for fn in program.functions.values())

@@ -6,6 +6,7 @@ from repro.ir import (Function, GlobalAddr, IRBuilder, Imm, Instruction,
 from repro.machine.descriptor import MachineDescription
 from repro.schedule.dag import build_dag
 from repro.schedule.list_scheduler import schedule_block
+from tests.schedule.test_shared_dag import MACHINES, PROGRAMS, _optimized
 
 
 def _machine(width=4, branches=1):
@@ -250,3 +251,58 @@ def test_store_order_edge_still_allows_same_cycle_issue():
     cycles = [result.cycles[i.uid] for i in block.instructions
               if i.op is Opcode.STORE]
     assert cycles[0] == cycles[1] == 0
+
+
+def test_program_length_is_the_sum_of_its_block_lengths():
+    from repro.analysis.profile import Profile
+    from repro.machine.descriptor import fig8_machine
+    from repro.toolchain import Model, compile_for_model, frontend
+    from repro.workloads.base import get_workload
+
+    workload = get_workload("wc")
+    base = frontend(workload.source)
+    profile = Profile.collect(base, inputs=workload.inputs(0.05))
+    for model in Model:
+        compiled = compile_for_model(base, model, profile, fig8_machine())
+        cycles = compiled.schedule.cycles
+        lengths = [max(cycles[inst.uid] for inst in block.instructions) + 1
+                   for fn in compiled.program.functions.values()
+                   for block in fn.blocks if block.instructions]
+        assert compiled.schedule.length == sum(lengths) > 0, model
+
+
+def _crossing_reference(original, scheduled):
+    """Uids of the may-except instructions of ``original`` that the
+    ``scheduled`` order moved above a control transfer."""
+    from repro.ir.opcodes import MAY_EXCEPT
+
+    pos = {inst.uid: k for k, inst in enumerate(scheduled)}
+    return {inst.uid for i, inst in enumerate(original)
+            if inst.op in MAY_EXCEPT and not inst.speculative
+            and any(b.is_control and pos[b.uid] > pos[inst.uid]
+                    for b in original[:i])}
+
+
+def test_silent_marks_follow_the_crossing_rule():
+    """Every block of real code on every machine: exactly the
+    may-except instructions that moved above a branch turn silent."""
+    crossed = 0
+    for optimized in (o for program in PROGRAMS
+                      for o in _optimized(program)):
+        for machine in MACHINES:
+            clone = optimized.program.clone()
+            for fn in clone.functions.values():
+                live = liveness(fn)
+                for block in fn.blocks:
+                    original = list(block.instructions)
+                    result = schedule_block(fn, block, machine, live)
+                    expected = _crossing_reference(original,
+                                                   block.instructions)
+                    silent = {inst.uid for inst in block.instructions
+                              if inst.speculative}
+                    was_silent = {inst.uid for inst in original
+                                  if inst.speculative}
+                    assert silent - was_silent == expected, block.name
+                    assert result.speculated == len(expected)
+                    crossed += len(expected)
+    assert crossed

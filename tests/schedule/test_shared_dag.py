@@ -89,9 +89,9 @@ def test_memoized_schedules_match_unmemoized_ones(program, monkeypatch):
     found = []
     original = dag.dependence_edges
 
-    def counting(block, live):
+    def counting(block, live, facts=None):
         found.append(block.name)
-        return original(block, live)
+        return original(block, live, facts)
     monkeypatch.setattr(dag, "dependence_edges", counting)
     for optimized in _optimized(program):
         optimized.dags.clear()

@@ -15,7 +15,8 @@ digest is taken in process.
 ``MACHINES_GOLDEN`` covers the other figures' machines, each program
 optimized once per model and scheduled for every machine in turn, the
 way the figures compile it.  ``GENERATED_GOLDEN`` covers generated
-programs that no pass was tuned on, frontend and optimized.
+programs that no pass was tuned on, frontend and optimized, and
+``SCHEDULED_GOLDEN`` the same programs scheduled.
 """
 
 import hashlib
@@ -27,6 +28,8 @@ GOLDEN = "eacb439cfa2b53508516c110d4de29a13765940cd09c3ffd867b9569dc3aa433"
 MACHINES_GOLDEN = "68ec8259f49bed5935c18fb4a7b51181fe8f9aed09abe9c8a9e0715c7518b895"
 #: SHA-256 of :func:`generated_digest`
 GENERATED_GOLDEN = "5df979a0d620034ce18d465c0c24f6013f26289a0ce3c0adc66b694f80aa333c"
+#: SHA-256 of :func:`scheduled_digest`
+SCHEDULED_GOLDEN = "42c08125c6beff9fc59c2f70a276d49127287d7744917e7cf4ead669c2554773"
 
 
 def compiled_digest() -> str:
@@ -116,6 +119,38 @@ def generated_digest() -> str:
     return digest.hexdigest()
 
 
+def scheduled_digest() -> str:
+    """SHA-256 of the printed programs, with issue cycles, and the
+    speculated count of the first 30 programs of ``generate_case(7, i)``
+    with at most 600 characters of source, under every model on the
+    fuzz, Fig. 9 and Fig. 10 machines, one optimization per model."""
+    from repro.analysis.profile import Profile
+    from repro.fuzz.executor import ExecutorConfig
+    from repro.ir.printer import format_function
+    from repro.machine.descriptor import fig9_machine, fig10_machine
+    from repro.toolchain import Model, compile_for_model, frontend
+    from tests.programs import random_cases
+
+    machines = (ExecutorConfig().machine(), fig9_machine(),
+                fig10_machine())
+    digest = hashlib.sha256()
+    for case in random_cases(7, 30).values():
+        base = frontend(case.source)
+        profile = Profile.collect(base, inputs=case.inputs,
+                                  max_steps=2_000_000)
+        for model in Model:
+            optimized = {}
+            for machine in machines:
+                compiled = compile_for_model(base, model, profile, machine,
+                                             optimized=optimized)
+                for fn in compiled.program.functions.values():
+                    text = format_function(fn, compiled.schedule.cycles)
+                    digest.update(text.encode())
+                digest.update(f"speculated {compiled.schedule.speculated}"
+                              .encode())
+    return digest.hexdigest()
+
+
 def test_wc_grep_compiled_programs_are_pinned():
     assert compiled_digest() == GOLDEN
 
@@ -126,3 +161,7 @@ def test_wc_grep_programs_on_the_other_machines_are_pinned():
 
 def test_generated_programs_are_pinned():
     assert generated_digest() == GENERATED_GOLDEN
+
+
+def test_scheduled_generated_programs_are_pinned():
+    assert scheduled_digest() == SCHEDULED_GOLDEN
