@@ -40,7 +40,7 @@ Examples::
     python -m repro run kernel.c --model cmov --width 8 --branches 1
     python -m repro run kernel.c --paranoid --time-budget 30
     python -m repro bench wc --scale 0.5
-    python -m repro report --scale 0.5 --mode degrade -o RESULTS.txt
+    python -m repro report --scale 0.5 --paranoid -o RESULTS.txt
     python -m repro report --jobs 4 --bench-json bench.json
     python -m repro figures --resume R20260805-120000-abcd1234
     python -m repro cache stats
@@ -124,12 +124,9 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
 def _add_robustness_args(parser: argparse.ArgumentParser,
                          watchdog: bool = True) -> None:
     parser.add_argument("--paranoid", action="store_true",
-                        help="verify the IR after every compiler pass; "
-                             "failures name the pass and dump an IR "
-                             "snapshot")
-    parser.add_argument("--rollback", action="store_true",
-                        help="skip (instead of abort on) a failing pass; "
-                             "degradations are reported")
+                        help="verify the IR after every compiler pass "
+                             "and every emulation trace; failures name "
+                             "the pass and dump an IR snapshot")
     parser.add_argument("--artifact-dir", default=None,
                         help="directory for failure IR snapshots "
                              "(default: system temp)")
@@ -227,7 +224,6 @@ def _finish_run(suite) -> None:
 
 def _options(args) -> ToolchainOptions:
     return ToolchainOptions(paranoid=getattr(args, "paranoid", False),
-                            rollback=getattr(args, "rollback", False),
                             artifact_dir=getattr(args, "artifact_dir",
                                                  None))
 
@@ -237,15 +233,6 @@ def _watchdog(args) -> EmulationWatchdog | None:
     if budget is None:
         return None
     return EmulationWatchdog(wall_clock_budget=budget)
-
-
-def _print_degradations(compiled) -> None:
-    for d in compiled.degradations:
-        line = (f"degraded: skipped pass {d.pass_name!r} on "
-                f"{d.function} ({d.error})")
-        if d.artifact_path:
-            line += f" [artifact: {d.artifact_path}]"
-        print(line, file=sys.stderr)
 
 
 def _read_source(path: str) -> str:
@@ -261,7 +248,6 @@ def _cmd_compile(args) -> int:
     profile = Profile.collect(base, inputs=None)
     compiled = compile_for_model(base, Model[args.model.upper()], profile,
                                  _machine(args), _options(args))
-    _print_degradations(compiled)
     print(format_program(compiled.program))
     return 0
 
@@ -274,7 +260,6 @@ def _cmd_run(args) -> int:
     model = Model[args.model.upper()]
     options = _options(args)
     compiled = compile_for_model(base, model, profile, machine, options)
-    _print_degradations(compiled)
     result = run_compiled(compiled, inputs=None, watchdog=_watchdog(args),
                           engine=args.engine)
     scalar = run_compiled(
@@ -300,7 +285,6 @@ def _cmd_bench(args) -> int:
     workload = get_workload(args.name)
     suite = ExperimentSuite(workloads=[workload], scale=args.scale,
                             options=_options(args),
-                            paranoid=args.paranoid,
                             wall_clock_budget=args.time_budget,
                             cache_dir=_cache_dir(args), jobs=args.jobs,
                             engine=args.engine,
@@ -352,9 +336,7 @@ def _run_differential(workload, machine, args) -> None:
 
 
 def _cmd_report(args) -> int:
-    suite = ExperimentSuite(scale=args.scale, mode=args.mode,
-                            options=_options(args),
-                            paranoid=args.paranoid,
+    suite = ExperimentSuite(scale=args.scale, options=_options(args),
                             wall_clock_budget=args.time_budget,
                             cache_dir=_cache_dir(args), jobs=args.jobs,
                             engine=args.engine,
@@ -365,8 +347,6 @@ def _cmd_report(args) -> int:
     except BaseException:
         suite.close_journal(ok=False)
         raise
-    if suite.failures:
-        text += "\n\n" + suite.failure_report()
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text + "\n")
@@ -375,7 +355,7 @@ def _cmd_report(args) -> int:
         print(text)
     _print_metrics(suite.metrics, args)
     _finish_run(suite)
-    return 1 if suite.failures else 0
+    return 0
 
 
 def _cmd_cache(args) -> int:
@@ -690,11 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--scale", type=float, default=0.5)
         p.add_argument("-o", "--output", help="write to file")
-        p.add_argument("--mode", choices=("strict", "degrade"),
-                       default="strict",
-                       help="strict: abort on the first failing "
-                            "workload; degrade: quarantine it and "
-                            "report at the end")
         _add_robustness_args(p)
         _add_engine_args(p)
         _add_perf_args(p)

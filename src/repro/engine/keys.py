@@ -25,7 +25,11 @@ from typing import Any
 #: v2: execution artifacts stored columnar ``TraceColumns`` traces.
 #: Traces and compiled programs are no longer stored; bumping for that
 #: would orphan every warm ``optimized`` and ``stats`` artifact.
-SCHEMA_VERSION = 2
+#: v3: the scalar passes run to their fixpoint instead of stopping
+#: after four rounds, which changes optimized programs (and so stats)
+#: under unchanged sources; no key holds a compiler version, so only
+#: this bump keeps a v2 store from serving the old results.
+SCHEMA_VERSION = 3
 
 #: artifact kinds the store writes, in pipeline order
 KINDS = ("frontend", "profile", "optimized", "stats")

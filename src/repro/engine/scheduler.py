@@ -17,7 +17,7 @@ three failure classes:
 * **permanent typed failures** — a worker raised a deterministic error
   (``CompileError`` and friends pickle back across the pool); the job
   is recorded as failed immediately and its transitive dependents are
-  *skipped*, mirroring the experiment suite's ``degrade`` quarantine;
+  *skipped*;
 * **worker crashes** — a worker died (segfault, ``os._exit``, OOM
   kill), which poisons the whole pool.  The pool is rebuilt (counted in
   ``PipelineMetrics.pool_rebuilds``) and, after repeated breakages,
@@ -68,7 +68,7 @@ class Job:
 
     ``fn`` must be a module-level callable (the pool pickles it by
     reference) and ``args`` must be picklable.  ``workload`` and
-    ``stage`` annotate failures for the suite's degrade reports;
+    ``stage`` annotate failures in the journal and error messages;
     ``artifacts`` lists the ``(kind, key)`` pairs the job persists, so
     the run journal can record verified completion.
     """

@@ -101,7 +101,6 @@ class PipelineContext:
     scale: float = 1.0
     options: ToolchainOptions = field(default_factory=ToolchainOptions)
     max_steps: int = 20_000_000
-    paranoid: bool = False
     wall_clock_budget: float | None = None
     store: ArtifactStore | None = None
     metrics: PipelineMetrics = field(default_factory=PipelineMetrics)
@@ -344,8 +343,8 @@ class PipelineContext:
         The emulation is keyed by the scheduled program's content and
         the inputs' profile key: triples whose programs come out alike
         (say, one model's schedules for machines whose issue width never
-        binds) share one.  In paranoid mode each triple's program is
-        still checked against the trace it is given.
+        binds) share one.  With ``options.paranoid`` each triple's
+        program is still checked against the trace it is given.
         """
         key = self.execution_key(workload, model, machine)
         execution = self._execution.get(key)
@@ -357,7 +356,7 @@ class PipelineContext:
             if execution is None:
                 execution = self._emulations[shared] = self._emulate(
                     workload, compiled, number)
-            if self.paranoid:
+            if self.options.paranoid:
                 check_trace_integrity(execution, compiled.program)
             self._execution[key] = execution
         self._drain_native_counters()

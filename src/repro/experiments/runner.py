@@ -12,8 +12,8 @@ is set, persisted to a content-addressed artifact store so a repeated
 figure run performs zero compilations and emulations.  Only results
 are stored; a trace lives in the process that emulated it.  ``jobs > 1``
 fans one compile+emulate+simulate job per compiled program across a
-process pool via the DAG scheduler, with worker failures feeding the
-suite's ``degrade`` quarantine.
+process pool via the DAG scheduler; a failed job raises its typed
+error like a failure in process.
 
 Speedups divide the 1-issue baseline (superblock) cycle count by the
 evaluated configuration's cycle count, as in Section 4.1.
@@ -25,9 +25,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, TypeVar
 
-from repro.emu.memory import EmulationFault
 from repro.emu.trace import ExecutionResult
 from repro.engine.metrics import PipelineMetrics
 from repro.engine.recovery.journal import RunJournal, verify_completed
@@ -38,18 +36,14 @@ from repro.engine.stages import PipelineContext, RunSummary
 from repro.engine.store import ArtifactStore
 from repro.engine.workers import JobSpec, measure, prepare_workload
 from repro.engines import DEFAULT_ENGINE
-from repro.ir.function import IRError
 from repro.machine.descriptor import (CacheConfig, MachineDescription,
                                       fig8_machine, fig9_machine,
                                       fig10_machine, scalar_machine)
 from repro.robustness.differential import assert_equivalent
 from repro.robustness.errors import ReproError, classify_exception
-from repro.robustness.report import WorkloadFailure, format_failures
 from repro.sim.pipeline import SimulationStats
 from repro.toolchain import Model, ToolchainOptions
 from repro.workloads.base import Workload, all_workloads
-
-_T = TypeVar("_T")
 
 
 def scaled_fig11_machine() -> MachineDescription:
@@ -87,12 +81,10 @@ class WorkloadRun:
 class ExperimentSuite:
     """Caches compilations/emulations across experiment queries.
 
-    ``mode`` selects the failure policy: ``strict`` (default) propagates
-    the first typed error; ``degrade`` quarantines the failing workload,
-    records a :class:`WorkloadFailure` in :attr:`failures` and completes
-    the remaining workloads.  ``paranoid`` additionally verifies every
-    recorded trace's integrity, and ``wall_clock_budget`` (seconds, per
-    emulation) arms the watchdog on top of ``max_steps``.
+    The first failure of any workload raises its typed error.
+    ``options.paranoid`` additionally verifies the IR after every pass
+    and every recorded trace's integrity, and ``wall_clock_budget``
+    (seconds, per emulation) arms the watchdog on top of ``max_steps``.
 
     ``cache_dir`` attaches the content-addressed artifact store (None
     keeps everything in-memory, as hermetic tests expect); ``jobs``
@@ -117,8 +109,6 @@ class ExperimentSuite:
     scale: float = 1.0
     options: ToolchainOptions | None = None
     max_steps: int = 20_000_000
-    mode: str = "strict"
-    paranoid: bool = False
     wall_clock_budget: float | None = None
     cache_dir: str | None = None
     jobs: int = 1
@@ -134,9 +124,6 @@ class ExperimentSuite:
     journal_meta: dict | None = None
 
     def __post_init__(self):
-        if self.mode not in ("strict", "degrade"):
-            raise ValueError(f"unknown suite mode {self.mode!r} "
-                             f"(expected 'strict' or 'degrade')")
         if self.options is None:
             self.options = ToolchainOptions()
         #: True when the suite made ``cache_dir`` itself: nothing can
@@ -148,12 +135,10 @@ class ExperimentSuite:
             if self.cache_dir is not None else None
         self.ctx = PipelineContext(
             scale=self.scale, options=self.options,
-            max_steps=self.max_steps, paranoid=self.paranoid,
+            max_steps=self.max_steps,
             wall_clock_budget=self.wall_clock_budget, store=store,
             engine=self.engine)
         self._by_name = {w.name: w for w in self.workloads}
-        self.failures: list[WorkloadFailure] = []
-        self._failed: set[str] = set()
         self.journal: RunJournal | None = None
         #: tasks the resumed journal proved complete (artifacts verified)
         self.resumed_verified: set[str] = set()
@@ -175,8 +160,8 @@ class ExperimentSuite:
                 verify_completed(state, store)
             self._journaled |= self.resumed_verified
         else:
-            meta = {"scale": self.scale, "mode": self.mode,
-                    "jobs": self.jobs, "max_steps": self.max_steps,
+            meta = {"scale": self.scale, "jobs": self.jobs,
+                    "max_steps": self.max_steps,
                     "workloads": [w.name for w in self.workloads]}
             if self.journal_meta:
                 meta.update(self.journal_meta)
@@ -184,12 +169,11 @@ class ExperimentSuite:
                                              meta=meta)
             self.run_id = self.journal.run_id
 
-    def close_journal(self, ok: bool | None = None) -> None:
+    def close_journal(self, ok: bool = True) -> None:
         """Append the run-finish record and release the file handle;
         delete the store too when the suite made it."""
         if self.journal is not None:
-            self.journal.run_finish(not self.failures if ok is None
-                                    else ok)
+            self.journal.run_finish(ok)
             self.journal.close()
             self.journal = None
         if self.owns_cache_dir:
@@ -244,31 +228,6 @@ class ExperimentSuite:
                  machine: MachineDescription) -> ExecutionResult:
         return self.ctx.execution(self._workload(name), model, machine)
 
-    # ----- failure policy -------------------------------------------------
-
-    def _guard(self, name: str, stage: str,
-               thunk: Callable[[], _T]) -> _T | None:
-        """Run one workload stage under the suite's failure policy.
-
-        Returns None (and records the failure) in ``degrade`` mode;
-        re-raises in ``strict`` mode.
-        """
-        try:
-            return thunk()
-        except (ReproError, EmulationFault, IRError) as exc:
-            if self.mode != "degrade":
-                raise
-            self._failed.add(name)
-            self.failures.append(WorkloadFailure(
-                workload=name, stage=stage,
-                error_type=type(exc).__name__, message=str(exc),
-                artifact_path=getattr(exc, "artifact_path", None)))
-            return None
-
-    def failure_report(self) -> str:
-        """Human-readable block describing degraded workloads."""
-        return format_failures(self.failures)
-
     # ----- parallel prefetch ----------------------------------------------
 
     def _job_spec(self, name: str, model: Model,
@@ -276,7 +235,7 @@ class ExperimentSuite:
         return JobSpec(cache_dir=self.cache_dir, workload=name,
                        model_name=model.name, machines=machines,
                        scale=self.scale, options=self.options,
-                       max_steps=self.max_steps, paranoid=self.paranoid,
+                       max_steps=self.max_steps,
                        wall_clock_budget=self.wall_clock_budget,
                        engine=self.engine)
 
@@ -304,8 +263,6 @@ class ExperimentSuite:
             return
         jobs: list[Job] = []
         for w in self.workloads:
-            if w.name in self._failed:
-                continue
             # (model, compile key) -> stats key -> machine
             groups: dict[tuple[Model, str],
                          dict[str, MachineDescription]] = {}
@@ -341,10 +298,9 @@ class ExperimentSuite:
         """Journal and execute a job DAG.
 
         Every job's start/finish lands in the run journal, pool-worker
-        counters merge into :attr:`metrics`, and failures feed the
-        suite's failure policy.  Returns the scheduler's outcome (None
-        for an empty plan): jobs downstream of a failure are in its
-        ``skipped``.
+        counters merge into :attr:`metrics`, and the first failure
+        raises its typed error.  Returns the scheduler's outcome (None
+        for an empty plan).
         """
         if not jobs:
             return None
@@ -361,25 +317,21 @@ class ExperimentSuite:
         return outcome
 
     def _absorb_job_failures(self, failures: list[JobFailure]) -> None:
-        """Map scheduler failures onto the suite's failure policy."""
-        for failure in failures:
-            if failure.crashed:
-                self.metrics.worker_crashes += 1
-            if self.journal is not None:
-                self.journal.task_fail(
-                    failure.job_id, failure.error_type, failure.message,
-                    transient=failure.transient, attempt=failure.attempts)
-            if self.mode != "degrade":
-                if failure.exception is not None:
-                    raise failure.exception
-                raise ReproError(
-                    f"worker crashed during {failure.stage} of "
-                    f"{failure.workload}: {failure.message}")
-            if failure.workload is not None:
-                self._failed.add(failure.workload)
-            self.failures.append(WorkloadFailure(
-                workload=failure.workload or "?", stage=failure.stage,
-                error_type=failure.error_type, message=failure.message))
+        """Journal the first scheduler failure and raise its typed
+        error."""
+        if not failures:
+            return
+        failure = failures[0]
+        if failure.crashed:
+            self.metrics.worker_crashes += 1
+        if self.journal is not None:
+            self.journal.task_fail(
+                failure.job_id, failure.error_type, failure.message,
+                transient=failure.transient, attempt=failure.attempts)
+        if failure.exception is not None:
+            raise failure.exception
+        raise ReproError(f"worker crashed during {failure.stage} of "
+                         f"{failure.workload}: {failure.message}")
 
     # ----- public queries ----------------------------------------------------
 
@@ -443,22 +395,12 @@ class ExperimentSuite:
 
     def validate_models(self, machine: MachineDescription
                         ) -> dict[str, bool]:
-        """Run the differential oracle over every workload.
-
-        In ``degrade`` mode divergent workloads are recorded in
-        :attr:`failures` and marked False; ``strict`` mode raises on the
-        first divergence.
-        """
-        outcome: dict[str, bool] = {}
+        """Run the differential oracle over every workload.  The first
+        divergence raises :class:`ModelDivergenceError`, so every
+        workload in the returned map is True."""
         for w in self.workloads:
-            if w.name in self._failed:
-                continue
-            ok = self._guard(
-                w.name, "differential",
-                lambda w=w: (self.check_model_agreement(w.name, machine),
-                             True)[1])
-            outcome[w.name] = bool(ok)
-        return outcome
+            self.check_model_agreement(w.name, machine)
+        return {w.name: True for w in self.workloads}
 
     # ----- figure/table data ----------------------------------------------------
 
@@ -467,33 +409,18 @@ class ExperimentSuite:
         """Per-benchmark speedups vs the 1-issue baseline (Figs 8-11)."""
         self.prefetch([(machine, tuple(Model)),
                        (scalar_machine(), (Model.SUPERBLOCK,))])
-        table: dict[str, dict[Model, float]] = {}
-        for w in self.workloads:
-            if w.name in self._failed:
-                continue
-            row = self._guard(w.name, "speedup", lambda w=w: {
-                model: self.baseline_cycles(w.name)
-                / self.run(w.name, model, machine).cycles
-                for model in Model})
-            if row is not None:
-                table[w.name] = row
-        return table
+        return {w.name: {model: self.baseline_cycles(w.name)
+                         / self.run(w.name, model, machine).cycles
+                         for model in Model}
+                for w in self.workloads}
 
     def dynamic_counts(self) -> dict[str, dict[Model, int]]:
         """Executed dynamic instruction counts (Table 2 data)."""
         machine = fig8_machine()
         self.prefetch([(machine, tuple(Model))])
-        table: dict[str, dict[Model, int]] = {}
-        for w in self.workloads:
-            if w.name in self._failed:
-                continue
-            row = self._guard(w.name, "dynamic-counts", lambda w=w: {
-                model: self.run(w.name, model,
-                                machine).stats.executed_instructions
-                for model in Model})
-            if row is not None:
-                table[w.name] = row
-        return table
+        return {w.name: {model: self.run(w.name, model, machine)
+                         .stats.executed_instructions for model in Model}
+                for w in self.workloads}
 
     def branch_stats(self, machine: MachineDescription | None = None
                      ) -> dict[str, dict[Model, tuple[int, int, float]]]:
@@ -510,15 +437,7 @@ class ExperimentSuite:
                               stats.misprediction_rate)
             return row
 
-        table: dict[str, dict[Model, tuple[int, int, float]]] = {}
-        for w in self.workloads:
-            if w.name in self._failed:
-                continue
-            row = self._guard(w.name, "branch-stats",
-                              lambda w=w: row_for(w))
-            if row is not None:
-                table[w.name] = row
-        return table
+        return {w.name: row_for(w) for w in self.workloads}
 
     # ----- the paper's experiments by number ------------------------------------
 

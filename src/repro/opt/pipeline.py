@@ -12,6 +12,7 @@ from repro.opt.copyprop import propagate_block, propagate_copies
 from repro.opt.cse import cse_block, eliminate_common_subexpressions
 from repro.opt.dce import eliminate_dead_code, remove_dead_instructions
 from repro.opt.fold import fold_block, fold_constants
+from repro.robustness.errors import CompileError
 
 #: a pass returns True iff it changed the function
 FunctionPass = Callable[[Function], bool]
@@ -53,12 +54,18 @@ CLASSIC_PASSES: list[PassEntry] = [
     PassEntry("cfg", cleanup_cfg),
 ]
 
+#: rounds after which :func:`run_function_passes` stops looking for a
+#: fixpoint and raises.  No function of the paper kernels, the corpus or
+#: the generated programs has needed more than 18, so a function that
+#: reaches this bound has passes that undo each other.
+MAX_ROUNDS = 100
+
 
 def run_function_passes(fn: Function,
-                        passes: list[PassEntry] | None = None,
-                        max_rounds: int = 4) -> bool:
-    """Run passes to a fixpoint (bounded); returns True if anything
-    changed.
+                        passes: list[PassEntry] | None = None) -> bool:
+    """Run passes until a round changes nothing; returns True if
+    anything changed.  Raises :class:`CompileError` naming ``fn`` when
+    :data:`MAX_ROUNDS` rounds all change it.
 
     It computes what running every pass over the whole function in
     each round would, and skips work that would change nothing:
@@ -81,7 +88,7 @@ def run_function_passes(fn: Function,
     clean: dict[BlockPass, set[str]] = {}
     # Instruction facts by block name, shared by the ``facts`` passes.
     facts = FactsCache()
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         round_change = False
         for name, run, fixpoint, block_pass, facts_pass in passes:
             if name in settled:
@@ -115,12 +122,14 @@ def run_function_passes(fn: Function,
             if fixpoint:
                 settled.add(name)
         if not round_change:
-            break
+            return any_change
         any_change = True
-    return any_change
+    raise CompileError(
+        f"passes {[p.name for p in passes]} still changed {fn.name} "
+        f"after {MAX_ROUNDS} rounds", function=fn.name)
 
 
-def optimize_program(program: Program, max_rounds: int = 4) -> None:
+def optimize_program(program: Program) -> None:
     """Run the classic pipeline over every function."""
     for fn in program.functions.values():
-        run_function_passes(fn, max_rounds=max_rounds)
+        run_function_passes(fn)

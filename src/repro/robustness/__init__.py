@@ -4,7 +4,8 @@ trace integrity, differential validation and fault injection.
 The subsystem exists because the paper's result rests on a fragile
 invariant — three independently transformed programs must stay
 observably equivalent — and a single silent compiler or emulator bug
-invalidates every figure.  See EXPERIMENTS.md ("Robustness modes").
+invalidates every figure.  See EXPERIMENTS.md ("Validity checks behind
+the numbers").
 
 ``repro.robustness.faults`` (the fault-injection harness) is imported
 explicitly by its users; it depends on the toolchain and would widen
@@ -17,14 +18,12 @@ from repro.robustness.errors import (CompileError, EmulationTimeout,
                                      PassVerificationError, ReproError,
                                      TraceIntegrityError)
 from repro.robustness.integrity import check_trace_integrity
-from repro.robustness.passgate import Degradation, PassGate
-from repro.robustness.report import WorkloadFailure, format_failures
+from repro.robustness.passgate import PassGate
 from repro.robustness.watchdog import EmulationWatchdog
 
 __all__ = [
-    "CompileError", "Degradation", "EmulationTimeout",
-    "EmulationWatchdog", "ModelDivergenceError", "PassGate",
-    "PassVerificationError", "ReproError",
-    "TraceIntegrityError", "WorkloadFailure", "assert_equivalent",
-    "check_trace_integrity", "format_failures", "values_differ",
+    "CompileError", "EmulationTimeout", "EmulationWatchdog",
+    "ModelDivergenceError", "PassGate", "PassVerificationError",
+    "ReproError", "TraceIntegrityError", "assert_equivalent",
+    "check_trace_integrity", "values_differ",
 ]

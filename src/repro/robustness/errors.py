@@ -1,10 +1,12 @@
 """Typed error taxonomy for the hardened experiment pipeline.
 
 Every failure mode of the verify/emulate/simulate loop maps to one
-exception class so callers (the CLI, the experiment suite's ``degrade``
-mode, CI) can react structurally instead of pattern-matching message
-strings or — worse — catching bare ``Exception``.  Each class carries a
-distinct ``exit_code`` that ``python -m repro`` propagates to the shell.
+exception class so callers (the CLI, the fuzz executor, CI) can react
+structurally instead of pattern-matching message strings or — worse —
+catching bare ``Exception``.  Nothing in the pipeline catches one of
+these to carry on with less: a failing pass or workload ends the run.
+Each class carries a distinct ``exit_code`` that ``python -m repro``
+propagates to the shell.
 Codes 19, 20, 21, 26 and 27 belonged to the retired job service and
 cluster; they stay unassigned so an old script never misreads a failure.
 """

@@ -1,28 +1,25 @@
-"""Pass gates: verify-after-every-pass with artifacts and rollback.
+"""Pass gates: verify-after-every-pass with IR artifacts.
 
 A compiler bug that corrupts the IR mid-pipeline normally surfaces many
 passes later (or worse, as silently wrong cycle counts).  The gate wraps
-each transformation stage of :func:`repro.toolchain.compile_for_model`:
+each transformation stage of :func:`repro.toolchain.optimize_for_model`:
 
+* a crash inside a pass becomes a
+  :class:`~repro.robustness.errors.CompileError` naming the pass and the
+  function, with a printed IR snapshot dumped to an artifact directory;
 * in **paranoid** mode it re-runs the structural verifier after every
-  stage, so the *offending pass* is named, and dumps a printed IR
-  snapshot of the broken function to an artifact directory;
-* with **rollback** enabled it restores the function to its pre-pass
-  state instead of aborting — graceful degradation that keeps the model
-  runnable (without the failing optimization) and records what was
-  skipped in :attr:`PassGate.degradations`.
+  stage, so the *offending pass* is named in a
+  :class:`~repro.robustness.errors.PassVerificationError`, again with
+  an IR snapshot.
 
-Crashes inside a pass are wrapped into the typed taxonomy
-(:class:`~repro.robustness.errors.CompileError`) either way.
+Either failure ends the compile: no pass is ever skipped.
 """
 
 from __future__ import annotations
 
-import copy
 import os
 import re
 import tempfile
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.ir.function import Function, Program
@@ -32,61 +29,38 @@ from repro.robustness.errors import (CompileError, PassVerificationError,
                                      ReproError)
 
 
-@dataclass
-class Degradation:
-    """Record of a pass skipped by rollback-and-continue."""
-
-    function: str
-    pass_name: str
-    error: str
-    artifact_path: str | None = None
-
-
 def default_artifact_dir() -> str:
     return os.path.join(tempfile.gettempdir(), "repro-artifacts")
 
 
 class PassGate:
-    """Runs compilation stages under verification/rollback policies."""
+    """Runs compilation stages under the crash and verification checks."""
 
     def __init__(self, program: Program, *, paranoid: bool = False,
-                 rollback: bool = False, artifact_dir: str | None = None,
-                 model: str = ""):
+                 artifact_dir: str | None = None, model: str = ""):
         self.program = program
         self.paranoid = paranoid
-        self.rollback = rollback
         self.artifact_dir = artifact_dir
         self.model = model
-        self.degradations: list[Degradation] = []
 
     def run(self, fn: Function, pass_name: str, thunk: Callable[[], object],
             level: ISALevel = ISALevel.FULL):
-        """Run one stage on ``fn``; returns the thunk's result.
-
-        Returns None when the stage failed and was rolled back (callers
-        treating the result as optional must handle that).
-        """
-        snapshot = copy.deepcopy(fn) if self.rollback else None
+        """Run one stage on ``fn``; returns the thunk's result."""
         try:
             result = thunk()
         except ReproError:
             raise
         except Exception as exc:  # noqa: BLE001 — typed re-raise below
             artifact = self._dump(fn, pass_name, exc)
-            if snapshot is not None:
-                self._degrade(fn, snapshot, pass_name, exc, artifact)
-                return None
             raise CompileError(
-                f"pass {pass_name!r} crashed on {fn.name}: {exc}",
+                f"pass {pass_name!r} crashed on {fn.name}: {exc}"
+                + (f" (IR snapshot: {artifact})" if artifact else ""),
                 pass_name=pass_name, function=fn.name) from exc
         if self.paranoid:
             try:
                 verify_function(fn, self.program, level)
             except VerificationError as exc:
                 artifact = self._dump(fn, pass_name, exc)
-                if snapshot is not None:
-                    self._degrade(fn, snapshot, pass_name, exc, artifact)
-                    return None
                 raise PassVerificationError(
                     f"pass {pass_name!r} left {fn.name} invalid: {exc}"
                     + (f" (IR snapshot: {artifact})" if artifact else ""),
@@ -95,14 +69,6 @@ class PassGate:
         return result
 
     # ----- internals ------------------------------------------------------
-
-    def _degrade(self, fn: Function, snapshot: Function, pass_name: str,
-                 exc: Exception, artifact: str | None) -> None:
-        vars(fn).clear()
-        vars(fn).update(vars(snapshot))
-        self.degradations.append(Degradation(
-            function=fn.name, pass_name=pass_name,
-            error=f"{type(exc).__name__}: {exc}", artifact_path=artifact))
 
     def _dump(self, fn: Function, pass_name: str,
               exc: Exception) -> str | None:

@@ -53,7 +53,7 @@ from repro.regions.superblock import SuperblockParams, form_superblocks
 from repro.regions.unroll import UnrollParams, unroll_function_loops
 from repro.robustness.errors import (CompileError, PassVerificationError,
                                      ReproError, TraceIntegrityError)
-from repro.robustness.passgate import Degradation, PassGate
+from repro.robustness.passgate import PassGate
 from repro.robustness.watchdog import EmulationWatchdog
 from repro.schedule.dag import DagEdges
 from repro.schedule.list_scheduler import ScheduleResult, schedule_program
@@ -100,12 +100,10 @@ class ToolchainOptions:
     enable_promotion: bool = True
     enable_or_tree: bool = True
     verify: bool = True
-    #: re-verify the IR after every compilation stage; failures name the
-    #: offending pass and dump an IR snapshot to ``artifact_dir``
+    #: re-verify the IR after every compilation stage (failures name the
+    #: offending pass and dump an IR snapshot to ``artifact_dir``) and
+    #: check every emulation trace's integrity
     paranoid: bool = False
-    #: on a pass failure, restore the pre-pass IR and keep compiling
-    #: (graceful degradation, recorded in CompiledProgram.degradations)
-    rollback: bool = False
     #: where pass-failure IR snapshots go (None = system temp dir)
     artifact_dir: str | None = None
 
@@ -115,14 +113,13 @@ class ToolchainOptions:
         ``verify``/``paranoid``/``artifact_dir`` are observability knobs
         that never alter a *successful* compilation's output, so they
         are excluded — toggling them must not cold-start the artifact
-        cache.  ``rollback`` *can* change the output (it skips failing
-        passes) and is included.
+        cache.
         """
         from repro.engine.keys import stable_digest
         return stable_digest(
             self.superblock, self.hyperblock, self.conversion,
             self.branch_combine, self.unroll, self.enable_promotion,
-            self.enable_or_tree, self.rollback)
+            self.enable_or_tree)
 
 
 @dataclass
@@ -132,8 +129,6 @@ class OptimizedProgram:
 
     program: Program
     model: Model
-    #: passes skipped by rollback-and-continue (empty on clean compiles)
-    degradations: list[Degradation] = field(default_factory=list)
     #: each function's liveness by name, filled by the first schedule
     #: and read by the later ones
     live: dict[str, Liveness] = field(default_factory=dict)
@@ -164,8 +159,6 @@ class CompiledProgram:
     machine: MachineDescription
     schedule: ScheduleResult
     addresses: dict[int, int]
-    #: passes skipped by rollback-and-continue (empty on clean compiles)
-    degradations: list[Degradation] = field(default_factory=list)
 
     @property
     def static_size(self) -> int:
@@ -187,7 +180,7 @@ def frontend(source: str) -> Program:
 @dataclass
 class _FunctionState:
     """What a pass sees: one function, the compile's shared inputs and
-    each earlier pass's result by pass name (None after a rollback)."""
+    each earlier pass's result by pass name."""
 
     fn: Function
     profile: Profile
@@ -289,7 +282,6 @@ def optimize_for_model(base: Program, model: Model, profile: Profile,
         options = ToolchainOptions()
     program = base.clone()
     gate = PassGate(program, paranoid=options.paranoid,
-                    rollback=options.rollback,
                     artifact_dir=options.artifact_dir, model=model.value)
     passes = model_passes(model, options)
     # Function-outer, pass-inner: uid allocation order (and so every
@@ -307,8 +299,7 @@ def optimize_for_model(base: Program, model: Model, profile: Profile,
             raise PassVerificationError(
                 f"compiled {model.value} program failed final "
                 f"verification: {exc}", pass_name="final-verify") from exc
-    return OptimizedProgram(program=program, model=model,
-                            degradations=list(gate.degradations))
+    return OptimizedProgram(program=program, model=model)
 
 
 def schedule_for_machine(optimized: OptimizedProgram,
@@ -331,8 +322,7 @@ def schedule_for_machine(optimized: OptimizedProgram,
             pass_name="schedule") from exc
     return CompiledProgram(program=program, model=optimized.model,
                            machine=machine, schedule=schedule,
-                           addresses=addresses,
-                           degradations=list(optimized.degradations))
+                           addresses=addresses)
 
 
 def compile_for_model(base: Program, model: Model, profile: Profile,

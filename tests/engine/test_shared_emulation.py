@@ -20,7 +20,7 @@ from repro.experiments.runner import scaled_fig11_machine
 from repro.ir.operands import Imm
 from repro.machine.descriptor import (fig8_machine, fig9_machine,
                                       fig10_machine)
-from repro.toolchain import Model
+from repro.toolchain import Model, ToolchainOptions
 from repro.workloads import get_workload
 
 SCALE = 0.1
@@ -122,7 +122,8 @@ def test_paranoid_mode_checks_every_triples_program(monkeypatch):
         return real(execution, program)
 
     monkeypatch.setattr(stages, "check_trace_integrity", spy)
-    ctx = PipelineContext(scale=SCALE, paranoid=True)
+    ctx = PipelineContext(scale=SCALE,
+                          options=ToolchainOptions(paranoid=True))
     _measure(ctx, "espresso", Model.SUPERBLOCK)
     assert _emulations(ctx) == 1
     assert len(checked) == 3

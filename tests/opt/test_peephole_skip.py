@@ -39,7 +39,7 @@ def _blocks(fn) -> dict[str, str]:
     return {b.name: format_block(b) for b in fn.blocks}
 
 
-def _checked_passes(fn, passes, max_rounds=4):
+def _checked_passes(fn, passes):
     """``run_function_passes`` without the skips, checking as it goes.
 
     Every pass runs over every block in every round.  Beside it, the
@@ -52,7 +52,7 @@ def _checked_passes(fn, passes, max_rounds=4):
     settled: set[str] = set()
     clean: dict = {}
     saved = skipped = 0
-    for _ in range(max_rounds):
+    while True:
         round_change = False
         for name, run, fixpoint, block_pass, facts_pass in passes:
             before_fn = format_function(fn)
@@ -99,13 +99,13 @@ def _checked_passes(fn, passes, max_rounds=4):
     return saved, skipped
 
 
-def _round_robin(fn, passes=None, max_rounds=4):
+def _round_robin(fn, passes=None):
     """The driver with no skips: every pass over the whole function in
-    every round."""
+    every round, until a round changes nothing."""
     if passes is None:
         passes = CLASSIC_PASSES
     any_change = False
-    for _ in range(max_rounds):
+    while True:
         round_change = False
         for entry in passes:
             if entry.run(fn):
@@ -160,12 +160,12 @@ def test_false_returns_change_nothing_and_skips_lose_nothing(
 
     saved = []
 
-    def peephole(fn, passes, max_rounds=4):
+    def peephole(fn, passes):
         # The same function through the skipping pass manager...
         twin = fn.clone()
-        skipping = run_function_passes(twin, passes, max_rounds)
+        skipping = run_function_passes(twin, passes)
         # ...and through the checking replay, which must agree.
-        saved.append(_checked_passes(fn, passes, max_rounds))
+        saved.append(_checked_passes(fn, passes))
         assert format_function(fn) == format_function(twin)
         return skipping
     monkeypatch.setattr(toolchain, "run_function_passes", peephole)

@@ -78,3 +78,17 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "corruption classes caught" in out
     assert "UNDETECTED" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--mode", "degrade"],
+    ["figures", "--mode", "strict"],
+    ["run", "kernel.c", "--rollback"],
+    ["compile", "kernel.c", "--rollback"],
+])
+def test_retired_fallback_flags_are_usage_errors(argv, capsys):
+    # Nothing skips a failing pass or drops a failing workload.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Suite failure policy: strict propagates, degrade quarantines."""
+"""Suite failure policy: the first typed error ends the run."""
 
 import pytest
 
@@ -11,10 +11,10 @@ from repro.robustness.faults import inject_bad_branch_target
 from repro.workloads import get_workload
 
 
-def _suite(mode: str) -> ExperimentSuite:
+def _suite() -> ExperimentSuite:
     return ExperimentSuite(workloads=[get_workload("wc"),
                                       get_workload("cmp")],
-                           scale=0.3, mode=mode)
+                           scale=0.3)
 
 
 def _force_failure(suite: ExperimentSuite, name: str) -> None:
@@ -23,47 +23,20 @@ def _force_failure(suite: ExperimentSuite, name: str) -> None:
 
 
 def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        ExperimentSuite(mode="yolo")
+    # The suite has no failure modes left to choose from: a caller that
+    # still asks to degrade fails at once instead of running strict.
+    with pytest.raises(TypeError):
+        ExperimentSuite(mode="degrade")
 
 
 def test_strict_mode_propagates_typed_errors():
-    suite = _suite("strict")
+    suite = _suite()
     _force_failure(suite, "wc")
     with pytest.raises((ReproError, EmulationFault, IRError)):
         suite.speedups(fig8_machine())
 
 
-def test_degrade_mode_completes_remaining_workloads():
-    suite = _suite("degrade")
-    _force_failure(suite, "wc")
-    table = suite.speedups(fig8_machine())
-    # The healthy workload completed with sane results...
-    assert set(table) == {"cmp"}
-    assert all(v > 0 for v in table["cmp"].values())
-    # ...and the failure was recorded, structured.
-    (failure,) = suite.failures
-    assert failure.workload == "wc"
-    assert failure.stage == "speedup"
-    assert failure.error_type
-    assert failure.message
-    # Follow-up queries skip the quarantined workload without re-failing.
-    assert set(suite.dynamic_counts()) == {"cmp"}
-    assert len(suite.failures) == 1
-
-
-def test_failure_report_is_structured_text():
-    suite = _suite("degrade")
-    _force_failure(suite, "wc")
-    suite.speedups(fig8_machine())
-    report = suite.failure_report()
-    assert "FAILED WORKLOADS" in report
-    assert "wc" in report
-    assert suite.failures[0].error_type in report
-
-
-def test_validate_models_flags_divergence_in_degrade_mode():
-    suite = _suite("degrade")
+def test_validate_models_maps_agreeing_workloads_to_true():
+    suite = _suite()
     outcome = suite.validate_models(fig8_machine())
     assert outcome == {"wc": True, "cmp": True}
-    assert not suite.failures

@@ -27,9 +27,9 @@ GOLDEN = "eacb439cfa2b53508516c110d4de29a13765940cd09c3ffd867b9569dc3aa433"
 #: SHA-256 of :func:`machines_digest`
 MACHINES_GOLDEN = "68ec8259f49bed5935c18fb4a7b51181fe8f9aed09abe9c8a9e0715c7518b895"
 #: SHA-256 of :func:`generated_digest`
-GENERATED_GOLDEN = "5df979a0d620034ce18d465c0c24f6013f26289a0ce3c0adc66b694f80aa333c"
+GENERATED_GOLDEN = "6ba93241082e54135ef67fb9cf1f398ad652847627716b79fb35fc5e64920080"
 #: SHA-256 of :func:`scheduled_digest`
-SCHEDULED_GOLDEN = "42c08125c6beff9fc59c2f70a276d49127287d7744917e7cf4ead669c2554773"
+SCHEDULED_GOLDEN = "28988a09dba8a5ff15c524f3c1aa0f7b0d4b407533e5737f58cca46a95fe8b6d"
 
 
 def compiled_digest() -> str:

@@ -12,6 +12,7 @@ import dataclasses
 
 import pytest
 
+from repro.engine.scheduler import execute_jobs
 from repro.engine.serialize import pack, unpack
 from repro.engine.stages import PipelineContext
 from repro.engine.store import ArtifactStore
@@ -149,19 +150,18 @@ def test_later_compiles_of_a_model_wait_for_the_first(tmp_path,
 
 def test_failed_first_compile_skips_its_dependents(tmp_path, monkeypatch):
     suite = ExperimentSuite(workloads=[get_workload("wc")], scale=SCALE,
-                            cache_dir=str(tmp_path), jobs=2,
-                            mode="degrade")
-    jobs = _plan(suite, monkeypatch)
+                            cache_dir=str(tmp_path), jobs=2)
+    try:
+        jobs = _plan(suite, monkeypatch)
+    finally:
+        suite.close_journal()
     first = next(job for job in jobs
                  if job.job_id.startswith("measure:wc:SUPERBLOCK:"))
     jobs = [dataclasses.replace(job, fn=jobhelpers.fail)
             if job is first else job for job in jobs]
-    try:
-        outcome = suite.execute_plan(jobs)
-    finally:
-        suite.close_journal()
-    assert [f.job_id for f in outcome.failures] == [first.job_id]
-    assert [f.workload for f in suite.failures] == ["wc"]
+    outcome = execute_jobs(jobs, max_workers=2)
+    assert [(f.job_id, f.workload) for f in outcome.failures] \
+        == [(first.job_id, "wc")]
     later = [job.job_id for job in jobs
              if job.job_id.startswith("measure:wc:SUPERBLOCK:")
              and job.job_id != first.job_id]

@@ -118,7 +118,7 @@ def test_options_disable_machinery(base, profile):
 
 
 def test_pass_table_names_and_order():
-    # Pass names key IR artifact files, Degradation records and the
+    # Pass names key IR artifact files, typed compile errors and the
     # per-pass benchmark metrics: renaming one is a visible change.
     names = {m: [p[0] for p in model_passes(m, ToolchainOptions())]
              for m in Model}
