@@ -5,8 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.ir.instruction import Instruction
-from repro.ir.opcodes import OpCategory, Opcode
+from repro.ir.opcodes import OpCategory
 from repro.ir.operands import PReg, RegClass, VReg
+
+# Read once: an enum member read through its class costs ten times a
+# global read, and every CFG query tests each instruction.
+_BRANCH = OpCategory.BRANCH
+_JUMP = OpCategory.JUMP
+_RET = OpCategory.RET
 
 
 class IRError(Exception):
@@ -49,14 +55,15 @@ class BasicBlock:
         succs: list[str] = []
         falls_through = True
         for inst in self.instructions:
-            if inst.cat is OpCategory.BRANCH and inst.target:
+            cat = inst.op.category
+            if cat is _BRANCH and inst.target:
                 succs.append(inst.target)
-            elif inst.op is Opcode.JUMP and inst.target:
+            elif cat is _JUMP and inst.target:
                 succs.append(inst.target)
                 if inst.pred is None:
                     falls_through = False
                     break
-            elif inst.op is Opcode.RET and inst.pred is None:
+            elif cat is _RET and inst.pred is None:
                 falls_through = False
                 break
         if falls_through and layout_next is not None:

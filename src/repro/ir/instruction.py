@@ -65,10 +65,14 @@ class PredDest:
 _REGISTER_TYPES = frozenset({VReg, PReg})
 #: predicate define types that write without reading the old value
 _UNCONDITIONAL = frozenset({PType.U, PType.U_BAR})
-# Categories the register queries test, read once: an enum member read
-# through its class costs ten times a global read.
+# Categories the queries test, read once: an enum member read through
+# its class costs ten times a global read.
+_BRANCH = OpCategory.BRANCH
+_JUMP = OpCategory.JUMP
+_RET = OpCategory.RET
 _CALL = OpCategory.CALL
 _CMOV = OpCategory.CMOV
+_PREDDEF = OpCategory.PREDDEF
 _PREDSET = OpCategory.PREDSET
 
 _ids = itertools.count()
@@ -128,7 +132,7 @@ class Instruction:
 
     @property
     def is_branch(self) -> bool:
-        return self.cat is OpCategory.BRANCH
+        return self.op.category is _BRANCH
 
     @property
     def is_control(self) -> bool:
@@ -137,19 +141,20 @@ class Instruction:
     @property
     def is_terminator(self) -> bool:
         """True if control never falls through (unpredicated jump/ret)."""
-        return (self.cat in (OpCategory.JUMP, OpCategory.RET)
-                and self.pred is None)
+        cat = self.op.category
+        return (cat is _JUMP or cat is _RET) and self.pred is None
 
     @property
     def is_pred_define(self) -> bool:
-        return self.cat in (OpCategory.PREDDEF, OpCategory.PREDSET)
+        cat = self.op.category
+        return cat is _PREDDEF or cat is _PREDSET
 
     @property
     def is_conditional_write(self) -> bool:
         """True when the destination may keep its old value: guarded
         instructions and conditional moves (but not selects, which
         always write)."""
-        return self.pred is not None or self.op.category is OpCategory.CMOV
+        return self.pred is not None or self.op.category is _CMOV
 
     @property
     def condition(self) -> str | None:

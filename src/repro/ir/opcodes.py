@@ -10,9 +10,10 @@ The opcode set covers the paper's three architectural models:
 * the **full predication** extension: predicate define opcodes with
   two typed destinations, ``pred_clear``/``pred_set`` (Section 2.1).
 
-Opcode metadata (category, commutativity, comparison function, inverse
-comparison) drives the optimizer, the partial-predication lowering, the
-scheduler, and the emulator without per-pass opcode switch statements.
+Opcode metadata (category, commutativity, CSE kind, comparison function,
+inverse comparison) drives the optimizer, the partial-predication
+lowering, the scheduler, and the emulator without per-pass opcode switch
+statements.
 """
 
 from __future__ import annotations
@@ -157,6 +158,22 @@ _CATEGORY[Opcode.NOP] = OpCategory.NOP
 _CONTROL = frozenset({OpCategory.BRANCH, OpCategory.JUMP, OpCategory.CALL,
                       OpCategory.RET})
 _SIDE_EFFECTS = _CONTROL | {OpCategory.STORE, OpCategory.PREDSET}
+#: categories whose result is a function of the source operands alone
+_VALUE = frozenset({OpCategory.ALU, OpCategory.CMP, OpCategory.FALU,
+                    OpCategory.FCMP})
+
+COMMUTATIVE: frozenset[Opcode] = frozenset({
+    Opcode.ADD, Opcode.MUL, Opcode.AND, Opcode.OR, Opcode.XOR,
+    Opcode.CMP_EQ, Opcode.CMP_NE, Opcode.FADD, Opcode.FMUL,
+    Opcode.FCMP_EQ, Opcode.FCMP_NE,
+})
+
+#: What common subexpression elimination may do with an opcode's
+#: result (``Opcode.cse``): nothing (moves, which copy propagation
+#: handles, and everything with effects or a predicate result), reuse
+#: it for the same sources, for the same sources in either order, or
+#: reuse it until memory may have changed (loads).
+CSE_NONE, CSE_PURE, CSE_COMMUTATIVE, CSE_LOAD = range(4)
 
 # Per-member metadata, read as attributes: the analyses ask these of
 # every instruction many times, and an attribute read is much cheaper
@@ -165,19 +182,18 @@ for _op in Opcode:
     _op.category = _CATEGORY[_op]
     _op.control = _op.category in _CONTROL
     _op.side_effects = _op.category in _SIDE_EFFECTS
+    if _op.category is OpCategory.LOAD:
+        _op.cse = CSE_LOAD
+    elif _op.category not in _VALUE or _op in (Opcode.MOV, Opcode.FMOV):
+        _op.cse = CSE_NONE
+    else:
+        _op.cse = CSE_COMMUTATIVE if _op in COMMUTATIVE else CSE_PURE
 del _op
 
 
 def category(op: Opcode) -> OpCategory:
     """Return the behaviour category of ``op``."""
     return op.category
-
-
-COMMUTATIVE: frozenset[Opcode] = frozenset({
-    Opcode.ADD, Opcode.MUL, Opcode.AND, Opcode.OR, Opcode.XOR,
-    Opcode.CMP_EQ, Opcode.CMP_NE, Opcode.FADD, Opcode.FMUL,
-    Opcode.FCMP_EQ, Opcode.FCMP_NE,
-})
 
 #: Comparison condition implemented by each comparison-flavoured opcode.
 #: Shared by CMP_*, FCMP_*, B**, and PRED_* families.

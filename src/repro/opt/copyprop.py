@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from operator import is_not
+
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instruction import Instruction
 from repro.ir.opcodes import Opcode
 from repro.ir.operands import Imm, Operand, VReg
+
+_MOV = Opcode.MOV
+_FMOV = Opcode.FMOV
 
 
 def _kill(copies: dict[VReg, Operand],
@@ -27,28 +32,25 @@ def propagate_block(block: BasicBlock) -> bool:
     constant within ``block``; returns True if changed.
 
     Only unguarded ``mov``/``mov_f`` create copy facts; guarded writes
-    kill facts without creating new ones.
+    kill facts without creating new ones.  Calls may clobber memory but
+    not registers, so they keep the facts.
     """
     changed = False
     copies: dict[VReg, Operand] = {}
     copied_from: dict[Operand, dict[VReg, None]] = {}
     for inst in block.instructions:
-        # Rewrite sources through the copy map.
         if copies:
-            new_srcs = []
-            for s in inst.srcs:
-                replaced = copies.get(s, s) if isinstance(s, VReg) else s
-                new_srcs.append(replaced)
-                if replaced is not s:
-                    changed = True
-            inst.srcs = tuple(new_srcs)
-        if inst.op is Opcode.JSR:
-            # Calls may clobber memory but not registers; keep facts.
-            pass
-        for d in inst.defined_regs():
-            if isinstance(d, VReg):
-                _kill(copies, copied_from, d)
-        if inst.op in (Opcode.MOV, Opcode.FMOV) and inst.pred is None \
+            # Rewrite sources through the copy map.
+            srcs = inst.srcs
+            inst.srcs = tuple([copies.get(s, s) if type(s) is VReg else s
+                               for s in srcs])
+            if not changed:
+                changed = any(map(is_not, inst.srcs, srcs))
+            for d in inst.defined_regs():
+                if type(d) is VReg:
+                    _kill(copies, copied_from, d)
+        op = inst.op
+        if (op is _MOV or op is _FMOV) and inst.pred is None \
                 and inst.dest is not None:
             src = inst.srcs[0]
             if isinstance(src, (VReg, Imm)) and src != inst.dest:

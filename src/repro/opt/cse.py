@@ -11,84 +11,109 @@ from __future__ import annotations
 
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instruction import Instruction
-from repro.ir.opcodes import COMMUTATIVE, OpCategory, Opcode
-from repro.ir.operands import Operand, VReg
+from repro.ir.opcodes import (CSE_COMMUTATIVE, CSE_LOAD, OpCategory,
+                              Opcode)
+from repro.ir.operands import Operand, PReg, VReg
+
+_STORE = OpCategory.STORE
+_CALL = OpCategory.CALL
+_MOV = Opcode.MOV
+_FMOV = Opcode.FMOV
+_REGISTER_TYPES = (VReg, PReg)
 
 
-def _expr_key(inst: Instruction) -> tuple | None:
-    """Hashable value-number key, or None if not CSE-able."""
-    cat = inst.cat
-    if inst.pred is not None:
-        return None
-    if inst.dest is not None and inst.dest in inst.srcs:
-        return None  # self-referential update: result is not reusable
-    if cat in (OpCategory.ALU, OpCategory.CMP, OpCategory.FALU,
-               OpCategory.FCMP):
-        if inst.op in (Opcode.MOV, Opcode.FMOV):
-            return None
-        srcs = inst.srcs
-        if inst.op in COMMUTATIVE:
-            srcs = tuple(sorted(srcs, key=repr))
-        return (inst.op, srcs)
-    if cat is OpCategory.LOAD:
-        return (inst.op, inst.srcs, inst.speculative, "mem")
-    return None
+def _commuted(srcs: tuple) -> tuple:
+    """The sources of a commutative operation in a canonical order.
+
+    Two orders are equal exactly when the sources sorted by ``repr``
+    are: an immediate or address prints before any register, so it
+    goes first, and no two registers print alike, so two registers go
+    in int order.  Anything else is sorted by ``repr``.
+    """
+    if len(srcs) == 2:
+        a, b = srcs
+        a_reg = isinstance(a, _REGISTER_TYPES)
+        b_reg = isinstance(b, _REGISTER_TYPES)
+        if a_reg and b_reg:
+            return srcs if a <= b else (b, a)
+        if a_reg != b_reg:
+            return (b, a) if a_reg else srcs
+    return tuple(sorted(srcs, key=repr))
 
 
 def cse_block(block: BasicBlock) -> bool:
     """Reuse earlier results of identical computations in ``block``;
     returns True if changed."""
     changed = False
-    available: dict[tuple, VReg] = {}
-    # Register -> the keys of ``available`` it is the value of or a
-    # source of, in ``available``'s order: a write finds the entries it
-    # invalidates without scanning the table.
-    users: dict[Operand, dict[tuple, None]] = {}
+    # Expression key -> the register holding its value.  A key is the
+    # opcode's value string and the sources, plus the speculative flag
+    # for a load (``_value_``: an enum hashes and reads ``value`` in
+    # Python).  Loads have their own table, which a store or call
+    # empties.
+    pure: dict[tuple, VReg] = {}
+    loads: dict[tuple, VReg] = {}
+    # Register -> the keys it is the value of or a source of, each with
+    # its table, in insertion order: a write finds the entries it
+    # invalidates without scanning the tables.
+    users: dict[Operand, dict[tuple, dict]] = {}
 
-    def add(key: tuple, value: VReg) -> None:
-        available[key] = value
-        users.setdefault(value, {})[key] = None
+    def add(table: dict, key: tuple, value: VReg) -> None:
+        table[key] = value
+        users.setdefault(value, {})[key] = table
         for s in key[1]:
-            users.setdefault(s, {})[key] = None
+            users.setdefault(s, {})[key] = table
 
-    def drop(key: tuple) -> None:
-        users[available.pop(key)].pop(key, None)
+    def drop(table: dict, key: tuple) -> None:
+        users[table.pop(key)].pop(key, None)
         for s in key[1]:
             users[s].pop(key, None)
 
     new_insts: list[Instruction] = []
+    append = new_insts.append
     for inst in block.instructions:
-        cat = inst.cat
-        if cat is OpCategory.STORE or cat is OpCategory.CALL:
+        op = inst.op
+        if loads and (op.category is _STORE or op.category is _CALL):
             # Invalidate memory-dependent expressions.
-            for k in [k for k in available
-                      if len(k) >= 3 and k[-1] == "mem"]:
-                drop(k)
-        key = _expr_key(inst)
-        if key is not None and inst.dest is not None:
-            prior = available.get(key)
-            if prior is not None and prior != inst.dest:
-                mov = Opcode.FMOV if inst.dest.is_float else Opcode.MOV
-                new_insts.append(inst.copy(op=mov, srcs=(prior,)))
+            for k in list(loads):
+                drop(loads, k)
+        dest = inst.dest
+        kind = op.cse
+        key = None
+        if kind and dest is not None and inst.pred is None \
+                and dest not in inst.srcs:
+            # (A self-referential update's result is not reusable.)
+            srcs = inst.srcs
+            if kind == CSE_LOAD:
+                key = (op._value_, srcs, inst.speculative)
+                table = loads
+            else:
+                if kind == CSE_COMMUTATIVE:
+                    srcs = _commuted(srcs)
+                key = (op._value_, srcs)
+                table = pure
+            prior = table.get(key)
+            if prior is not None and prior != dest:
+                mov = _FMOV if dest.is_float else _MOV
+                append(inst.copy(op=mov, srcs=(prior,)))
                 changed = True
                 # The dest now holds the same value; later uses fold via
                 # copy propagation.  Invalidate entries keyed on the
                 # overwritten register below.
             else:
                 if prior is None:
-                    add(key, inst.dest)
-                new_insts.append(inst)
+                    add(table, key, dest)
+                append(inst)
         else:
-            new_insts.append(inst)
+            append(inst)
         for d in inst.defined_regs():
             stale = users.get(d)
             if not stale:
                 continue
-            for k in list(stale):
+            for k, table in list(stale.items()):
                 # Keep the entry if this very instruction defines it.
-                if available[k] == inst.dest and key == k:
+                if k == key and table[k] == dest:
                     continue
-                drop(k)
+                drop(table, k)
     block.instructions = new_insts
     return changed
 

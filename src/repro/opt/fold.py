@@ -46,14 +46,27 @@ _CMP_EVAL = {
 }
 
 
+# Read once: an enum member read through its class costs ten times a
+# global read, and the pass tests every instruction.
+_ALU = OpCategory.ALU
+_CMP = OpCategory.CMP
+_FALU = OpCategory.FALU
+_BRANCH = OpCategory.BRANCH
+
+
 def _fold_instruction(inst: Instruction) -> Instruction | None:
     """Return a simplified replacement for ``inst``, or None."""
     op = inst.op
+    cat = op.category
+    if cat is not _ALU and cat is not _CMP and cat is not _FALU:
+        return None
     srcs = inst.srcs
-    cat = inst.cat
-    all_imm = all(isinstance(s, Imm) for s in srcs)
+    types = list(map(type, srcs))
+    if Imm not in types:
+        return None  # every rule below needs an immediate
+    all_imm = types.count(Imm) == len(srcs)
 
-    if cat is OpCategory.ALU and all_imm and srcs:
+    if cat is _ALU and all_imm:
         a = srcs[0].value
         if op is Opcode.MOV:
             return None
@@ -73,12 +86,12 @@ def _fold_instruction(inst: Instruction) -> Instruction | None:
             if fn is not None:
                 return inst.copy(op=Opcode.MOV, srcs=(Imm(fn(a, b)),))
 
-    if cat is OpCategory.CMP and all_imm:
+    if cat is _CMP and all_imm:
         value = 1 if _CMP_EVAL[inst.condition](srcs[0].value,
                                                srcs[1].value) else 0
         return inst.copy(op=Opcode.MOV, srcs=(Imm(value),))
 
-    if cat is OpCategory.FALU and all_imm and srcs:
+    if cat is _FALU and all_imm:
         a = srcs[0].value
         if op is Opcode.FNEG:
             return inst.copy(op=Opcode.FMOV, srcs=(Imm(-float(a)),))
@@ -93,7 +106,7 @@ def _fold_instruction(inst: Instruction) -> Instruction | None:
                 return inst.copy(op=Opcode.FMOV, srcs=(Imm(value),))
 
     # Algebraic identities (second operand immediate).
-    if cat is OpCategory.ALU and len(srcs) == 2 \
+    if cat is _ALU and len(srcs) == 2 \
             and isinstance(srcs[1], Imm):
         b = srcs[1].value
         if b == 0 and op in (Opcode.ADD, Opcode.SUB, Opcode.OR,
@@ -103,7 +116,7 @@ def _fold_instruction(inst: Instruction) -> Instruction | None:
             return inst.copy(op=Opcode.MOV, srcs=(srcs[0],))
         if b == 0 and op in (Opcode.MUL, Opcode.AND):
             return inst.copy(op=Opcode.MOV, srcs=(Imm(0),))
-    if cat is OpCategory.ALU and len(srcs) == 2 \
+    if cat is _ALU and len(srcs) == 2 \
             and isinstance(srcs[0], Imm):
         a = srcs[0].value
         if a == 0 and op in (Opcode.ADD, Opcode.OR, Opcode.XOR):
@@ -119,7 +132,7 @@ def fold_block(block: BasicBlock) -> bool:
     new_insts: list[Instruction] = []
     for inst in block.instructions:
         # Fold constant conditional branches to jumps / fallthroughs.
-        if inst.cat is OpCategory.BRANCH \
+        if inst.op.category is _BRANCH \
                 and all(isinstance(s, Imm) for s in inst.srcs) \
                 and inst.pred is None:
             taken = _CMP_EVAL[inst.condition](inst.srcs[0].value,

@@ -3,7 +3,9 @@
 ``VReg``/``PReg`` hashes come from (index, class) alone: no enum hash
 per lookup (an enum's hash is its name's, which is salted per
 process), and no ``id()``.  So register-keyed dicts and sets hash the
-same way at every ``PYTHONHASHSEED``.
+same way at every ``PYTHONHASHSEED``.  A register is the int
+``index << 2 | class`` (3 for a predicate register), so its hash is
+that value and dicts look registers up in C.
 """
 
 import json
@@ -16,6 +18,8 @@ import repro
 from repro.ir.operands import PReg, RegClass, VReg
 
 SEEDS = ("1", "21", "12345")
+
+INDICES = (0, 1, 7, 4096)
 
 _PRINT_HASHES = (
     "import json\n"
@@ -49,3 +53,13 @@ def test_equal_registers_hash_equal():
     assert hash(PReg(3)) == hash(PReg(3))
     assert {VReg(2), PReg(2), VReg(2, RegClass.FLOAT)} == \
         {VReg(2), PReg(2), VReg(2, RegClass.FLOAT)}
+
+
+def test_register_hashes_are_index_and_class_bits():
+    expected = [i << 2 | c.ordinal for i in INDICES for c in RegClass]
+    expected += [i << 2 | 3 for i in INDICES]
+    assert [c.ordinal for c in RegClass] == [0, 1]
+    assert _hashes_at("1") == expected
+    regs = [VReg(i, c) for i in INDICES for c in RegClass]
+    regs += [PReg(i) for i in INDICES]
+    assert [hash(r) for r in regs] == [int(r) for r in regs] == expected
