@@ -44,7 +44,7 @@ def main() -> None:
     scalar_cycles = None
     for model in Model:
         compiled = compile_for_model(base, model, profile, machine)
-        result = run_compiled(compiled, inputs=inputs)
+        result = run_compiled(compiled, inputs=inputs, engine="legacy")
         if scalar_cycles is None:
             scalar = compile_for_model(base, Model.SUPERBLOCK, profile,
                                        scalar_machine())

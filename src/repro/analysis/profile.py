@@ -38,7 +38,7 @@ class Profile:
 
         The run keeps no trace.  ``native=True`` runs it on the native
         emulator kernel, which falls back to the interpreter by itself
-        (no kernel, a demoted process, a kernel fault); the default
+        (no kernel, or a failed load); the default
         runs the vector engine's Python interpreter.  Both give the
         legacy loop's block and branch profiles bit for bit.  The
         kernel's own canary profiles on the interpreter, so the check

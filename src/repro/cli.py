@@ -17,7 +17,7 @@ Subcommands:
 * ``cache``    — inspect, verify (``fsck``) or clear the artifact store;
 * ``selftest`` — fault-injection campaign proving the checkers work;
 * ``native``   — probe the native kernel path (build, sandbox-canary,
-  parity-check) and print the engine-ladder state;
+  parity-check) and print the rung the process decided on;
 * ``fuzz``     — differential fuzzing: ``fuzz run`` executes a seeded
   campaign over all three models, ``fuzz replay`` re-checks corpus
   reproducers, ``fuzz corpus`` lists them, ``fuzz seed`` populates the
@@ -64,9 +64,8 @@ verification, 13 emulation timeout, 14 trace integrity, 15 model
 divergence, 16 emulation fault, 18 open fuzz findings, 22 native
 kernel build failure, 23 C toolchain missing, 24 native kernel parity
 mismatch, 25 native kernel crash.  Codes 13, 14, 23 and 25 are
-transient (retry — the native-engine supervisor demotes before
-raising, so a retry lands on the Python rung); the rest are
-permanent.  Code 17 (artifact lock timeout; store writes take no
+transient (retry — a native failure is decided once, at load, and
+leaves the process on the Python rung); the rest are permanent.  Code 17 (artifact lock timeout; store writes take no
 lock) and codes 19, 20, 21, 26 and 27 (the job service and cluster)
 are retired and never reused.
 """
@@ -375,8 +374,7 @@ def _cmd_cache(args) -> int:
         return 0
     if args.action == "fsck":
         from repro.engine.recovery.fsck import fsck_store
-        report = fsck_store(store, repair=args.repair,
-                            include_kernels=True)
+        report = fsck_store(store, repair=args.repair)
         print(report.render())
         return 0 if report.clean or args.repair else 1
     removed = store.clear()
@@ -400,13 +398,8 @@ def _cmd_native(args) -> int:
     available = native.available()
     for line in supervisor.status_lines():
         print(line)
-    if available:
-        return 0
     error = supervisor.last_error()
-    if error is not None:
-        print(f"last failure: {error}")
-        return error.exit_code
-    return 0
+    return 0 if available or error is None else error.exit_code
 
 
 def _cmd_list(_args) -> int:
@@ -696,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("native",
                        help="probe the native kernel path: build, "
                             "sandbox-canary and parity-check the C "
-                            "engine, then report the ladder state")
+                            "engine, then report the rung it decided")
     p.add_argument("--fresh", action="store_true",
                    help="drop this process's cached supervisor state "
                         "first (forces a re-probe; the on-disk .so "

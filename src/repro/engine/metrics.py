@@ -88,16 +88,11 @@ class PipelineMetrics:
     sweep_points_cached: int = 0
     #: sweep campaign wall time (expand + fan-out + aggregate)
     sweep_seconds: float = 0.0
-    #: engine-ladder demotions (native→interpreter) recorded by
-    #: the native-engine supervisor (see :mod:`repro.fastpath.supervisor`)
-    engine_demotions: int = 0
-    #: golden-trace parity canary failures (the ``.so`` was quarantined)
-    native_parity_failures: int = 0
-    #: native kernel crashes caught (sandbox canary signal deaths and
-    #: mid-run kernel faults)
-    native_kernel_crashes: int = 0
-    #: kernel shared objects quarantined by digest verification / fsck
-    kernel_cache_quarantined: int = 0
+    #: the rung the process's native load decided (see
+    #: :func:`repro.fastpath.supervisor.rung`): ``native``,
+    #: ``interpreter``, or ``interpreter (<error class>)`` after a
+    #: failed load; empty when the run never asked for the kernels
+    native_rung: str = ""
 
     # ----- recording ----------------------------------------------------
 
@@ -232,13 +227,10 @@ class PipelineMetrics:
         self.sweep_points_total += data.get("sweep_points_total", 0)
         self.sweep_points_cached += data.get("sweep_points_cached", 0)
         self.sweep_seconds += data.get("sweep_seconds", 0.0)
-        self.engine_demotions += data.get("engine_demotions", 0)
-        self.native_parity_failures += data.get(
-            "native_parity_failures", 0)
-        self.native_kernel_crashes += data.get(
-            "native_kernel_crashes", 0)
-        self.kernel_cache_quarantined += data.get(
-            "kernel_cache_quarantined", 0)
+        rung = data.get("native_rung", "")
+        if rung and not self.native_rung.startswith("interpreter"):
+            # One worker on the interpreter makes the run's rung.
+            self.native_rung = rung
 
     # ----- output -------------------------------------------------------
 
@@ -277,10 +269,7 @@ class PipelineMetrics:
             "sweep_seconds": round(self.sweep_seconds, 6),
             "sweep_points_per_second": round(
                 self.sweep_points_per_second, 3),
-            "engine_demotions": self.engine_demotions,
-            "native_parity_failures": self.native_parity_failures,
-            "native_kernel_crashes": self.native_kernel_crashes,
-            "kernel_cache_quarantined": self.kernel_cache_quarantined,
+            "native_rung": self.native_rung,
         }
 
     def write_json(self, path: str) -> None:
@@ -338,14 +327,7 @@ class PipelineMetrics:
                 f"({self.sweep_points_cached} warm) in "
                 f"{self.sweep_seconds:.2f}s "
                 f"({self.sweep_points_per_second:.2f}/s)")
-        if self.engine_demotions or self.native_parity_failures \
-                or self.native_kernel_crashes \
-                or self.kernel_cache_quarantined:
-            lines.append(
-                f"  native    {self.engine_demotions} demotions, "
-                f"{self.native_kernel_crashes} kernel crashes, "
-                f"{self.native_parity_failures} parity failures, "
-                f"{self.kernel_cache_quarantined} kernel artifacts "
-                f"quarantined")
+        if self.native_rung:
+            lines.append(f"  rung      {self.native_rung}")
         return "\n".join(lines)
 

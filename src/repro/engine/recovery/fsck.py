@@ -60,11 +60,6 @@ class FsckReport:
     issues: list[FsckIssue] = field(default_factory=list)
     stale_tmp: int = 0
     stale_locks: int = 0
-    #: kernel-cache scan (``include_kernels``): shared objects checked
-    kernel_scanned: int = 0
-    kernel_ok: int = 0
-    kernel_cache: str = ""
-    kernel_orphans: int = 0
 
     @property
     def corrupt(self) -> int:
@@ -74,20 +69,13 @@ class FsckReport:
     @property
     def clean(self) -> bool:
         return not self.issues and not self.stale_tmp \
-            and not self.stale_locks and not self.kernel_orphans
+            and not self.stale_locks
 
     def render(self) -> str:
         lines = [f"fsck of artifact store at {self.root}",
                  f"  scanned        : {self.scanned} artifacts"]
         for kind in sorted(self.ok_by_kind):
             lines.append(f"    {kind:<9s}: {self.ok_by_kind[kind]:>5d} ok")
-        if self.kernel_cache:
-            lines.append(f"  kernel cache   : {self.kernel_scanned} "
-                         f"scanned, {self.kernel_ok} ok under "
-                         f"{self.kernel_cache}")
-            if self.kernel_orphans:
-                lines.append(f"    orphan sidecars: {self.kernel_orphans}"
-                             + (" (removed)" if self.repair else ""))
         if self.issues:
             lines.append(f"  corrupt        : {self.corrupt}")
             for issue in self.issues:
@@ -114,19 +102,9 @@ def _lock_expired(path: Path) -> bool:
     return holder.get("expires", 0) <= time.time()
 
 
-def fsck_store(store: "ArtifactStore", repair: bool = False,
-               include_kernels: bool = False) -> FsckReport:
-    """Verify every artifact envelope under the current schema version.
-
-    With ``include_kernels``, additionally digest-verify the native
-    kernel shared-object cache (see
-    :func:`repro.fastpath.supervisor.scan_kernel_cache`): a ``.so``
-    whose bytes no longer match its ``.sha256`` sidecar is reported —
-    and with ``repair`` quarantined — like any corrupt artifact.
-    """
+def fsck_store(store: "ArtifactStore", repair: bool = False) -> FsckReport:
+    """Verify every artifact envelope under the current schema version."""
     report = FsckReport(root=str(store.root), repair=repair)
-    if include_kernels:
-        _scan_kernels(report, repair)
     version_dir = store.version_dir
     if not version_dir.is_dir():
         return report
@@ -168,19 +146,6 @@ def fsck_store(store: "ArtifactStore", repair: bool = False,
                 problem="unexpected file in the store tree",
                 action=action))
     return report
-
-
-def _scan_kernels(report: FsckReport, repair: bool) -> None:
-    """Fold the supervisor's kernel-cache scan into the store report."""
-    from repro.fastpath import supervisor
-    scan = supervisor.scan_kernel_cache(repair=repair)
-    report.kernel_cache = scan.cache_dir
-    report.kernel_scanned = scan.scanned
-    report.kernel_ok = scan.ok
-    report.kernel_orphans = scan.orphans
-    for name, problem, action in scan.issues:
-        report.issues.append(FsckIssue(
-            path=name, kind="kernel", problem=problem, action=action))
 
 
 def _kind_of(path: Path, version_dir: Path) -> str:

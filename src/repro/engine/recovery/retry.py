@@ -30,8 +30,8 @@ from repro.robustness.errors import (EmulationTimeout, NativeKernelCrash,
 #: quarantined it, a retry recomputes); ``EmulationTimeout`` may be
 #: contention rather than an infinite loop, so it gets its capped tries.
 #: ``NativeKernelCrash``/``NativeToolchainMissing`` are transient
-#: because the supervisor demotes the process before they propagate —
-#: the retry runs on a pure-Python engine and succeeds byte-identically.
+#: because a failed native load leaves the process on a pure-Python
+#: engine — the retry runs there and succeeds byte-identically.
 TRANSIENT_TYPES: tuple[type[BaseException], ...] = (
     BrokenProcessPool,
     TraceIntegrityError,

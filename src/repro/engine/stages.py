@@ -359,7 +359,7 @@ class PipelineContext:
             if self.options.paranoid:
                 check_trace_integrity(execution, compiled.program)
             self._execution[key] = execution
-        self._drain_native_counters()
+        self.record_native_rung()
         return execution
 
     def _emulate(self, workload: Workload, compiled: CompiledProgram,
@@ -375,7 +375,7 @@ class PipelineContext:
                     compiled.program, inputs=inputs, collect_trace=True,
                     max_steps=self.max_steps, watchdog=watchdog)
             # The native emulator falls back to the interpreter by
-            # itself (watchdog, demotion).
+            # itself (watchdog, no kernel).
             emulate = native.run_program_native \
                 if self.native_enabled else run_program_fast
             return emulate(
@@ -430,13 +430,12 @@ class PipelineContext:
             if self.store is not None:
                 self.store.put("stats", key, summary)
         self._summary[key] = summary
-        self._drain_native_counters()
+        self.record_native_rung()
         return summary
 
-    def _drain_native_counters(self) -> None:
-        """Fold the supervisor's degradation telemetry into this run's
-        metrics, so demotions reach the summary and the
-        ``--bench-json`` snapshot, from pool workers too via their
-        ``to_dict`` round-trip."""
+    def record_native_rung(self) -> None:
+        """Record the process's native load decision in this run's
+        metrics (pool workers' reach the parent through ``to_dict``)."""
         from repro.fastpath import supervisor
-        supervisor.drain_into(self.metrics)
+        self.metrics.native_rung = supervisor.rung() \
+            or self.metrics.native_rung

@@ -135,13 +135,18 @@ class ArtifactStore:
     def put(self, kind: str, key: str, payload: Any) -> None:
         """Durably persist an artifact (fsync'd, atomic rename)."""
         path = self._path(kind, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         blob = pack(kind, payload)
         self.metrics.record_write(kind, len(blob))
         tmp = path.with_name(
             f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
         try:
-            with open(tmp, "wb") as handle:
+            try:
+                handle = open(tmp, "wb")
+            except FileNotFoundError:
+                # First write under this kind/prefix (or after clear).
+                path.parent.mkdir(parents=True, exist_ok=True)
+                handle = open(tmp, "wb")
+            with handle:
                 handle.write(blob)
                 handle.flush()
                 os.fsync(handle.fileno())

@@ -51,13 +51,10 @@ class JobSpec:
 def _finish(ctx: PipelineContext) -> dict:
     """Serialize a worker context's counters for the parent's merge.
 
-    Drains the native-engine supervisor first, so a demotion that
-    happened in this worker process rides the same ``to_dict`` →
-    ``merge_dict`` round-trip as every other counter and reaches the
-    parent's summary and ``--bench-json`` snapshot.
+    Notes this worker's native load decision first, so it rides the
+    same ``to_dict`` → ``merge_dict`` round-trip as every counter.
     """
-    from repro.fastpath import supervisor
-    supervisor.drain_into(ctx.metrics)
+    ctx.record_native_rung()
     return ctx.metrics.to_dict()
 
 

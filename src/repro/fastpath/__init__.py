@@ -17,9 +17,9 @@ byte-identically:
 * **Python rung** — the int-dispatched interpreter
   (:mod:`repro.fastpath.interp`) and the incremental column simulator
   (:mod:`repro.fastpath.simulate`), used when no C compiler is present,
-  under ``REPRO_NATIVE=0`` and after a kernel fault (the faulting run
-  restarts here from the beginning); emulation also runs here
-  under a wall-clock watchdog, which needs in-loop heartbeats.
+  under ``REPRO_NATIVE=0`` and when the kernels fail their checks at
+  load; emulation also runs here under a wall-clock watchdog, which
+  needs in-loop heartbeats.
 
 The legacy path stays untouched as the differential oracle; see
 ``repro.robustness.differential.assert_fastpath_equivalent``.

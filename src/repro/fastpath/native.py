@@ -3,13 +3,12 @@
 The pure-Python fastpath pays ~1µs of interpreter overhead per dynamic
 event; at millions of events per figure cell that dominates wall time.
 This module binds the supervised kernel shared object with
-:mod:`ctypes`; building, digest verification, the sacrificial-
-subprocess canary, the golden parity replay, and the degradation
-ladder all live in :mod:`repro.fastpath.supervisor`.  Every failure is
-typed and demotes the process one rung — no compiler, a failed build,
-a failed probe, a parity mismatch, a kernel crash, or
-``REPRO_NATIVE=0`` all degrade to the pure-Python rung
-(:func:`~repro.fastpath.interp.run_program_fast` and
+:mod:`ctypes`; building, the sacrificial-subprocess canary and the
+golden parity replay live in :mod:`repro.fastpath.supervisor`, which
+decides once per process, at load, whether the kernels are used.  No
+compiler, a failed build, a failed probe, a parity mismatch, a canary
+crash, or ``REPRO_NATIVE=0`` all leave the process on the pure-Python
+rung (:func:`~repro.fastpath.interp.run_program_fast` and
 :class:`~repro.fastpath.simulate.StreamSimulator`) with byte-identical
 results.
 
@@ -95,9 +94,9 @@ _NO_REG_WRITE = frozenset((K_PREDDEF, K_PREDSET, K_NOP, K_STORE,
 # Library build + load (supervised)                                 #
 # ----------------------------------------------------------------- #
 #
-# Building, digest-verifying, sandbox-validating and parity-checking
-# the shared object all live in :mod:`repro.fastpath.supervisor`; this
-# module only binds the validated object and caches the handle.
+# Building, sandbox-validating and parity-checking the shared object
+# all live in :mod:`repro.fastpath.supervisor`; this module only binds
+# the validated object and holds the handle.
 
 _lock = threading.Lock()
 _lib = None
@@ -138,38 +137,20 @@ def _bind_library(path: str):
 
 
 def _get_lib():
-    """The validated kernel handle, or None once the process demoted.
+    """The validated kernel handle, or None when this process runs on
+    the interpreter.
 
-    First call per process walks the full supervised path: build (or
-    digest-verified cache load), sacrificial-subprocess canary for
-    never-validated objects, then the in-process golden parity replay.
-    Any typed failure demotes the ladder and this returns None forever
-    after — byte-identical pure-Python engines take over.
+    The first call per process makes the one trust decision
+    (:func:`repro.fastpath.supervisor.load`); its answer stands for
+    the rest of the process.
     """
-    global _lib, _lib_tried
-    from repro.fastpath import supervisor
-    from repro.robustness.errors import (NativeEngineError,
-                                         NativeParityError)
-    if not supervisor.native_active():
-        return None
-    if _lib is None and not _lib_tried:
+    global _lib_tried
+    if not _lib_tried:
         with _lock:
-            if _lib is None and not _lib_tried:
+            if not _lib_tried:
                 _lib_tried = True
-                path = supervisor.acquire_so()
-                if path is not None:
-                    try:
-                        _lib = _bind_library(path)
-                    except NativeEngineError as exc:
-                        supervisor._record_failure(exc)
-                        _lib = None
-                    if _lib is not None:
-                        try:
-                            supervisor.verify_process_parity(path)
-                        except NativeParityError:
-                            _lib = None
-    if not supervisor.native_active():
-        return None
+                from repro.fastpath import supervisor
+                supervisor.load()
     return _lib
 
 
@@ -578,14 +559,8 @@ def run_program_native(program: "Program",
     ``native=False`` skips the kernel outright — callers thread the
     :class:`~repro.engine.stages.PipelineContext`'s once-per-process
     engine resolution through here instead of re-reading the
-    environment.  Only an injected kernel fault
-    (``supervisor.maybe_fault_emu``) reaches the mid-run fault path:
-    the C source installs no signal handler, so a real crash ends the
-    process.  Without a ``sink`` an injected fault demotes the process
-    and reruns on the interpreter.  With a ``sink`` it re-raises as the
-    typed, transient :class:`NativeKernelCrash`, as does one the sink
-    raises: the sink's consumer may already hold chunks, so only the
-    caller can restart the stream, and the caller records it.
+    environment.  The C source installs no signal handler: a kernel
+    crash mid-run ends the process.
     """
     lib = None if native is False else _get_lib()
     if lib is not None and watchdog is None:
@@ -593,19 +568,10 @@ def run_program_native(program: "Program",
             decoded = decode_program(program)
         if chunk_events is None:
             chunk_events = 1 << 16
-        from repro.fastpath import supervisor
-        from repro.robustness.errors import NativeKernelCrash
         buffers = _take_buffers(chunk_events)
         try:
             execution = _run_kernel(lib, buffers, program, decoded, inputs,
                                     collect_trace, max_steps, sink)
-        except NativeKernelCrash as crash:
-            if sink is not None:
-                raise
-            # No chunk has left this function: demote the process and
-            # rerun from scratch on the interpreter (identical result).
-            supervisor.report_kernel_fault(crash)
-            execution = None
         finally:
             _IDLE_BUFFERS.append(buffers)
         if execution is not None:
@@ -624,8 +590,6 @@ def _run_kernel(lib, buffers: _ChunkBuffers, program: "Program",
                 sink: Callable[[TraceColumns], None] | None
                 ) -> ExecutionResult | None:
     """One run on the kernel, or None when the kernel cannot start."""
-    from repro.fastpath import supervisor
-
     image = np.frombuffer(zero_pages(DEFAULT_SIZE), np.uint8)
     memory = Memory(DEFAULT_SIZE, data=memoryview(image))
     layout = layout_globals(program, memory, inputs)
@@ -661,7 +625,6 @@ def _run_kernel(lib, buffers: _ChunkBuffers, program: "Program",
     trace = TraceColumns() if collect_trace else None
     try:
         while True:
-            supervisor.maybe_fault_emu()
             rc = lib.emu_run(handle)
             if rc == _ST_FAULT:
                 _raise_fault(nprog, out, max_steps)
@@ -753,14 +716,10 @@ def sim_scan_chunk(tables: NativeSimTables,
     vector) is read and written in place, so consecutive calls chain
     exactly like consecutive ``feed`` calls.
     """
-    from repro.fastpath import supervisor
     lib = _get_lib()
     if lib is None:
         from repro.robustness.errors import NativeEngineError
         raise NativeEngineError("native kernels unavailable")
-    # Injected faults fire before the C call; the caller reruns the
-    # whole simulation on the Python rung.
-    supervisor.maybe_fault_scan()
     cfg[0] = len(sidx)
     ptrs_vec, ptrs = _as_ptrs([
         sidx, flags, addr, tables.pc_addr, tables.lat, tables.flags,

@@ -1,45 +1,36 @@
-"""Native-engine supervisor: sandboxing, parity canary, cache integrity.
+"""Native-engine supervisor: the process trusts the C kernels once, at load.
 
 The native (C) kernels of :mod:`repro.fastpath.native` are the only
-code in the reproduction that can segfault the interpreter, load a
-stale or corrupted shared object, or silently depend on the host
-compiler.  This module owns everything about *trusting* that code:
+code in the reproduction that can segfault the interpreter or
+silently depend on the host compiler.  Whether a process runs on them
+is decided once, by :func:`load`, on first use; nothing afterwards
+changes that decision.  :func:`load` walks one chain:
 
-* **Build + cache integrity.**  The kernel ``.so`` is cached under a
-  dedicated directory (``REPRO_KERNEL_CACHE``, default
-  ``<tmp>/repro-kernels``) keyed by the SHA-256 of the C source *plus*
-  the compiler fingerprint (``cc --version`` first line) *plus* the
-  build flags, with a ``.sha256`` digest sidecar written at publish
-  time.  A cached object whose bytes no longer match the sidecar is
-  quarantined (moved under ``quarantine/`` with a ``.reason`` file)
-  and rebuilt; a compiler upgrade changes the fingerprint and thereby
-  the cache key, so a stale object can never be loaded by accident.
+* **Build.**  The kernel ``.so`` is cached under a dedicated
+  directory (``REPRO_KERNEL_CACHE``, default ``<tmp>/repro-kernels``)
+  keyed by the SHA-256 of the C source *plus* the compiler fingerprint
+  (``cc --version`` first line) *plus* the build flags, so a compiler
+  upgrade builds a new object instead of loading a stale one.
 
-* **Sacrificial-subprocess canary.**  Before a process loads a kernel
-  whose digest has never passed validation (no matching ``.ok``
-  sidecar), the first invocation happens in a child process
-  (``python -m repro.fastpath.supervisor <so>``) that replays a golden
-  MiniC trace through the native kernels and the pure-Python engines
-  and byte-compares the observables.  A SIGSEGV/SIGBUS kills only the
-  child and surfaces as a typed :class:`NativeKernelCrash`; an
-  observable mismatch exits with :class:`NativeParityError`'s code and
-  quarantines the object.
+* **Sandbox canary.**  Each object has one ``.ok`` sidecar recording
+  the SHA-256 of the bytes that passed the canary.  An object whose
+  digest does not match its ``.ok`` (never validated, corrupted,
+  half-written) is rebuilt, published atomically, and first run in a
+  child process (``python -m repro.fastpath.supervisor <so>``) that
+  replays a golden MiniC trace through the native kernels and the
+  pure-Python engines and byte-compares the observables.  A
+  SIGSEGV/SIGBUS kills only the child and surfaces as a typed
+  :class:`NativeKernelCrash`; a mismatch as :class:`NativeParityError`.
+  The process ``dlopen``\\s only bytes whose digest matches ``.ok``.
 
-* **In-process parity canary.**  Even a sandbox-validated object is
-  replayed once per process (cheap, in-process) before the process
-  trusts it — a mismatch quarantines and demotes.
+* **In-process parity.**  The loaded kernels replay the golden trace
+  once more in this process before it trusts them.
 
-* **Degradation ladder.**  Any typed failure demotes the *process*
-  from the native rung to the interpreter (the pure-Python
-  :func:`~repro.fastpath.interp.run_program_fast` and
-  :class:`~repro.fastpath.simulate.StreamSimulator`), recorded as a
-  structured :class:`DegradationEvent` plus counters (``engine_demotions``,
-  ``native_parity_failures``, ``native_kernel_crashes``,
-  ``kernel_cache_quarantined``) that :func:`drain_into` folds into a
-  :class:`~repro.engine.metrics.PipelineMetrics`, so demotions reach
-  the run summary and the ``--bench-json`` snapshot.  All rungs are
-  byte-identical, so degradation is observable but never changes a
-  figure.
+Any typed failure on the way leaves the process on the ``interpreter``
+rung (:func:`~repro.fastpath.interp.run_program_fast` and
+:class:`~repro.fastpath.simulate.StreamSimulator`) for good, with the
+error recorded once (:func:`rung`, :func:`last_error`); both rungs are
+byte-identical, so the fallback changes timings, never figures.
 
 ``REPRO_NATIVE`` / ``REPRO_KERNEL_CACHE`` / ``REPRO_NATIVE_CFLAGS``
 are resolved exactly once per process (at first use); a mid-run env
@@ -56,16 +47,12 @@ import subprocess
 import sys
 import tempfile
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.robustness.errors import (NativeBuildError, NativeEngineError,
                                      NativeKernelCrash, NativeParityError,
                                      NativeToolchainMissing, ReproError)
-
-#: the degradation ladder, best rung first; every rung is byte-identical
-ENGINE_LADDER = ("native", "interpreter")
 
 #: compiler names probed in order
 _DEFAULT_COMPILERS = ("cc", "gcc")
@@ -76,10 +63,6 @@ _BASE_CFLAGS = ("-O2", "-shared", "-fPIC")
 #: wall-clock bound on one sandbox canary child (a hung kernel is a
 #: crashed kernel)
 _CANARY_TIMEOUT = 180.0
-
-#: counters drained into PipelineMetrics (names match its fields)
-_COUNTER_NAMES = ("engine_demotions", "native_parity_failures",
-                  "native_kernel_crashes", "kernel_cache_quarantined")
 
 
 # ----------------------------------------------------------------- #
@@ -120,22 +103,6 @@ GOLDEN_INPUTS = {"src": [(i * 5 + 2) % 11 for i in range(64)],
 # ----------------------------------------------------------------- #
 
 @dataclass
-class DegradationEvent:
-    """One structured record of the process losing an engine rung."""
-
-    at: float                  # time.time() of the demotion
-    from_engine: str           # rung lost ("native")
-    to_engine: str             # rung now active
-    reason: str                # human-readable cause
-    error: str = ""            # taxonomy class name, when one applies
-
-    def to_dict(self) -> dict:
-        return {"at": self.at, "from": self.from_engine,
-                "to": self.to_engine, "reason": self.reason,
-                "error": self.error}
-
-
-@dataclass
 class _State:
     """Per-process supervisor state (env resolved exactly once)."""
 
@@ -144,25 +111,16 @@ class _State:
     cflags: tuple[str, ...]
     compilers: tuple[str, ...] = _DEFAULT_COMPILERS
     fingerprint_override: str | None = None
-    engine: str = "native"
-    validated: bool = False
     fingerprint: str | None = None
+    #: "native" | "interpreter" once decided; REPRO_NATIVE=0 decides
+    #: "interpreter" up front, as a configuration choice, not a failure
+    engine: str | None = None
     last_error: ReproError | None = None
-    events: list[DegradationEvent] = field(default_factory=list)
-    counters: dict[str, int] = field(
-        default_factory=lambda: {n: 0 for n in _COUNTER_NAMES})
-    drained: dict[str, int] = field(
-        default_factory=lambda: {n: 0 for n in _COUNTER_NAMES})
-    #: test injection: "segv-child" | "parity-child" |
-    #: "parity-process" | ("scan-fault", k) | ("emu-fault", k)
-    injection: object | None = None
-    scan_calls: int = 0
-    emu_chunks: int = 0
+    #: test injection: "segv-child" | "parity-child" | "parity-process"
+    injection: str | None = None
 
     def __post_init__(self):
         if not self.enabled:
-            # REPRO_NATIVE=0 is a configuration choice, not a failure:
-            # start below the native rung without a demotion event.
             self.engine = "interpreter"
 
 
@@ -197,11 +155,11 @@ def _get_state() -> _State:
 def reset_for_testing(*, cache_dir: str | None = None,
                       compilers: tuple[str, ...] | None = None,
                       fingerprint: str | None = None) -> None:
-    """Rebuild the per-process state (tests only).
+    """Rebuild the per-process state (tests and ``repro native --fresh``).
 
-    Re-reads the environment, restores the ladder to its top rung, and
-    resets :mod:`repro.fastpath.native`'s cached library handle so the
-    next use goes through the full acquire/verify path again.
+    Re-reads the environment, forgets the load decision, and resets
+    :mod:`repro.fastpath.native`'s cached library handle so the next
+    use walks the whole load chain again.
     """
     global _state
     with _lock:
@@ -212,127 +170,34 @@ def reset_for_testing(*, cache_dir: str | None = None,
         native._lib_tried = False
 
 
-# ----------------------------------------------------------------- #
-# Ladder + telemetry                                                #
-# ----------------------------------------------------------------- #
-
 def native_enabled() -> bool:
     """The once-per-process ``REPRO_NATIVE`` snapshot."""
     return _get_state().enabled
 
 
-def current_engine() -> str:
-    """The best rung this process still trusts."""
-    return _get_state().engine
-
-
-def native_active() -> bool:
-    """True while the process is still on the native rung."""
+def rung() -> str:
+    """The process's decision: ``native``, ``interpreter``, or
+    ``interpreter (<error class>)`` after a failed load; empty until
+    the kernels are first asked for."""
     state = _get_state()
-    return state.enabled and state.engine == "native"
-
-
-def demote(reason: str, error: str = "") -> str:
-    """Drop to the next rung; record the structured event.  Returns
-    the new rung.  Demoting below the last rung is a no-op (the
-    interpreter cannot fail this way)."""
-    with _lock:
-        state = _get_state()
-        idx = ENGINE_LADDER.index(state.engine)
-        if idx + 1 >= len(ENGINE_LADDER):
-            return state.engine
-        new = ENGINE_LADDER[idx + 1]
-        state.events.append(DegradationEvent(
-            at=time.time(), from_engine=state.engine, to_engine=new,
-            reason=reason, error=error))
-        state.engine = new
-        state.counters["engine_demotions"] += 1
-        return new
+    if state.last_error is not None:
+        return f"interpreter ({type(state.last_error).__name__})"
+    return state.engine or ""
 
 
 def last_error() -> ReproError | None:
     return _get_state().last_error
 
 
-def degradation_events() -> list[DegradationEvent]:
-    return list(_get_state().events)
-
-
 def counters_snapshot() -> dict[str, int]:
-    return dict(_get_state().counters)
+    """``engine_demotions``: 1 when the load fell back, else 0."""
+    return {"engine_demotions": int(_get_state().last_error is not None)}
 
 
-def drain_into(metrics) -> None:
-    """Fold undrained counter deltas into a ``PipelineMetrics``.
-
-    Deltas are moved, not copied: two contexts draining the same
-    process state split the totals instead of double-counting them.
-    """
-    with _lock:
-        state = _get_state()
-        for name in _COUNTER_NAMES:
-            delta = state.counters[name] - state.drained[name]
-            if delta:
-                setattr(metrics, name, getattr(metrics, name) + delta)
-                state.drained[name] = state.counters[name]
-
-
-def _record_failure(exc: NativeEngineError) -> None:
-    state = _get_state()
-    state.last_error = exc
-    demote(str(exc), error=type(exc).__name__)
-
-
-# ----------------------------------------------------------------- #
-# Injection hooks (tests)                                           #
-# ----------------------------------------------------------------- #
-
-def set_injection(kind: object | None) -> None:
-    """Arm one fault injection; see :class:`_State.injection`."""
-    with _lock:
-        state = _get_state()
-        state.injection = kind
-        state.scan_calls = 0
-        state.emu_chunks = 0
-
-
-def maybe_fault_scan() -> None:
-    """Raise an injected kernel fault before the Nth sim-scan call."""
-    state = _get_state()
-    inj = state.injection
-    if not (isinstance(inj, tuple) and inj[0] == "scan-fault"):
-        return
-    state.scan_calls += 1
-    if state.scan_calls >= inj[1]:
-        state.injection = None
-        raise NativeKernelCrash(
-            f"injected sim-scan kernel fault at chunk {state.scan_calls}",
-            stage="sim-scan")
-
-
-def maybe_fault_emu() -> None:
-    """Raise an injected kernel fault before the Nth emulator chunk."""
-    state = _get_state()
-    inj = state.injection
-    if not (isinstance(inj, tuple) and inj[0] == "emu-fault"):
-        return
-    state.emu_chunks += 1
-    if state.emu_chunks >= inj[1]:
-        state.injection = None
-        raise NativeKernelCrash(
-            f"injected emulator kernel fault at chunk {state.emu_chunks}",
-            stage="emu")
-
-
-def report_kernel_fault(exc: NativeKernelCrash) -> None:
-    """Record a mid-run kernel fault: counter + demotion.  Called by
-    the code that caught the fault and is about to recover on the next
-    rung (or re-raise the typed error for the scheduler's retry)."""
-    with _lock:
-        state = _get_state()
-        state.counters["native_kernel_crashes"] += 1
-        state.last_error = exc
-        demote(str(exc), error=type(exc).__name__)
+def set_injection(kind: str | None) -> None:
+    """Arm one load-time fault injection (tests); see
+    :attr:`_State.injection`."""
+    _get_state().injection = kind
 
 
 # ----------------------------------------------------------------- #
@@ -393,69 +258,34 @@ def _digest_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _publish(tmp_src: str, dest: str) -> None:
-    """Atomically publish ``tmp_src`` plus its digest sidecar."""
-    digest = _digest_file(tmp_src)
-    tmp = f"{dest}.{os.getpid()}.tmp"
-    shutil.copy(tmp_src, tmp)
-    os.replace(tmp, dest)
-    sidecar = f"{dest}.sha256"
-    tmp = f"{sidecar}.{os.getpid()}.tmp"
-    with open(tmp, "w") as handle:
-        handle.write(digest + "\n")
-    os.replace(tmp, sidecar)
-
-
-def quarantine_so(path: str | Path, reason: str) -> Path | None:
-    """Move a kernel object under ``<cache>/quarantine/`` with a
-    ``.reason`` sidecar; drop its digest/validation sidecars.  Returns
-    the new location (None when the file vanished first)."""
-    path = Path(path)
-    with _lock:
-        state = _get_state()
-        qdir = Path(state.cache_dir) / "quarantine"
-        qdir.mkdir(parents=True, exist_ok=True)
-        dest = qdir / f"{path.name}.{os.getpid()}.{os.urandom(3).hex()}"
-        try:
-            os.replace(path, dest)
-        except FileNotFoundError:
-            return None
-        dest.with_name(dest.name + ".reason").write_text(reason + "\n")
-        for suffix in (".sha256", ".ok"):
-            Path(f"{path}{suffix}").unlink(missing_ok=True)
-        state.counters["kernel_cache_quarantined"] += 1
-        state.validated = False
-        return dest
+def _validated(path: str) -> bool:
+    """True when ``path``'s bytes are the ones its ``.ok`` records."""
+    try:
+        return Path(f"{path}.ok").read_text().strip() == _digest_file(path)
+    except OSError:
+        return False
 
 
 def ensure_built() -> str:
-    """Return a digest-verified kernel ``.so``, building if needed.
+    """Return a kernel ``.so`` whose bytes passed the sandbox canary.
 
-    A cached object with a missing or mismatching ``.sha256`` sidecar
-    is quarantined and rebuilt once.  Raises the typed taxonomy on
-    failure (:class:`NativeToolchainMissing`, :class:`NativeBuildError`).
+    An object whose digest matches its ``.ok`` sidecar is returned as
+    is.  Anything else is rebuilt, published atomically, run once in
+    the sandbox canary (:func:`sandbox_canary`) and recorded in
+    ``.ok``.  Raises the typed taxonomy on failure
+    (:class:`NativeToolchainMissing`, :class:`NativeBuildError`,
+    :class:`NativeKernelCrash`, :class:`NativeParityError`).
     """
     with _lock:
         state = _get_state()
         dest = so_path()
-        if os.path.exists(dest):
-            sidecar = Path(f"{dest}.sha256")
-            try:
-                recorded = sidecar.read_text().strip()
-            except OSError:
-                recorded = ""
-            if recorded and _digest_file(dest) == recorded:
-                return dest
-            quarantine_so(dest, "cached kernel object failed digest "
-                          "verification on load" if recorded
-                          else "cached kernel object has no digest "
-                          "sidecar")
+        if _validated(dest):
+            return dest
         cc = _resolve_compiler(state)
         from repro.fastpath._native_src import C_SOURCE
-        os.makedirs(state.cache_dir, exist_ok=True)
         try:
-            with tempfile.TemporaryDirectory(
-                    dir=state.cache_dir) as td:
+            os.makedirs(state.cache_dir, exist_ok=True)
+            with tempfile.TemporaryDirectory(dir=state.cache_dir) as td:
                 src = os.path.join(td, "repro_native.c")
                 with open(src, "w") as handle:
                     handle.write(C_SOURCE)
@@ -475,7 +305,14 @@ def ensure_built() -> str:
                         f"{cc} exited {proc.returncode} building the "
                         f"native kernels", cc=cc, stderr=stderr,
                         so_path=dest)
-                _publish(built, dest)
+                digest = _digest_file(built)
+                tmp = f"{dest}.{os.getpid()}.tmp"
+                shutil.copy(built, tmp)
+                os.replace(tmp, dest)
+            sandbox_canary(dest)
+            tmp = f"{dest}.ok.{os.getpid()}.tmp"
+            Path(tmp).write_text(digest + "\n")
+            os.replace(tmp, f"{dest}.ok")
         except OSError as exc:
             raise NativeBuildError(
                 f"kernel cache write failed: {exc}", cc=cc,
@@ -484,7 +321,7 @@ def ensure_built() -> str:
 
 
 # ----------------------------------------------------------------- #
-# Canaries                                                          #
+# Canaries + the load decision                                      #
 # ----------------------------------------------------------------- #
 
 def _golden_program():
@@ -557,182 +394,87 @@ def golden_digest(native: bool) -> str:
 def sandbox_canary(path: str) -> None:
     """First invocation of a newly built kernel, in a child process.
 
-    Skipped when the object's digest already carries an ``.ok``
-    validation sidecar (it passed the sandbox before).  A child killed
-    by a signal raises :class:`NativeKernelCrash`; a parity exit
-    quarantines the object and raises :class:`NativeParityError`.
-    """
-    with _lock:
-        state = _get_state()
-        digest = _digest_file(path)
-        ok_path = Path(f"{path}.ok")
-        try:
-            if ok_path.read_text().strip() == digest:
-                return
-        except OSError:
-            pass
-        src_root = str(Path(__file__).resolve().parents[2])
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = src_root + (
-            os.pathsep + existing if existing else "")
-        env.pop("REPRO_NATIVE_INJECT", None)
-        if state.injection == "segv-child":
-            env["REPRO_NATIVE_INJECT"] = "segv"
-        elif state.injection == "parity-child":
-            env["REPRO_NATIVE_INJECT"] = "parity"
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "repro.fastpath.supervisor",
-                 path],
-                capture_output=True, timeout=_CANARY_TIMEOUT, env=env)
-        except subprocess.TimeoutExpired as exc:
-            state.counters["native_kernel_crashes"] += 1
-            raise NativeKernelCrash(
-                f"sandbox canary hung past {_CANARY_TIMEOUT:g}s",
-                so_path=path, stage="canary") from exc
-        rc = proc.returncode
-        if rc == 0:
-            tmp = f"{ok_path}.{os.getpid()}.tmp"
-            with open(tmp, "w") as handle:
-                handle.write(digest + "\n")
-            os.replace(tmp, ok_path)
-            return
-        stderr = proc.stderr.decode("utf-8", "replace")[-2000:]
-        if rc < 0:
-            state.counters["native_kernel_crashes"] += 1
-            raise NativeKernelCrash(
-                f"native kernel died on signal {-rc} in the sandbox "
-                f"canary", so_path=path, signal=-rc, stage="canary")
-        if rc == NativeParityError.exit_code:
-            state.counters["native_parity_failures"] += 1
-            quarantine_so(path, "golden parity mismatch in the "
-                                "sandbox canary")
-            raise NativeParityError(
-                "native kernels diverged from the interpreter on the "
-                "golden trace (sandbox canary)", so_path=path)
-        raise NativeBuildError(
-            f"sandbox canary exited {rc}: {stderr[-300:]}",
-            so_path=path, stderr=stderr)
-
-
-def verify_process_parity(path: str) -> None:
-    """In-process golden replay, once per process per trusted object.
-
-    Assumes :mod:`repro.fastpath.native` has its library handle set
-    (the native runs below short-circuit through it).  A mismatch
-    quarantines the object, demotes, and raises
+    A child killed by a signal (or hung) raises
+    :class:`NativeKernelCrash`; a parity exit raises
     :class:`NativeParityError`.
     """
     state = _get_state()
-    if state.validated:
+    src_root = str(Path(__file__).resolve().parents[2])
+    env = dict(os.environ)
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src_root + (
+        os.pathsep + existing if existing else "")
+    env.pop("REPRO_NATIVE_INJECT", None)
+    if state.injection == "segv-child":
+        env["REPRO_NATIVE_INJECT"] = "segv"
+    elif state.injection == "parity-child":
+        env["REPRO_NATIVE_INJECT"] = "parity"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.fastpath.supervisor", path],
+            capture_output=True, timeout=_CANARY_TIMEOUT, env=env)
+    except subprocess.TimeoutExpired as exc:
+        raise NativeKernelCrash(
+            f"sandbox canary hung past {_CANARY_TIMEOUT:g}s",
+            so_path=path, stage="canary") from exc
+    rc = proc.returncode
+    if rc == 0:
         return
-    expected = golden_digest(native=False)
-    actual = golden_digest(native=True)
-    if state.injection == "parity-process":
-        state.injection = None
-        actual = "0" * len(actual)
-    if actual != expected:
-        with _lock:
-            state.counters["native_parity_failures"] += 1
-        quarantine_so(path, "golden parity mismatch in the in-process "
-                            "canary")
-        exc = NativeParityError(
+    stderr = proc.stderr.decode("utf-8", "replace")[-2000:]
+    if rc < 0:
+        raise NativeKernelCrash(
+            f"native kernel died on signal {-rc} in the sandbox "
+            f"canary", so_path=path, signal=-rc, stage="canary")
+    if rc == NativeParityError.exit_code:
+        raise NativeParityError(
             "native kernels diverged from the interpreter on the "
-            "golden trace (in-process canary)", so_path=path,
-            expected=expected, actual=actual)
-        _record_failure(exc)
-        raise exc
-    state.validated = True
+            "golden trace (sandbox canary)", so_path=path)
+    raise NativeBuildError(
+        f"sandbox canary exited {rc}: {stderr[-300:]}",
+        so_path=path, stderr=stderr)
 
 
-def acquire_so() -> str | None:
-    """Build/verify/sandbox the kernel object for this process.
+def load() -> None:
+    """Make the process's one native-vs-interpreter decision.
 
-    Returns the validated path, or None after recording the typed
-    failure and demoting — the caller falls through to the next rung.
+    Builds or reuses a canary-validated object (:func:`ensure_built`),
+    binds it, and replays the golden trace in this process.  On
+    success :mod:`repro.fastpath.native` keeps the handle; on any typed
+    failure it keeps None and the error is recorded.  Called once, by
+    ``native._get_lib``.
     """
+    from repro.fastpath import native
     with _lock:
-        if not native_active():
-            return None
+        state = _get_state()
+        if state.engine is not None:
+            return
         try:
             path = ensure_built()
-            sandbox_canary(path)
-            return path
+            native._lib = native._bind_library(path)
+            # The golden replay below runs through the handle just set.
+            expected = golden_digest(native=False)
+            actual = golden_digest(native=True)
+            if state.injection == "parity-process":
+                actual = "0" * len(actual)
+            if actual != expected:
+                raise NativeParityError(
+                    "native kernels diverged from the interpreter on the "
+                    "golden trace (in-process canary)", so_path=path,
+                    expected=expected, actual=actual)
         except NativeEngineError as exc:
-            _record_failure(exc)
-            return None
-
-
-# ----------------------------------------------------------------- #
-# Status + fsck integration                                         #
-# ----------------------------------------------------------------- #
-
-@dataclass
-class KernelScan:
-    """Outcome of one kernel-cache integrity scan."""
-
-    cache_dir: str
-    scanned: int = 0
-    ok: int = 0
-    #: (relative path, problem, action) per bad object
-    issues: list[tuple[str, str, str]] = field(default_factory=list)
-    #: orphan sidecars (``.sha256``/``.ok`` without an object)
-    orphans: int = 0
-
-
-def scan_kernel_cache(repair: bool = False) -> KernelScan:
-    """Digest-verify every cached kernel object.
-
-    With ``repair``, bad objects are quarantined and orphan sidecars
-    removed — the ``repro cache fsck --repair`` contract extended to
-    the kernel cache.
-    """
-    state = _get_state()
-    scan = KernelScan(cache_dir=state.cache_dir)
-    cache = Path(state.cache_dir)
-    if not cache.is_dir():
-        return scan
-    for so in sorted(cache.glob("repro_kernel_*.so")):
-        scan.scanned += 1
-        sidecar = Path(f"{so}.sha256")
-        problem = None
-        try:
-            recorded = sidecar.read_text().strip()
-        except OSError:
-            recorded = ""
-        if not recorded:
-            problem = "missing digest sidecar"
-        elif _digest_file(so) != recorded:
-            problem = "kernel object bytes do not match the recorded " \
-                      "digest"
-        if problem is None:
-            scan.ok += 1
-            continue
-        action = "reported"
-        if repair:
-            quarantine_so(so, problem)
-            action = "quarantined"
-        scan.issues.append((so.name, problem, action))
-    for pattern in ("repro_kernel_*.so.sha256", "repro_kernel_*.so.ok"):
-        for sidecar in sorted(cache.glob(pattern)):
-            stem = sidecar.name.rsplit(".", 1)[0]
-            if not (cache / stem).exists():
-                scan.orphans += 1
-                if repair:
-                    sidecar.unlink(missing_ok=True)
-    return scan
+            native._lib = None
+            state.last_error = exc
+            state.engine = "interpreter"
+            return
+        state.engine = "native"
 
 
 def status_lines() -> list[str]:
     """Human-readable supervisor status for ``repro native``."""
     state = _get_state()
-    lines = [
-        f"engine ladder : {' > '.join(ENGINE_LADDER)}",
-        f"current rung  : {state.engine}"
-        + ("" if state.enabled else " (REPRO_NATIVE disabled)"),
-        f"kernel cache  : {state.cache_dir}",
-    ]
+    lines = [f"rung          : {rung() or 'undecided'}"
+             + ("" if state.enabled else " (REPRO_NATIVE disabled)"),
+             f"kernel cache  : {state.cache_dir}"]
     try:
         lines.append(f"cc fingerprint: {cc_fingerprint()}")
         path = so_path()
@@ -741,22 +483,16 @@ def status_lines() -> list[str]:
                      f" ({'present' if built else 'not built'})")
         if built:
             lines.append(f"  sha256      : {_digest_file(path)}")
-            lines.append(
-                f"  validated   : "
-                f"{'yes' if Path(path + '.ok').exists() else 'no'}")
+        lines.append(f"  validated   : "
+                     f"{'yes' if built and _validated(path) else 'no'}")
     except NativeEngineError as exc:
         lines.append(f"toolchain     : unavailable "
                      f"({type(exc).__name__}: {exc})")
-    counters = counters_snapshot()
-    lines.append("counters      : " + ", ".join(
-        f"{name}={counters[name]}" for name in _COUNTER_NAMES))
-    for event in degradation_events():
-        lines.append(f"demotion      : {event.from_engine} -> "
-                     f"{event.to_engine} [{event.error}] {event.reason}")
     if state.last_error is not None:
         lines.append(f"last error    : "
                      f"{type(state.last_error).__name__} "
-                     f"(exit {state.last_error.exit_code})")
+                     f"(exit {state.last_error.exit_code}): "
+                     f"{state.last_error}")
     return lines
 
 
@@ -787,10 +523,9 @@ def _canary_child_main(argv: list[str]) -> int:
     if inject == "segv":
         import ctypes
         ctypes.string_at(0)  # genuine SIGSEGV, not an emulation
+    # The comparison below IS the validation: no load chain here.
     native._lib = lib
     native._lib_tried = True
-    state = _get_state()
-    state.validated = True  # the comparison below IS the validation
     try:
         expected = golden_digest(native=False)
         actual = golden_digest(native=True)

@@ -12,10 +12,8 @@ at any chunk size.
 
 :func:`emulate_and_simulate_vector` fuses the native emulator
 (:func:`~repro.fastpath.native.run_program_native`) with this
-simulator.  A kernel fault mid-run, on either side, has one recovery
-path: the supervisor demotes the process and the whole run restarts
-on the Python rung (:func:`~repro.fastpath.simulate.simulate_columns`
-or :func:`~repro.fastpath.simulate.emulate_and_simulate_stream`).
+simulator.  Which rung runs is decided once per process, at load (see
+:mod:`repro.fastpath.supervisor`); nothing switches rungs mid-run.
 """
 
 from __future__ import annotations
@@ -24,14 +22,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.fastpath import supervisor
 from repro.fastpath.columns import TraceColumns
 from repro.fastpath.decode import DecodedProgram, decode_program
-from repro.fastpath.simulate import (SimPrep, StreamSimulator,
-                                     emulate_and_simulate_stream,
-                                     prepare_sim, simulate_columns)
+from repro.fastpath.simulate import SimPrep, StreamSimulator, prepare_sim
 from repro.machine.descriptor import MachineDescription
-from repro.robustness.errors import NativeKernelCrash
 from repro.sim.pipeline import SimulationStats
 
 if TYPE_CHECKING:
@@ -75,9 +69,7 @@ class VectorSimulator:
 
     ``python`` is the Python rung.  While the native scan runs, its
     state is stale and refreshed from the kernel arrays on demand
-    (:meth:`boundary_digest`, :meth:`finish`).  A kernel fault
-    propagates as :class:`NativeKernelCrash`; the caller reruns the
-    whole simulation on the Python rung.
+    (:meth:`boundary_digest`, :meth:`finish`).
     """
 
     def __init__(self, prep: "SimPrep | VectorSimPrep",
@@ -172,17 +164,12 @@ def simulate_columns_vector(cols: TraceColumns,
 
     ``native=False`` (from the
     :class:`~repro.engine.stages.PipelineContext`'s once-per-process
-    resolution) keeps the scan on the Python rung.  A scan fault
-    demotes the process and reruns the trace on the Python rung.
+    resolution) keeps the scan on the Python rung.
     """
     size = chunk_events or DEFAULT_VECTOR_CHUNK
     sim = VectorSimulator(prep, machine, native=native is not False)
-    try:
-        for chunk in cols.chunks(size) if len(cols) > size else (cols,):
-            sim.feed(chunk)
-    except NativeKernelCrash as crash:
-        supervisor.report_kernel_fault(crash)
-        return simulate_columns(cols, sim.python.prep, machine)
+    for chunk in cols.chunks(size) if len(cols) > size else (cols,):
+        sim.feed(chunk)
     if metrics is not None:
         metrics.vector_chunks_total += sim.chunks_fed
     return sim.finish()
@@ -204,9 +191,7 @@ def emulate_and_simulate_vector(
 
     The emulator side is the native kernel, or the interpreter when a
     watchdog is attached or the kernel is unavailable; the simulator
-    side is a :class:`VectorSimulator`.  After a kernel fault on either
-    side the supervisor demotes the process and the whole fused run
-    restarts on the Python rung — byte-identical.
+    side is a :class:`VectorSimulator`.
 
     When a :class:`~repro.engine.metrics.PipelineMetrics` is supplied,
     the fused run times every simulator feed separately, credits the
@@ -233,18 +218,10 @@ def emulate_and_simulate_vector(
         sim_seconds += perf_counter() - start
 
     begin = perf_counter()
-    try:
-        execution = run_program_native(
-            program, inputs=inputs, max_steps=max_steps,
-            watchdog=watchdog, sink=sink, chunk_events=chunk_events,
-            decoded=decoded, native=native)
-    except NativeKernelCrash as crash:
-        supervisor.report_kernel_fault(crash)
-        return emulate_and_simulate_stream(
-            program, addresses, machine, inputs=inputs,
-            max_steps=max_steps, watchdog=watchdog,
-            chunk_events=chunk_events, decoded=decoded,
-            prep=vprep.prep, metrics=metrics)
+    execution = run_program_native(
+        program, inputs=inputs, max_steps=max_steps, watchdog=watchdog,
+        sink=sink, chunk_events=chunk_events, decoded=decoded,
+        native=native)
     mid = perf_counter()
     stats = sim.finish()
     if metrics is not None:

@@ -21,10 +21,10 @@ KEYWORDS = frozenset({
     "break", "continue",
 })
 
-#: Multi-character operators, longest first so maximal munch works.
-_OPERATORS = ["<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
-              "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^",
-              "~", "(", ")", "{", "}", "[", "]", ";", ",", "?", ":"]
+#: Operators: the two-character ones are tried first (maximal munch).
+_TWO_CHAR_OPS = frozenset({"<<", ">>", "<=", ">=", "==", "!=", "&&",
+                           "||"})
+_ONE_CHAR_OPS = frozenset("+-*/%<>=!&|^~(){}[];,?:")
 
 _ESCAPES = {"n": 10, "t": 9, "0": 0, "r": 13, "\\": 92, "'": 39, '"': 34}
 
@@ -57,11 +57,11 @@ def tokenize(source: str) -> list[Token]:
         if ch in " \t\r":
             i += 1
             continue
-        if source.startswith("//", i):
+        if ch == "/" and source.startswith("//", i):
             end = source.find("\n", i)
             i = n if end < 0 else end
             continue
-        if source.startswith("/*", i):
+        if ch == "/" and source.startswith("/*", i):
             end = source.find("*/", i + 2)
             if end < 0:
                 raise LexError(f"line {line}: unterminated comment")
@@ -108,11 +108,13 @@ def tokenize(source: str) -> list[Token]:
             tokens.append(Token("num", value, line))
             i = j + 1
             continue
-        for op in _OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token(op, op, line))
-                i += len(op)
-                break
+        op = source[i:i + 2]
+        if op in _TWO_CHAR_OPS:
+            tokens.append(Token(op, op, line))
+            i += 2
+        elif ch in _ONE_CHAR_OPS:
+            tokens.append(Token(ch, ch, line))
+            i += 1
         else:
             raise LexError(f"line {line}: unexpected character {ch!r}")
     tokens.append(Token("eof", "", line))

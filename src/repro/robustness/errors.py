@@ -153,7 +153,7 @@ class NativeBuildError(NativeEngineError):
 
     Permanent: the same source fed to the same compiler fails the same
     way on every retry.  ``cc`` names the compiler, ``stderr`` carries
-    its (truncated) diagnostics for the demotion event.
+    its (truncated) diagnostics for ``repro native``.
     """
 
     exit_code = 22
@@ -170,7 +170,7 @@ class NativeToolchainMissing(NativeEngineError):
 
     Transient by classification: the toolchain can reappear (PATH
     fixed, container layer mounted) and a retry lands harmlessly on
-    the demoted pure-Python engines either way.  ``searched`` lists
+    the pure-Python engines the process fell back to either way.  ``searched`` lists
     the compiler names that were tried.
     """
 
@@ -187,8 +187,8 @@ class NativeParityError(NativeEngineError):
     interpreter's.
 
     Permanent: rebuilding the same source with the same compiler
-    reproduces the same object, so the supervisor quarantines the
-    ``.so`` and demotes the process instead of retrying.  ``expected``
+    reproduces the same object, so the process runs on the
+    pure-Python engines instead of retrying.  ``expected``
     and ``actual`` are the golden observable digests.
     """
 
@@ -202,15 +202,14 @@ class NativeParityError(NativeEngineError):
 
 
 class NativeKernelCrash(NativeEngineError):
-    """A native kernel died hard (SIGSEGV/SIGBUS) or faulted mid-run.
+    """A native kernel died hard (SIGSEGV/SIGBUS) or hung.
 
     Raised by the sacrificial-subprocess canary when the child exits
-    on a signal, and by the in-process fault hooks when a kernel scan
-    is aborted mid-chunk.  Transient by classification: the supervisor
-    demotes the process first, so the retry runs on a pure-Python
+    on a signal or outlives its timeout.  Transient by classification:
+    the process falls back at load, so a retry runs on a pure-Python
     engine and succeeds byte-identically.  ``signal`` is the POSIX
-    signal number when one is known, ``stage`` names the kernel
-    (``emu`` / ``sim-scan`` / ``canary``).
+    signal number when one is known, ``stage`` names where it died
+    (``canary``).
     """
 
     exit_code = 25

@@ -137,6 +137,15 @@ def test_clear_removes_all_versions(tmp_path):
     assert store.get("stats", KEY) is None
 
 
+def test_put_after_clear_recreates_the_directories(tmp_path):
+    store = ArtifactStore(tmp_path)
+    store.put("stats", KEY, 1)
+    store.clear()
+    store.put("stats", KEY, {"cycles": 7})
+    assert store.get("stats", KEY) == {"cycles": 7}
+    assert store.stats().entries == 1
+
+
 def test_schema_bump_orphans_old_artifacts(tmp_path):
     store = ArtifactStore(tmp_path)
     store.put("stats", KEY, 1)

@@ -1,5 +1,8 @@
 """MiniC lexer tests."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from repro.lang.lexer import LexError, tokenize
@@ -83,3 +86,25 @@ def test_eof_token_present():
     toks = tokenize("")
     assert len(toks) == 1
     assert toks[0].kind == "eof"
+
+
+#: SHA-256 over ``repr(tokenize(src))`` of every paper workload, every
+#: corpus entry and the first 40 generated programs of seed 1, taken
+#: from the lexer that scanned the operator list in order
+TOKENS_GOLDEN = \
+    "bfbd0ed4db0b98971a87e6a457c6663c4694777f2e76570592af22e608433785"
+
+
+def test_token_lists_are_pinned():
+    from repro.fuzz.generator import generate_case
+    from repro.workloads.base import all_workloads
+    corpus = Path(__file__).resolve().parents[2] / "corpus"
+    sources = [w.source for w in all_workloads()]
+    sources += [p.read_text() for p in sorted(corpus.glob("*/case.c"))]
+    sources += [generate_case(1, i).source for i in range(40)]
+    assert len(sources) == 73
+    digest = hashlib.sha256()
+    for source in sources:
+        digest.update(repr(tokenize(source)).encode())
+        digest.update(b"\0")
+    assert digest.hexdigest() == TOKENS_GOLDEN

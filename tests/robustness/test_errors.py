@@ -50,8 +50,8 @@ def test_exit_codes_are_distinct_and_documented():
 
 def test_transience_split_matches_the_readme_table():
     # NativeToolchainMissing / NativeKernelCrash are transient because
-    # the supervisor demotes before raising: the retry lands on the
-    # byte-identical Python engines.  Build and parity failures are
+    # a failed native load leaves the process on the byte-identical
+    # Python engines, where the retry lands.  Build and parity failures are
     # permanent facts about the artifact.
     transient = {EmulationTimeout, TraceIntegrityError,
                  NativeToolchainMissing, NativeKernelCrash}
