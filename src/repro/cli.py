@@ -38,7 +38,7 @@ Examples::
 
     python -m repro compile kernel.c --model fullpred
     python -m repro run kernel.c --model cmov --width 8 --branches 1
-    python -m repro run kernel.c --paranoid --time-budget 30
+    python -m repro run kernel.c --paranoid
     python -m repro bench wc --scale 0.5
     python -m repro report --scale 0.5 --paranoid -o RESULTS.txt
     python -m repro report --jobs 4 --bench-json bench.json
@@ -60,12 +60,14 @@ Examples::
 Failures exit with the typed taxonomy's codes (one-line diagnostics,
 no tracebacks): 10 generic pipeline error, 11 compile or invalid
 spec (bad sweep grid, unknown latency op-class name), 12 pass
-verification, 13 emulation timeout, 14 trace integrity, 15 model
-divergence, 16 emulation fault, 18 open fuzz findings, 22 native
-kernel build failure, 23 C toolchain missing, 24 native kernel parity
-mismatch, 25 native kernel crash.  Codes 13, 14, 23 and 25 are
+verification, 14 trace integrity, 15 model divergence, 16 emulation
+fault (a step-limit overrun included), 18 open fuzz findings, 22
+native kernel build failure, 23 C toolchain missing, 24 native kernel
+parity mismatch, 25 native kernel crash.  Codes 14, 23 and 25 are
 transient (retry — a native failure is decided once, at load, and
-leaves the process on the Python rung); the rest are permanent.  Code 17 (artifact lock timeout; store writes take no
+leaves the process on the Python rung); the rest are permanent.  Code
+13 (the wall-clock emulation timeout; ``max_steps`` is the one
+emulation bound), code 17 (artifact lock timeout; store writes take no
 lock) and codes 19, 20, 21, 26 and 27 (the job service and cluster)
 are retired and never reused.
 """
@@ -89,7 +91,6 @@ from repro.lang.parser import ParseError
 from repro.lang.sema import SemaError
 from repro.machine.descriptor import MachineDescription, scalar_machine
 from repro.robustness.errors import ReproError
-from repro.robustness.watchdog import EmulationWatchdog
 from repro.toolchain import (MODEL_NAMES, Model, ToolchainOptions,
                              compile_for_model, frontend, run_compiled)
 from repro.workloads import all_workloads, get_workload
@@ -120,8 +121,7 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
                              "perfect memory")
 
 
-def _add_robustness_args(parser: argparse.ArgumentParser,
-                         watchdog: bool = True) -> None:
+def _add_robustness_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--paranoid", action="store_true",
                         help="verify the IR after every compiler pass "
                              "and every emulation trace; failures name "
@@ -129,10 +129,6 @@ def _add_robustness_args(parser: argparse.ArgumentParser,
     parser.add_argument("--artifact-dir", default=None,
                         help="directory for failure IR snapshots "
                              "(default: system temp)")
-    if watchdog:
-        parser.add_argument("--time-budget", type=float, default=None,
-                            metavar="SECONDS",
-                            help="wall-clock budget for each emulation")
 
 
 def _default_cache_dir() -> str:
@@ -227,13 +223,6 @@ def _options(args) -> ToolchainOptions:
                                                  None))
 
 
-def _watchdog(args) -> EmulationWatchdog | None:
-    budget = getattr(args, "time_budget", None)
-    if budget is None:
-        return None
-    return EmulationWatchdog(wall_clock_budget=budget)
-
-
 def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -259,12 +248,10 @@ def _cmd_run(args) -> int:
     model = Model[args.model.upper()]
     options = _options(args)
     compiled = compile_for_model(base, model, profile, machine, options)
-    result = run_compiled(compiled, inputs=None, watchdog=_watchdog(args),
-                          engine=args.engine)
+    result = run_compiled(compiled, inputs=None, engine=args.engine)
     scalar = run_compiled(
         compile_for_model(base, Model.SUPERBLOCK, profile,
-                          scalar_machine(), options),
-        watchdog=_watchdog(args))
+                          scalar_machine(), options))
     stats = result.stats
     print(f"model              : {model.value}")
     print(f"machine            : {machine.name}")
@@ -284,7 +271,6 @@ def _cmd_bench(args) -> int:
     workload = get_workload(args.name)
     suite = ExperimentSuite(workloads=[workload], scale=args.scale,
                             options=_options(args),
-                            wall_clock_budget=args.time_budget,
                             cache_dir=_cache_dir(args), jobs=args.jobs,
                             engine=args.engine,
                             **_suite_recovery_kwargs(args))
@@ -336,7 +322,6 @@ def _run_differential(workload, machine, args) -> None:
 
 def _cmd_report(args) -> int:
     suite = ExperimentSuite(scale=args.scale, options=_options(args),
-                            wall_clock_budget=args.time_budget,
                             cache_dir=_cache_dir(args), jobs=args.jobs,
                             engine=args.engine,
                             **_suite_recovery_kwargs(args))
@@ -461,7 +446,6 @@ def _cmd_sweep_diff(args) -> int:
 def _fuzz_config(args):
     from repro.fuzz.executor import ExecutorConfig
     return ExecutorConfig(max_steps=args.max_steps,
-                          wall_budget=args.time_budget,
                           issue_width=args.width,
                           branch_issue_limit=args.branches)
 
@@ -631,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="MiniC source file, or - for stdin")
     p.add_argument("--model", choices=sorted(MODEL_NAMES), default="fullpred")
     _add_machine_args(p)
-    _add_robustness_args(p, watchdog=False)
+    _add_robustness_args(p)
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("run", help="compile, emulate and simulate a file")
@@ -707,10 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
         fp.add_argument("--max-steps", type=int, default=400_000,
                         help="emulation step budget per run "
                              "(default 400000)")
-        fp.add_argument("--time-budget", type=float, default=10.0,
-                        metavar="SECONDS",
-                        help="wall-clock watchdog per engine run "
-                             "(default 10)")
         fp.add_argument("--width", type=int, default=8,
                         help="issue width (default 8)")
         fp.add_argument("--branches", type=int, default=1,

@@ -13,14 +13,10 @@ from __future__ import annotations
 
 import hashlib
 import time
-from typing import TYPE_CHECKING
 
 from repro.emu.memory import (GLOBAL_BASE, SAFE_ADDR, EmulationFault,
                               Memory, layout_globals)
 from repro.emu.trace import ExecutionResult, TraceEvent
-
-if TYPE_CHECKING:  # avoid an emu <-> robustness import cycle
-    from repro.robustness.watchdog import EmulationWatchdog
 from repro.ir.function import Function, Program
 from repro.ir.instruction import Instruction
 from repro.ir.opcodes import OpCategory, Opcode
@@ -74,14 +70,12 @@ class Interpreter:
     def __init__(self, program: Program, memory: Memory | None = None,
                  inputs: dict[str, list[int | float] | bytes] | None = None,
                  collect_trace: bool = False,
-                 max_steps: int = 50_000_000,
-                 watchdog: "EmulationWatchdog | None" = None):
+                 max_steps: int = 50_000_000):
         self.program = program
         self.memory = memory if memory is not None else Memory()
         self.layout = layout_globals(program, self.memory, inputs)
         self.collect_trace = collect_trace
         self.max_steps = max_steps
-        self.watchdog = watchdog
         self.steps = 0
         self.suppressed = 0
         self.output_signature = 0
@@ -110,8 +104,6 @@ class Interpreter:
 
     def run(self) -> ExecutionResult:
         main = self.program.main
-        if self.watchdog is not None:
-            self.watchdog.start()
         started = time.monotonic()
         value = self._run_function(main, [])
         wall_time = time.monotonic() - started
@@ -129,8 +121,6 @@ class Interpreter:
             output_count=self.output_count,
             memory_digest=digest,
             wall_time_seconds=wall_time,
-            heartbeats=list(self.watchdog.heartbeats)
-            if self.watchdog is not None else [],
         )
 
     # ----- core loop --------------------------------------------------------
@@ -148,8 +138,6 @@ class Interpreter:
         fn_name = fn.name
         block_counts = self.block_counts
         branch_outcomes = self.branch_outcomes
-        watchdog = self.watchdog
-        wd_interval = watchdog.interval if watchdog is not None else 0
 
         def val(op):
             t = type(op)
@@ -184,8 +172,6 @@ class Interpreter:
             if self.steps > self.max_steps:
                 raise StepLimitExceeded(
                     f"exceeded {self.max_steps} steps in {fn_name}")
-            if watchdog is not None and not self.steps % wd_interval:
-                watchdog.beat(self.steps)
             op = inst.op
             cat = inst.cat
 
@@ -413,10 +399,8 @@ class Interpreter:
 def run_program(program: Program,
                 inputs: dict[str, list[int | float] | bytes] | None = None,
                 collect_trace: bool = False,
-                max_steps: int = 50_000_000,
-                watchdog: "EmulationWatchdog | None" = None
-                ) -> ExecutionResult:
+                max_steps: int = 50_000_000) -> ExecutionResult:
     """Execute ``program`` from its entry function and return the result."""
     interp = Interpreter(program, inputs=inputs, collect_trace=collect_trace,
-                         max_steps=max_steps, watchdog=watchdog)
+                         max_steps=max_steps)
     return interp.run()

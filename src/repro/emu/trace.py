@@ -62,8 +62,6 @@ class ExecutionResult:
     memory_digest: str | None = None
     #: wall-clock emulation time in seconds
     wall_time_seconds: float = 0.0
-    #: (steps, elapsed_seconds) heartbeats from the watchdog, if any
-    heartbeats: list[tuple[int, float]] = field(default_factory=list)
 
     @property
     def executed_count(self) -> int:

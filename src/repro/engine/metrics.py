@@ -124,10 +124,12 @@ class PipelineMetrics:
                      invocations: int = 1) -> None:
         """Credit pre-measured wall time to a stage.
 
-        The fused engines (stream, vector) interleave emulation and
-        simulation inside one call, so they time the simulator feeds
-        themselves and report the split here instead of via
-        :meth:`timer`.
+        A fused emulate→simulate run
+        (:func:`~repro.fastpath.vector.emulate_and_simulate_vector`,
+        or the Python rung's ``emulate_and_simulate_stream``)
+        interleaves emulation and simulation inside one call, so it
+        times the simulator feeds itself and reports the split here
+        instead of via :meth:`timer`.
         """
         m = self.stages.setdefault(stage, StageMetrics())
         m.invocations += invocations

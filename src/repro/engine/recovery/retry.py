@@ -1,9 +1,9 @@
 """Transient/permanent failure classification and retry backoff.
 
 The scheduler must distinguish *the machine hiccuped* (worker crash,
-``BrokenProcessPool``, a wall-clock timeout under load, a corrupt
-artifact read, a full disk) from *the program is wrong* (compile
-failures, verifier rejections, model divergence).  The first class
+``BrokenProcessPool``, a corrupt artifact read, a full disk) from *the
+program is wrong* (compile failures, verifier rejections, model
+divergence).  The first class
 earns capped exponential backoff and a bounded number of retries; the
 second fails the task immediately — retrying a deterministic compiler
 bug only burns the budget the retries exist to protect.
@@ -19,7 +19,7 @@ import hashlib
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from repro.robustness.errors import (EmulationTimeout, NativeKernelCrash,
+from repro.robustness.errors import (NativeKernelCrash,
                                      NativeToolchainMissing,
                                      TraceIntegrityError)
 
@@ -27,15 +27,13 @@ from repro.robustness.errors import (EmulationTimeout, NativeKernelCrash,
 #: for nothing here — ``is_transient`` checks this tuple before the
 #: permanent default.  ``OSError`` covers disk-full/EIO during store
 #: writes; ``TraceIntegrityError`` is a corrupt-artifact read (the store
-#: quarantined it, a retry recomputes); ``EmulationTimeout`` may be
-#: contention rather than an infinite loop, so it gets its capped tries.
+#: quarantined it, a retry recomputes).
 #: ``NativeKernelCrash``/``NativeToolchainMissing`` are transient
 #: because a failed native load leaves the process on a pure-Python
 #: engine — the retry runs there and succeeds byte-identically.
 TRANSIENT_TYPES: tuple[type[BaseException], ...] = (
     BrokenProcessPool,
     TraceIntegrityError,
-    EmulationTimeout,
     NativeKernelCrash,
     NativeToolchainMissing,
     TimeoutError,

@@ -9,7 +9,7 @@ three failure classes:
 
 * **transient typed failures** — a worker raised something the
   recovery policy classifies as retryable (corrupt-artifact read,
-  emulation timeout, disk-full ``OSError``; see
+  disk-full ``OSError``; see
   :mod:`repro.engine.recovery.retry`); the job is re-queued with capped
   exponential backoff and deterministic jitter, up to
   ``retry.max_attempts`` total tries, and only the *final* failure is

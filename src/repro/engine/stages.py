@@ -49,7 +49,6 @@ from repro.ir.operands import Imm
 from repro.machine.descriptor import MachineDescription
 from repro.robustness.errors import TraceIntegrityError
 from repro.robustness.integrity import check_trace_integrity
-from repro.robustness.watchdog import EmulationWatchdog
 from repro.sim.pipeline import SimulationStats, simulate_trace
 from repro.toolchain import (CompiledProgram, Model, OptimizedProgram,
                              ToolchainOptions, compile_for_model, frontend)
@@ -101,7 +100,6 @@ class PipelineContext:
     scale: float = 1.0
     options: ToolchainOptions = field(default_factory=ToolchainOptions)
     max_steps: int = 20_000_000
-    wall_clock_budget: float | None = None
     store: ArtifactStore | None = None
     metrics: PipelineMetrics = field(default_factory=PipelineMetrics)
     #: execution engine by name (see :mod:`repro.engines`).  Both
@@ -291,6 +289,7 @@ class PipelineContext:
             profile = self.store.get("profile", key)
         if profile is None:
             program = self.frontend_program(workload)
+            self._load_kernels()
             with self.metrics.timer("profile"):
                 # The legacy engine is the reference: it never runs a
                 # native kernel.
@@ -364,23 +363,20 @@ class PipelineContext:
 
     def _emulate(self, workload: Workload, compiled: CompiledProgram,
                  number: int) -> ExecutionResult:
-        watchdog = None
-        if self.wall_clock_budget is not None:
-            watchdog = EmulationWatchdog(
-                wall_clock_budget=self.wall_clock_budget)
+        self._load_kernels()
         with self.metrics.timer("emulate"):
             inputs = self.inputs(workload)
             if self.engine == "legacy":
                 return run_program(
                     compiled.program, inputs=inputs, collect_trace=True,
-                    max_steps=self.max_steps, watchdog=watchdog)
+                    max_steps=self.max_steps)
             # The native emulator falls back to the interpreter by
-            # itself (watchdog, no kernel).
+            # itself when the process has no kernel.
             emulate = native.run_program_native \
                 if self.native_enabled else run_program_fast
             return emulate(
                 compiled.program, inputs=inputs, collect_trace=True,
-                max_steps=self.max_steps, watchdog=watchdog,
+                max_steps=self.max_steps,
                 decoded=self._decoded_for(number, compiled))
 
     def release_traces(self) -> None:
@@ -409,6 +405,7 @@ class PipelineContext:
                 raise TraceIntegrityError(
                     f"{workload.name}/{model.value}: emulation "
                     f"produced no trace")
+            self._load_kernels()
             with self.metrics.timer("simulate"):
                 if not isinstance(trace, TraceColumns):
                     stats = simulate_trace(trace, compiled.addresses,
@@ -432,6 +429,14 @@ class PipelineContext:
         self._summary[key] = summary
         self.record_native_rung()
         return summary
+
+    def _load_kernels(self) -> None:
+        """Make the process's one native load decision before a stage
+        timer starts, so a cold kernel cache's build and canary are
+        charged to no stage.  A run that computes nothing (all stats
+        warm) never gets here and loads no kernel."""
+        if self.native_enabled and self.engine != "legacy":
+            native.available()
 
     def record_native_rung(self) -> None:
         """Record the process's native load decision in this run's

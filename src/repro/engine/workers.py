@@ -35,7 +35,6 @@ class JobSpec:
     scale: float
     options: ToolchainOptions
     max_steps: int
-    wall_clock_budget: float | None = None
     #: execution engine (see :mod:`repro.engines`)
     engine: str = DEFAULT_ENGINE
 
@@ -43,7 +42,6 @@ class JobSpec:
         return PipelineContext(
             scale=self.scale, options=self.options,
             max_steps=self.max_steps,
-            wall_clock_budget=self.wall_clock_budget,
             store=ArtifactStore(self.cache_dir),
             engine=self.engine)
 

@@ -7,9 +7,12 @@ is byte-identical on both:
   and trace simulator (:mod:`repro.sim.pipeline`): the readable
   reference, and the differential oracle the other engine is held to;
 * ``vector`` — the default: pre-decoded programs and columnar traces
-  (:mod:`repro.fastpath`) run by native C kernels, with one pure-Python
+  (:mod:`repro.fastpath`) run by native C kernels whenever the process
+  loaded them, fuzzing and differential runs included; the pure-Python
   rung (:func:`~repro.fastpath.interp.run_program_fast` and
-  :class:`~repro.fastpath.simulate.StreamSimulator`) below them.
+  :class:`~repro.fastpath.simulate.StreamSimulator`) runs only in a
+  process that did not (no C compiler, ``REPRO_NATIVE=0``, a failed
+  load check).  Either way ``max_steps`` is the one emulation bound.
 
 The CLI, :class:`~repro.experiments.runner.ExperimentSuite`, the pool
 workers' job specs and sweeps all take their engine names and default

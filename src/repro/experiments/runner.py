@@ -83,8 +83,8 @@ class ExperimentSuite:
 
     The first failure of any workload raises its typed error.
     ``options.paranoid`` additionally verifies the IR after every pass
-    and every recorded trace's integrity, and ``wall_clock_budget``
-    (seconds, per emulation) arms the watchdog on top of ``max_steps``.
+    and every recorded trace's integrity; ``max_steps`` bounds each
+    emulation.
 
     ``cache_dir`` attaches the content-addressed artifact store (None
     keeps everything in-memory, as hermetic tests expect); ``jobs``
@@ -109,7 +109,6 @@ class ExperimentSuite:
     scale: float = 1.0
     options: ToolchainOptions | None = None
     max_steps: int = 20_000_000
-    wall_clock_budget: float | None = None
     cache_dir: str | None = None
     jobs: int = 1
     #: execution engine for emulate/simulate (see :mod:`repro.engines`);
@@ -135,9 +134,7 @@ class ExperimentSuite:
             if self.cache_dir is not None else None
         self.ctx = PipelineContext(
             scale=self.scale, options=self.options,
-            max_steps=self.max_steps,
-            wall_clock_budget=self.wall_clock_budget, store=store,
-            engine=self.engine)
+            max_steps=self.max_steps, store=store, engine=self.engine)
         self._by_name = {w.name: w for w in self.workloads}
         self.journal: RunJournal | None = None
         #: tasks the resumed journal proved complete (artifacts verified)
@@ -235,9 +232,7 @@ class ExperimentSuite:
         return JobSpec(cache_dir=self.cache_dir, workload=name,
                        model_name=model.name, machines=machines,
                        scale=self.scale, options=self.options,
-                       max_steps=self.max_steps,
-                       wall_clock_budget=self.wall_clock_budget,
-                       engine=self.engine)
+                       max_steps=self.max_steps, engine=self.engine)
 
     def prefetch(self, targets: list[
             tuple[MachineDescription, tuple[Model, ...]]]) -> None:

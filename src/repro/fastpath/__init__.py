@@ -18,8 +18,7 @@ byte-identically:
   (:mod:`repro.fastpath.interp`) and the incremental column simulator
   (:mod:`repro.fastpath.simulate`), used when no C compiler is present,
   under ``REPRO_NATIVE=0`` and when the kernels fail their checks at
-  load; emulation also runs here under a wall-clock watchdog, which
-  needs in-loop heartbeats.
+  load.
 
 The legacy path stays untouched as the differential oracle; see
 ``repro.robustness.differential.assert_fastpath_equivalent``.

@@ -4,7 +4,7 @@ Executes a :class:`~repro.fastpath.decode.DecodedProgram` with semantics
 bit-identical to ``repro.emu.interpreter`` (the differential oracle):
 same wrap-to-32-bit arithmetic, guard nullification, predicate truth
 tables, store-stream signature, block/branch profiles, memory digest,
-step budget, watchdog cadence, and fault messages.  The difference is
+step budget, and fault messages.  The difference is
 mechanical: one non-recursive loop over flat code lists, int-keyed
 dispatch, dense list register files, and a columnar trace appended to
 with bound ``array.append`` methods instead of per-event NamedTuples.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.emu.interpreter import StepLimitExceeded, _cdiv, _crem, _w32
 from repro.emu.memory import (GLOBAL_BASE, SAFE_ADDR, EmulationFault,
@@ -33,9 +33,6 @@ from repro.fastpath.decode import (
     K_OR_NOT, K_PREDDEF, K_PREDSET, K_REM, K_SELECT, K_SHL, K_SHR,
     K_STORE, K_STORE_B, K_SUB, K_XOR, DecodedProgram, decode_program)
 from repro.ir.function import Program
-
-if TYPE_CHECKING:  # avoid an emu <-> robustness import cycle
-    from repro.robustness.watchdog import EmulationWatchdog
 
 _U32 = 0xFFFFFFFF
 _U64 = 0xFFFFFFFFFFFFFFFF
@@ -57,7 +54,6 @@ def run_program_fast(program: Program,
                      | None = None,
                      collect_trace: bool = False,
                      max_steps: int = 50_000_000,
-                     watchdog: "EmulationWatchdog | None" = None,
                      sink: Callable[[TraceColumns], None] | None = None,
                      chunk_events: int = DEFAULT_CHUNK_EVENTS,
                      decoded: DecodedProgram | None = None
@@ -75,13 +71,11 @@ def run_program_fast(program: Program,
     global_end = max((layout[g.name] + g.byte_size
                       for g in program.globals.values()),
                      default=GLOBAL_BASE)
-    if watchdog is not None:
-        watchdog.start()
     started = time.monotonic()
     (value, steps, suppressed, trace, branch_outcomes, block_counts,
      signature, out_count) = _execute(decoded, memory, layout,
-                                      collect_trace, max_steps,
-                                      watchdog, sink, chunk_events)
+                                      collect_trace, max_steps, sink,
+                                      chunk_events)
     wall_time = time.monotonic() - started
     digest = hashlib.sha256(
         bytes(memory.data[GLOBAL_BASE:global_end])).hexdigest()
@@ -96,13 +90,11 @@ def run_program_fast(program: Program,
         output_count=out_count,
         memory_digest=digest,
         wall_time_seconds=wall_time,
-        heartbeats=list(watchdog.heartbeats)
-        if watchdog is not None else [],
     )
 
 
-def _execute(decoded, memory, layout, collect_trace, max_steps,
-             watchdog, sink, chunk_events):
+def _execute(decoded, memory, layout, collect_trace, max_steps, sink,
+             chunk_events):
     functions = decoded.functions
     const_cache: dict[str, list] = {}
 
@@ -139,9 +131,6 @@ def _execute(decoded, memory, layout, collect_trace, max_steps,
     block_counts: dict[tuple[str, str], int] = {}
     stack: list[tuple] = []
 
-    wd = watchdog
-    wd_interval = wd.interval if wd is not None else 0
-
     dfn = functions[decoded.entry]
     code = dfn.code
     nxt = dfn.nxt
@@ -165,19 +154,12 @@ def _execute(decoded, memory, layout, collect_trace, max_steps,
             ap_a = cols.addr.append
             ap_v = cols.vidx.append
             values = cols.values
-            # A slow consumer is wall-clock spent inside the emulation
-            # budget: charge each flush, not just every wd_interval
-            # steps (small chunks can flush many times per interval).
-            if wd is not None:
-                wd.beat(steps)
 
         kind, sidx, dest, m0, i0, m1, i1, m2, i2, guard, aux = code[pc]
         steps += 1
         if steps > max_steps:
             raise StepLimitExceeded(
                 f"exceeded {max_steps} steps in {name}")
-        if wd is not None and not steps % wd_interval:
-            wd.beat(steps)
 
         # Guard check: fetched but nullified when the predicate is 0
         # (predicate defines decoded with guard == -1; see decode).

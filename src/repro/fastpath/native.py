@@ -537,7 +537,6 @@ def run_program_native(program: "Program",
                        inputs: dict | None = None,
                        collect_trace: bool = False,
                        max_steps: int = 50_000_000,
-                       watchdog=None,
                        sink: Callable[[TraceColumns], None]
                        | None = None,
                        chunk_events: int | None = None,
@@ -551,10 +550,9 @@ def run_program_native(program: "Program",
     counts, branch outcomes and block counts.  The kernel folds the
     store-stream signature itself; Python only marshals the program
     and the globals in, and the chunks (when traced) and the run's
-    summary out.  A watchdog needs in-loop heartbeats, which stay on
-    the interpreter: a watchdogged run (and any run without a kernel)
-    delegates to :func:`repro.fastpath.interp.run_program_fast`;
-    results are identical on both paths.
+    summary out.  A run without a kernel delegates to
+    :func:`repro.fastpath.interp.run_program_fast`; results are
+    identical on both paths.
 
     ``native=False`` skips the kernel outright — callers thread the
     :class:`~repro.engine.stages.PipelineContext`'s once-per-process
@@ -563,7 +561,7 @@ def run_program_native(program: "Program",
     crash mid-run ends the process.
     """
     lib = None if native is False else _get_lib()
-    if lib is not None and watchdog is None:
+    if lib is not None:
         if decoded is None:
             decoded = decode_program(program)
         if chunk_events is None:
@@ -578,8 +576,7 @@ def run_program_native(program: "Program",
             return execution
     return run_program_fast(program, inputs=inputs,
                             collect_trace=collect_trace,
-                            max_steps=max_steps, watchdog=watchdog,
-                            sink=sink,
+                            max_steps=max_steps, sink=sink,
                             chunk_events=chunk_events or (1 << 16),
                             decoded=decoded)
 
@@ -664,7 +661,6 @@ def _run_kernel(lib, buffers: _ChunkBuffers, program: "Program",
         output_count=int(out[12]),
         memory_digest=digest,
         wall_time_seconds=wall_time,
-        heartbeats=[],
     )
 
 

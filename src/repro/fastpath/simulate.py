@@ -335,7 +335,6 @@ def emulate_and_simulate_stream(
         machine: MachineDescription,
         inputs: dict[str, list[int | float] | bytes] | None = None,
         max_steps: int = 50_000_000,
-        watchdog=None,
         chunk_events: int | None = None,
         decoded: DecodedProgram | None = None,
         prep: SimPrep | None = None,
@@ -368,8 +367,7 @@ def emulate_and_simulate_stream(
             _acc[0] += perf_counter() - start
     begin = perf_counter()
     execution = run_program_fast(
-        program, inputs=inputs, max_steps=max_steps, watchdog=watchdog,
-        sink=sink,
+        program, inputs=inputs, max_steps=max_steps, sink=sink,
         chunk_events=chunk_events or DEFAULT_CHUNK_EVENTS,
         decoded=decoded)
     mid = perf_counter()

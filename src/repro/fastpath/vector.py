@@ -180,7 +180,6 @@ def emulate_and_simulate_vector(
         machine: MachineDescription,
         inputs: dict[str, list[int | float] | bytes] | None = None,
         max_steps: int = 50_000_000,
-        watchdog=None,
         chunk_events: int | None = None,
         decoded: DecodedProgram | None = None,
         prep: "SimPrep | VectorSimPrep" = None,
@@ -189,9 +188,9 @@ def emulate_and_simulate_vector(
 ) -> "tuple[ExecutionResult, SimulationStats]":
     """Streaming emulate→simulate on the vector engine.
 
-    The emulator side is the native kernel, or the interpreter when a
-    watchdog is attached or the kernel is unavailable; the simulator
-    side is a :class:`VectorSimulator`.
+    The emulator side is the native kernel, or the interpreter when the
+    kernel is unavailable; the simulator side is a
+    :class:`VectorSimulator`.
 
     When a :class:`~repro.engine.metrics.PipelineMetrics` is supplied,
     the fused run times every simulator feed separately, credits the
@@ -219,8 +218,8 @@ def emulate_and_simulate_vector(
 
     begin = perf_counter()
     execution = run_program_native(
-        program, inputs=inputs, max_steps=max_steps, watchdog=watchdog,
-        sink=sink, chunk_events=chunk_events, decoded=decoded,
+        program, inputs=inputs, max_steps=max_steps, sink=sink,
+        chunk_events=chunk_events, decoded=decoded,
         native=native)
     mid = perf_counter()
     stats = sim.finish()

@@ -12,7 +12,7 @@ systematically hunts for them:
 * :mod:`repro.fuzz.executor` — differential executor: every case is
   compiled under all three models and cross-checked over return value,
   store stream and memory digest, across the legacy and vector
-  engines, under the emulation watchdog;
+  engines, each run bounded by a step budget;
 * :mod:`repro.fuzz.triage` — normalized crash signatures (exception
   type + stable frame fingerprint, or divergence kind + first divergent
   store) and finding deduplication;

@@ -7,9 +7,10 @@ reference and vector) by
 cross-checked against the SUPERBLOCK reference over return value, store
 stream and memory digest by
 :func:`~repro.robustness.differential.assert_equivalent` — six
-executions per case, every one under a fresh wall-clock watchdog so a
-looping miscompile becomes a classified ``hang`` finding instead of a
-stuck campaign.
+executions per case, every one bounded by ``max_steps`` so a looping
+miscompile becomes a classified ``emulation-fault`` finding (the
+``StepLimitExceeded`` raise site) instead of a stuck campaign.  The
+vector leg runs on the native kernel whenever the process loaded one.
 
 Store-stream divergences are localized before they are reported: the
 executor replays both legacy traces and attaches the first divergent
@@ -43,8 +44,6 @@ class ExecutorConfig:
     """
 
     max_steps: int = 400_000
-    #: wall seconds per engine run (six runs per case)
-    wall_budget: float = 10.0
     issue_width: int = 8
     branch_issue_limit: int = 1
 
@@ -90,7 +89,7 @@ def execute_source(source: str, inputs: dict | None = None,
                    config: ExecutorConfig | None = None,
                    *, case_id: str = "?") -> None:
     """Run the full differential check on one program; raise on any
-    divergence, crash or hang.
+    divergence, crash or step-limit overrun.
 
     Raises whatever the toolchain raises — callers wanting a classified
     verdict use :func:`run_case`, which folds exceptions into a
@@ -108,8 +107,7 @@ def execute_source(source: str, inputs: dict | None = None,
         compiled = compile_for_model(base, model, profile, machine)
         executions[model] = assert_fastpath_equivalent(
             compiled, inputs=inputs, machine=machine,
-            max_steps=config.max_steps, workload=case_id,
-            wall_budget=config.wall_budget)
+            max_steps=config.max_steps, workload=case_id)
 
     reference = executions[Model.SUPERBLOCK]
     for model in tuple(Model)[1:]:  # the predicated models

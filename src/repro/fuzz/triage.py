@@ -13,8 +13,9 @@ bug collapse to one finding.  Every failure is normalized to a
   fastpath kinds), the model that diverged, and — for store-stream
   divergences — the first divergent store event, which the executor
   attaches after replaying both traces;
-* **hangs** — the watchdog/step-limit budget class, without the
-  budget-dependent message text.
+* **emulation faults** — step-limit overruns included: the raise site
+  (in the fingerprint) identifies them, not the budget-dependent
+  message text.
 
 ``signature.key`` is a short stable digest used for corpus entry names
 and cross-run dedupe.
@@ -32,8 +33,7 @@ from repro.ir.opcodes import OpCategory
 from repro.lang.lexer import LexError
 from repro.lang.parser import ParseError
 from repro.lang.sema import SemaError
-from repro.robustness.errors import (CompileError, EmulationTimeout,
-                                     ModelDivergenceError,
+from repro.robustness.errors import (CompileError, ModelDivergenceError,
                                      PassVerificationError,
                                      TraceIntegrityError)
 
@@ -96,8 +96,6 @@ def signature_of(exc: BaseException) -> CrashSignature:
         if first:
             detail.append(str(first))
         return CrashSignature("divergence", name, tuple(detail))
-    if isinstance(exc, EmulationTimeout):
-        return CrashSignature("hang", name, ("wall-clock",))
     if isinstance(exc, PassVerificationError):
         return CrashSignature("pass-verify", name,
                               (exc.pass_name or "?",)

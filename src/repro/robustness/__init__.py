@@ -1,4 +1,4 @@
-"""Hardened experiment pipeline: typed errors, pass gates, watchdogs,
+"""Hardened experiment pipeline: typed errors, pass gates,
 trace integrity, differential validation and fault injection.
 
 The subsystem exists because the paper's result rests on a fragile
@@ -13,17 +13,14 @@ this package's import footprint.
 """
 
 from repro.robustness.differential import assert_equivalent, values_differ
-from repro.robustness.errors import (CompileError, EmulationTimeout,
-                                     ModelDivergenceError,
+from repro.robustness.errors import (CompileError, ModelDivergenceError,
                                      PassVerificationError, ReproError,
                                      TraceIntegrityError)
 from repro.robustness.integrity import check_trace_integrity
 from repro.robustness.passgate import PassGate
-from repro.robustness.watchdog import EmulationWatchdog
 
 __all__ = [
-    "CompileError", "EmulationTimeout", "EmulationWatchdog",
-    "ModelDivergenceError", "PassGate", "PassVerificationError",
-    "ReproError", "TraceIntegrityError", "assert_equivalent",
-    "check_trace_integrity", "values_differ",
+    "CompileError", "ModelDivergenceError", "PassGate",
+    "PassVerificationError", "ReproError", "TraceIntegrityError",
+    "assert_equivalent", "check_trace_integrity", "values_differ",
 ]

@@ -73,8 +73,7 @@ _EXACT_FIELDS = ("return_value", "dynamic_count", "suppressed_count",
 
 def assert_fastpath_equivalent(compiled, inputs=None, machine=None,
                                max_steps: int = 50_000_000,
-                               *, workload: str = "?",
-                               wall_budget: float | None = None
+                               *, workload: str = "?"
                                ) -> ExecutionResult:
     """Differential mode for the vector engine: legacy vs vector.
 
@@ -84,35 +83,25 @@ def assert_fastpath_equivalent(compiled, inputs=None, machine=None,
     every ``SimulationStats`` field is identical.  This is the oracle
     behind the ``--differential`` CLI flag.
 
-    ``wall_budget`` arms a fresh :class:`EmulationWatchdog` per engine
-    run (fresh, because budgets are per-execution, not per-oracle
-    call); under a watchdog the vector engine emulates on its Python
-    rung.  Returns the legacy :class:`ExecutionResult` so callers
+    Returns the legacy :class:`ExecutionResult` so callers
     layering a cross-model comparison on top — the fuzz executor — can
     reuse it as that model's canonical execution.
     """
     from repro.emu.interpreter import run_program
     from repro.fastpath.vector import emulate_and_simulate_vector
-    from repro.robustness.watchdog import EmulationWatchdog
     from repro.sim.pipeline import simulate_trace
-
-    def watchdog() -> "EmulationWatchdog | None":
-        if wall_budget is None:
-            return None
-        return EmulationWatchdog(wall_clock_budget=wall_budget)
 
     if machine is None:
         machine = compiled.machine
     model = getattr(compiled.model, "value", str(compiled.model))
 
     legacy = run_program(compiled.program, inputs=inputs,
-                         collect_trace=True, max_steps=max_steps,
-                         watchdog=watchdog())
+                         collect_trace=True, max_steps=max_steps)
     legacy_stats = simulate_trace(legacy.trace, compiled.addresses,
                                   machine)
     vectored, vector_stats = emulate_and_simulate_vector(
         compiled.program, compiled.addresses, machine, inputs=inputs,
-        max_steps=max_steps, watchdog=watchdog())
+        max_steps=max_steps)
     for fname in _EXACT_FIELDS:
         a, b = getattr(vectored, fname), getattr(legacy, fname)
         if a != b:

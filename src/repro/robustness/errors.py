@@ -8,7 +8,9 @@ these to carry on with less: a failing pass or workload ends the run.
 Each class carries a distinct ``exit_code`` that ``python -m repro``
 propagates to the shell.
 Codes 19, 20, 21, 26 and 27 belonged to the retired job service and
-cluster; they stay unassigned so an old script never misreads a failure.
+cluster, and 13 to the retired wall-clock ``EmulationTimeout``
+(``max_steps`` is the one emulation bound); they stay unassigned so an
+old script never misreads a failure.
 """
 
 from __future__ import annotations
@@ -67,23 +69,6 @@ class PassVerificationError(CompileError):
                  artifact_path: str | None = None):
         super().__init__(message, pass_name=pass_name, function=function)
         self.artifact_path = artifact_path
-
-
-class EmulationTimeout(ReproError, EmulationFault):
-    """The emulation watchdog's wall-clock budget expired.
-
-    Also an :class:`EmulationFault` so existing fault handlers around
-    ``run_program`` keep working.
-    """
-
-    exit_code = 13
-
-    def __init__(self, message: str, *, steps: int = 0,
-                 elapsed: float = 0.0, budget: float = 0.0):
-        super().__init__(message)
-        self.steps = steps
-        self.elapsed = elapsed
-        self.budget = budget
 
 
 class TraceIntegrityError(ReproError):

@@ -65,7 +65,6 @@ class SweepOutcome:
 def run_sweep(spec: SweepSpec, cache_dir: str | None = None,
               jobs: int = 1, run_id: str | None = None,
               resume: bool = False, retry: RetryPolicy | None = None,
-              wall_clock_budget: float | None = None,
               metrics: PipelineMetrics | None = None,
               engine: str = DEFAULT_ENGINE) -> SweepOutcome:
     """Run one sweep campaign to a :class:`SweepResult`.
@@ -85,7 +84,7 @@ def run_sweep(spec: SweepSpec, cache_dir: str | None = None,
     suite = ExperimentSuite(
         workloads=workloads, scale=spec.scale, max_steps=spec.max_steps,
         cache_dir=cache_dir, jobs=jobs, engine=engine, run_id=run_id,
-        resume=resume, retry=retry, wall_clock_budget=wall_clock_budget,
+        resume=resume, retry=retry,
         journal_meta={"kind": "sweep", "sweep": spec.name,
                       "sweep_digest": digest})
     if metrics is not None:

@@ -54,7 +54,6 @@ from repro.regions.unroll import UnrollParams, unroll_function_loops
 from repro.robustness.errors import (CompileError, PassVerificationError,
                                      ReproError, TraceIntegrityError)
 from repro.robustness.passgate import PassGate
-from repro.robustness.watchdog import EmulationWatchdog
 from repro.schedule.dag import DagEdges
 from repro.schedule.list_scheduler import ScheduleResult, schedule_program
 from repro.sim.pipeline import (SimulationStats, assign_addresses,
@@ -368,14 +367,12 @@ def run_compiled(compiled: CompiledProgram,
                  inputs: dict | None = None,
                  machine: MachineDescription | None = None,
                  max_steps: int = 50_000_000,
-                 watchdog: EmulationWatchdog | None = None,
                  engine: str = DEFAULT_ENGINE) -> RunResult:
     """Emulate the compiled program and simulate its trace.
 
     ``machine`` may differ from the compile-time machine in memory
     hierarchy (the schedule is unaffected by caches), enabling
-    perfect-vs-real-cache comparisons without recompiling.  An optional
-    ``watchdog`` bounds emulation wall-clock time on top of ``max_steps``.
+    perfect-vs-real-cache comparisons without recompiling.
 
     ``engine`` names the execution engine (see :mod:`repro.engines`).
     Both produce bit-identical observables; ``vector`` streams the
@@ -388,12 +385,11 @@ def run_compiled(compiled: CompiledProgram,
         from repro.fastpath.vector import emulate_and_simulate_vector
         execution, stats = emulate_and_simulate_vector(
             compiled.program, compiled.addresses, machine, inputs=inputs,
-            max_steps=max_steps, watchdog=watchdog)
+            max_steps=max_steps)
         return RunResult(compiled=compiled, execution=execution,
                          stats=stats)
     execution = run_program(compiled.program, inputs=inputs,
-                            collect_trace=True, max_steps=max_steps,
-                            watchdog=watchdog)
+                            collect_trace=True, max_steps=max_steps)
     if execution.trace is None:
         raise TraceIntegrityError(
             f"emulation of {compiled.model.value} produced no trace")

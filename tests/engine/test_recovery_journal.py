@@ -78,7 +78,8 @@ def test_replay_unknown_run_id_raises_typed(tmp_path):
 
 def test_task_fail_then_finish_counts_as_completed(tmp_path):
     journal = RunJournal.create(tmp_path)
-    journal.task_fail("t1", "EmulationTimeout", "slow", transient=True)
+    journal.task_fail("t1", "TraceIntegrityError", "corrupt artifact",
+                      transient=True)
     journal.task_finish("t1", [])
     journal.close()
     state = replay_journal(journal_path(tmp_path, journal.run_id))

@@ -8,9 +8,9 @@ import pytest
 from repro.engine.metrics import PipelineMetrics
 from repro.engine.recovery.retry import RetryPolicy, is_transient
 from repro.engine.scheduler import Job, execute_jobs
-from repro.robustness.errors import (CompileError, EmulationTimeout,
-                                     ModelDivergenceError,
+from repro.robustness.errors import (CompileError, ModelDivergenceError,
                                      NativeKernelCrash,
+                                     NativeToolchainMissing,
                                      PassVerificationError,
                                      TraceIntegrityError)
 from tests.engine import jobhelpers
@@ -19,7 +19,7 @@ from tests.engine import jobhelpers
 @pytest.mark.parametrize("exc", [
     BrokenProcessPool("pool died"),
     TraceIntegrityError("corrupt artifact"),
-    EmulationTimeout("over budget"),
+    NativeToolchainMissing("no C compiler"),
     NativeKernelCrash("sandboxed segfault"),
     TimeoutError("slow"),
     OSError(28, "No space left on device"),
@@ -56,7 +56,7 @@ def test_backoff_grows_exponentially_before_the_cap():
 
 def test_should_retry_honors_attempt_budget():
     policy = RetryPolicy(max_attempts=3)
-    exc = EmulationTimeout("slow")
+    exc = TraceIntegrityError("corrupt artifact")
     assert policy.should_retry(exc, 1) and policy.should_retry(exc, 2)
     assert not policy.should_retry(exc, 3)
     assert not policy.should_retry(CompileError("no", pass_name="p"), 1)

@@ -8,14 +8,18 @@ same artifact bytes.  The kernel's own canary and ``REPRO_NATIVE=0``
 keep the interpreter, so the check of the kernel never runs on it.
 """
 
+import time
+
 import pytest
 
 from repro.analysis.profile import Profile
 from repro.engine.serialize import pack
 from repro.engine.stages import PipelineContext
+from repro.engine.store import ArtifactStore
 from repro.fastpath import native, supervisor
 from repro.fuzz.corpus import list_entries
-from repro.toolchain import frontend
+from repro.machine.descriptor import MachineDescription
+from repro.toolchain import Model, frontend
 from repro.workloads.base import all_workloads, get_workload
 
 HAVE_CC = any(__import__("shutil").which(c) for c in ("cc", "gcc"))
@@ -97,3 +101,32 @@ def test_repro_native_0_and_the_canary_profile_on_the_interpreter(
     # The canary compiles and profiles its golden program anew.
     monkeypatch.setattr(supervisor, "_GOLDEN", None)
     supervisor._golden_program()
+
+
+@needs_cc
+def test_native_load_is_charged_to_no_stage(kernel, monkeypatch, tmp_path):
+    """A cold kernel cache's build and canary run before any stage
+    timer starts; a run that only reads stored stats loads nothing."""
+    real_load = supervisor.load
+    loads = []
+
+    def slow_load():
+        loads.append(1)
+        time.sleep(0.3)
+        real_load()
+    monkeypatch.setattr(supervisor, "load", slow_load)
+    monkeypatch.setattr(native, "_lib_tried", False)
+    workload = get_workload("wc")
+    machine = MachineDescription(issue_width=8, branch_issue_limit=1)
+    ctx = PipelineContext(scale=0.05, store=ArtifactStore(str(tmp_path)))
+    cold = ctx.run_summary(workload, Model.FULLPRED, machine)
+    assert loads == [1]
+    for stage in ("profile", "emulate", "simulate"):
+        assert 0 < ctx.metrics.stages[stage].wall_seconds < 0.3, stage
+
+    def no_load():
+        raise AssertionError("a warm run loaded the kernels")
+    monkeypatch.setattr(supervisor, "load", no_load)
+    monkeypatch.setattr(native, "_lib_tried", False)
+    warm = PipelineContext(scale=0.05, store=ArtifactStore(str(tmp_path)))
+    assert warm.run_summary(workload, Model.FULLPRED, machine) == cold

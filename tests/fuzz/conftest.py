@@ -15,7 +15,7 @@ from repro.toolchain import Model, compile_for_model
 def fast_config() -> ExecutorConfig:
     """Small budgets: fuzz-generated programs finish in thousands of
     steps, and tests must fail fast when they don't."""
-    return ExecutorConfig(max_steps=300_000, wall_budget=20.0)
+    return ExecutorConfig(max_steps=300_000)
 
 
 def bump_first_imm(program) -> bool:

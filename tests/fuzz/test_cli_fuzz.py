@@ -12,7 +12,7 @@ from repro.robustness.errors import FuzzFindingsError, ReproError
 
 from tests.fuzz.conftest import sabotaged_compile
 
-_FAST = ["--max-steps", "300000", "--time-budget", "20"]
+_FAST = ["--max-steps", "300000"]
 
 
 def test_fuzz_findings_error_is_exit_18():

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.emu.interpreter import StepLimitExceeded, run_program
 from repro.fuzz.executor import CaseReport
 from repro.fuzz.triage import (CrashSignature, dedupe, first_store_divergence,
                                frame_fingerprint, signature_of, store_stream)
-from repro.robustness.errors import (CompileError, EmulationTimeout,
-                                     ModelDivergenceError)
+from repro.robustness.errors import CompileError, ModelDivergenceError
+from repro.toolchain import frontend
 
 
 def test_divergence_signature_carries_kind_and_model():
@@ -26,11 +27,17 @@ def test_divergence_signature_includes_first_event():
     assert "store#3 @0x1a0 7 vs 9" in signature_of(exc).detail
 
 
-def test_timeout_signature_has_no_budget_text():
-    a = EmulationTimeout("exceeded 1s after 100 steps")
-    b = EmulationTimeout("exceeded 9s after 999999 steps")
-    assert signature_of(a) == signature_of(b)
-    assert signature_of(a).kind == "hang"
+def test_step_limit_overruns_at_different_budgets_share_a_signature():
+    program = frontend("int main() { int i; i = 0; "
+                       "while (i < 10) { i = i * 1; } return i; }")
+    overruns = []
+    for budget in (100, 5000):
+        with pytest.raises(StepLimitExceeded) as exc:
+            run_program(program, max_steps=budget)
+        overruns.append(exc.value)
+    assert str(overruns[0]) != str(overruns[1])
+    assert signature_of(overruns[0]) == signature_of(overruns[1])
+    assert signature_of(overruns[0]).kind == "emulation-fault"
 
 
 def test_crash_fingerprint_is_stable_across_line_edits():

@@ -24,15 +24,6 @@ def slow_file(tmp_path):
     return str(path)
 
 
-def test_timeout_maps_to_exit_13(slow_file, capsys):
-    # A zero budget is exceeded at the first heartbeat (64K steps in).
-    code = main(["run", slow_file, "--time-budget", "0"])
-    assert code == 13
-    err = capsys.readouterr().err
-    assert "error[EmulationTimeout]" in err
-    assert "Traceback" not in err
-
-
 def test_robustness_flags_accepted(slow_file, capsys):
     code = main(["compile", slow_file, "--model", "fullpred",
                  "--paranoid"])
@@ -85,9 +76,12 @@ def test_selftest_passes(capsys):
     ["figures", "--mode", "strict"],
     ["run", "kernel.c", "--rollback"],
     ["compile", "kernel.c", "--rollback"],
+    ["run", "kernel.c", "--time-budget", "0"],
+    ["fuzz", "run", "--time-budget", "10"],
 ])
 def test_retired_fallback_flags_are_usage_errors(argv, capsys):
-    # Nothing skips a failing pass or drops a failing workload.
+    # Nothing skips a failing pass or drops a failing workload, and
+    # max_steps is the one emulation bound: no wall-clock budget.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

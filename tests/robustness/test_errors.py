@@ -4,10 +4,8 @@ import importlib
 import pkgutil
 
 import repro
-from repro.emu.memory import EmulationFault
 from repro.engine.recovery.retry import is_transient
 from repro.robustness.errors import (CompileError,
-                                     EmulationTimeout,
                                      FuzzFindingsError,
                                      ModelDivergenceError,
                                      NativeBuildError,
@@ -18,22 +16,21 @@ from repro.robustness.errors import (CompileError,
                                      PassVerificationError, ReproError,
                                      TraceIntegrityError)
 
-ALL = (ReproError, CompileError, PassVerificationError, EmulationTimeout,
-       TraceIntegrityError, ModelDivergenceError)
-
 #: every (class, exit code) pair the README table documents
 DOCUMENTED = {
     ReproError: 10, CompileError: 11, PassVerificationError: 12,
-    EmulationTimeout: 13, TraceIntegrityError: 14,
+    TraceIntegrityError: 14,
     ModelDivergenceError: 15, FuzzFindingsError: 18,
     NativeBuildError: 22, NativeToolchainMissing: 23,
     NativeParityError: 24, NativeKernelCrash: 25,
 }
 
-#: retired exit codes, never to be handed out again: the artifact lock
-#: timeout (store writes take no lock), and the job service and
-#: cluster's (overloaded, quota, deadline, worker lost, lease fenced)
-RETIRED_CODES = {17, 19, 20, 21, 26, 27}
+#: retired exit codes, never to be handed out again: the wall-clock
+#: emulation timeout (max_steps is the one emulation bound), the
+#: artifact lock timeout (store writes take no lock), and the job
+#: service and cluster's (overloaded, quota, deadline, worker lost,
+#: lease fenced)
+RETIRED_CODES = {13, 17, 19, 20, 21, 26, 27}
 
 
 def test_every_class_is_a_repro_error():
@@ -53,8 +50,8 @@ def test_transience_split_matches_the_readme_table():
     # a failed native load leaves the process on the byte-identical
     # Python engines, where the retry lands.  Build and parity failures are
     # permanent facts about the artifact.
-    transient = {EmulationTimeout, TraceIntegrityError,
-                 NativeToolchainMissing, NativeKernelCrash}
+    transient = {TraceIntegrityError, NativeToolchainMissing,
+                 NativeKernelCrash}
     for cls in DOCUMENTED:
         sample = cls("probe")
         assert is_transient(sample) == (cls in transient), cls
@@ -75,14 +72,6 @@ def test_no_error_reuses_a_retired_exit_code():
     codes = {cls: cls.exit_code for cls in _all_subclasses(ReproError)}
     assert set(DOCUMENTED) <= set(codes) | {ReproError}
     assert not RETIRED_CODES & set(codes.values()), codes
-
-
-def test_timeout_is_also_an_emulation_fault():
-    # Pre-existing handlers around run_program catch EmulationFault;
-    # the watchdog's timeout must not slip past them.
-    exc = EmulationTimeout("budget blown", steps=7, elapsed=1.5, budget=1.0)
-    assert isinstance(exc, EmulationFault)
-    assert (exc.steps, exc.elapsed, exc.budget) == (7, 1.5, 1.0)
 
 
 def test_structured_fields_carry_context():
