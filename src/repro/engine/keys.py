@@ -29,7 +29,11 @@ from typing import Any
 #: after four rounds, which changes optimized programs (and so stats)
 #: under unchanged sources; no key holds a compiler version, so only
 #: this bump keeps a v2 store from serving the old results.
-SCHEMA_VERSION = 3
+#: v4: the store layout is flat, ``<kind>/<key>.art`` instead of
+#: ``<kind>/<key[:2]>/<key>.art``; the artifacts are unchanged, but a v3
+#: store's files are not where v4 looks for them, and the bump retires
+#: the v3 directory as a whole.
+SCHEMA_VERSION = 4
 
 #: artifact kinds the store writes, in pipeline order
 KINDS = ("frontend", "profile", "optimized", "stats")

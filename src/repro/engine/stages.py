@@ -39,7 +39,7 @@ from repro.fastpath import native, vector
 from repro.fastpath.columns import TraceColumns
 from repro.fastpath.decode import DecodedProgram, decode_program
 from repro.fastpath.interp import run_program_fast
-from repro.fastpath.simulate import SimPrep, prepare_sim, simulate_columns
+from repro.fastpath.simulate import prepare_sim, simulate_columns
 from repro.engine.metrics import PipelineMetrics
 from repro.engine.store import ArtifactStore
 from repro.engines import DEFAULT_ENGINE, check_engine
@@ -150,12 +150,11 @@ class PipelineContext:
         self._execution: dict[str, ExecutionResult] = {}
         # Pre-decoded form by program number: one decode serves the
         # emulation plus every machine's simulation of that program.
-        # Simulator arrays, and the vector engine's CSR form of them,
-        # by (number, instruction bytes, latency overrides): the
-        # addresses and latencies are all they add.
+        # Simulator arrays (with the vector engine's form of them) by
+        # (number, instruction bytes, latency overrides): the addresses
+        # and latencies are all they add.
         self._decoded: dict[int, DecodedProgram] = {}
-        self._prep: dict[tuple, SimPrep] = {}
-        self._vprep: dict[tuple, vector.VectorSimPrep] = {}
+        self._prep: dict[tuple, vector.VectorSimPrep] = {}
 
     # ----- keys ---------------------------------------------------------
 
@@ -238,23 +237,14 @@ class PipelineContext:
         return decoded
 
     def _prep_for(self, number: int, compiled: CompiledProgram,
-                  machine: MachineDescription) -> SimPrep:
+                  machine: MachineDescription) -> vector.VectorSimPrep:
         key = (number, machine.instruction_bytes, machine.latency_overrides)
         prep = self._prep.get(key)
         if prep is None:
-            prep = self._prep[key] = prepare_sim(
+            prep = self._prep[key] = vector.VectorSimPrep(prepare_sim(
                 self._decoded_for(number, compiled), compiled.addresses,
-                machine)
+                machine))
         return prep
-
-    def _vprep_for(self, number: int, compiled: CompiledProgram,
-                   machine: MachineDescription) -> vector.VectorSimPrep:
-        key = (number, machine.instruction_bytes, machine.latency_overrides)
-        vprep = self._vprep.get(key)
-        if vprep is None:
-            vprep = self._vprep[key] = vector.VectorSimPrep(
-                self._prep_for(number, compiled, machine))
-        return vprep
 
     def inputs(self, workload: Workload) -> dict:
         """The workload's inputs at this scale, built once.  Emulators
@@ -412,13 +402,12 @@ class PipelineContext:
                                            machine)
                 elif self.native_enabled:
                     stats = vector.simulate_columns_vector(
-                        trace,
-                        self._vprep_for(number, compiled, machine),
+                        trace, self._prep_for(number, compiled, machine),
                         machine, metrics=self.metrics)
                 else:
                     stats = simulate_columns(
                         trace,
-                        self._prep_for(number, compiled, machine),
+                        self._prep_for(number, compiled, machine).prep,
                         machine)
             self.metrics.add_cycles(stats.cycles)
             summary = RunSummary(stats=stats,

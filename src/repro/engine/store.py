@@ -2,7 +2,7 @@
 
 Layout::
 
-    <root>/v<SCHEMA_VERSION>/<kind>/<key[:2]>/<key>.art
+    <root>/v<SCHEMA_VERSION>/<kind>/<key>.art
     <root>/quarantine/<kind>/...        (corrupt files moved aside)
     <root>/runs/<RUN_ID>.jsonl          (run journals; see recovery)
 
@@ -10,7 +10,9 @@ Layout::
 the training profile, the optimized program and the simulation stats.
 Traces and scheduled programs are not stored.  ``key`` is a
 :func:`repro.engine.keys.stable_digest` of the artifact's inputs, so
-the path *is* the cache lookup.
+the path *is* the cache lookup.  Each kind is one flat directory: a
+cold run makes four directories, not one per key prefix, and a store
+holds thousands of artifacts, not the millions a fan-out would serve.
 
 Each write is one atomic step and takes no lock: the envelope goes to a
 temporary file in the same directory (named by pid plus a random
@@ -102,7 +104,7 @@ class ArtifactStore:
     def _path(self, kind: str, key: str) -> Path:
         if kind not in KINDS:
             raise ValueError(f"unknown artifact kind {kind!r}")
-        return self.version_dir / kind / key[:2] / f"{key}{_SUFFIX}"
+        return self.version_dir / kind / f"{key}{_SUFFIX}"
 
     # ----- access -------------------------------------------------------
 
@@ -143,7 +145,7 @@ class ArtifactStore:
             try:
                 handle = open(tmp, "wb")
             except FileNotFoundError:
-                # First write under this kind/prefix (or after clear).
+                # First write of this kind (or after clear).
                 path.parent.mkdir(parents=True, exist_ok=True)
                 handle = open(tmp, "wb")
             with handle:

@@ -28,12 +28,16 @@ Two kernels:
   counters) in caller-owned numpy arrays, driven by
   :class:`~repro.fastpath.vector.VectorSimulator`.
 
-Each run marshals its :class:`DecodedProgram` into flat int32/
-int64/float64 arrays (:class:`NativeProgram`, one array per dtype) —
-per-pc operand fields, CSR tables for call args, predicate
-define tables, params, constants, and the pre-walked fall-through
-chains whose block keys the C kernel counts in first-occurrence order
-so Python can rebuild ``block_counts`` with serial insertion order.
+The emulation kernel's program image is recorded once, by
+:func:`~repro.fastpath.decode.decode_program`: per-pc operand fields,
+CSR tables for call args and predicate defines, params, and the
+pre-walked fall-through chains whose block keys the C kernel counts in
+first-occurrence order so Python can rebuild ``block_counts`` with
+serial insertion order.  Each run only resolves the constants against
+its global layout and packs the image into flat arrays
+(:class:`NativeProgram`, one array per dtype); the scan kernel's tables
+(:class:`NativeSimTables`) wrap a :class:`~repro.fastpath.simulate.SimPrep`
+as arrays.  Neither walks the instructions in Python.
 """
 
 from __future__ import annotations
@@ -42,20 +46,18 @@ import ctypes
 import hashlib
 import threading
 import time
-from itertools import chain
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.emu.interpreter import _CMP, StepLimitExceeded
+from repro.emu.interpreter import StepLimitExceeded
 from repro.emu.memory import (DEFAULT_SIZE, GLOBAL_BASE, EmulationFault,
                               Memory, layout_globals, zero_pages)
 from repro.emu.trace import ExecutionResult
 from repro.fastpath.columns import TraceColumns
-from repro.fastpath.decode import (
-    K_BRANCH, K_CALL, K_CMP, K_FSTORE, K_JUMP, K_NOP, K_PREDDEF,
-    K_PREDSET, K_RET, K_STORE, K_STORE_B, DecodedProgram,
-    decode_program)
+from repro.fastpath.decode import (IMAGE_ROW, DecodedProgram,
+                                   decode_program)
 from repro.fastpath.interp import run_program_fast
 
 if TYPE_CHECKING:
@@ -78,17 +80,6 @@ _FLT_LOAD_F = 7
 _FLT_STORE = 8
 _FLT_IDIV0 = 9
 _FLT_FDIV0 = 10
-
-_NXT_NONE = -10
-_TGT_UNKNOWN = -2
-
-#: Kinds that write ``regs[dest]`` unconditionally or conditionally —
-#: a ``dest == -1`` means the serial engine writes ``regs[-1]`` (the
-#: highest dense register), which the flat image reproduces by
-#: remapping.  ``K_CALL`` keeps ``-1``: it means "no writeback".
-_NO_REG_WRITE = frozenset((K_PREDDEF, K_PREDSET, K_NOP, K_STORE,
-                           K_STORE_B, K_FSTORE, K_BRANCH, K_JUMP,
-                           K_CALL, K_RET))
 
 # ----------------------------------------------------------------- #
 # Library build + load (supervised)                                 #
@@ -169,42 +160,11 @@ def _as_ptrs(arrays) -> tuple[np.ndarray, "ctypes.pointer"]:
 
 
 # ----------------------------------------------------------------- #
-# Comparison-function ordinals                                      #
-# ----------------------------------------------------------------- #
-
-def _cmp_ordinals() -> dict[int, int]:
-    """Map each ``_CMP`` lambda (by identity) to the C ``docmp``
-    ordinal, identified behaviourally so the key type of ``_CMP``
-    never matters."""
-    probe_to_ord = {
-        (True, False, False): 0,   # eq
-        (False, True, True): 1,    # ne
-        (False, True, False): 2,   # lt
-        (True, True, False): 3,    # le
-        (False, False, True): 4,   # gt
-        (True, False, True): 5,    # ge
-    }
-    out = {}
-    for fn in _CMP.values():
-        sig = (bool(fn(0, 0)), bool(fn(0, 1)), bool(fn(1, 0)))
-        out[id(fn)] = probe_to_ord[sig]
-    return out
-
-
-_CMP_ORD = _cmp_ordinals()
-
-
-# ----------------------------------------------------------------- #
 # Program marshaling                                                #
 # ----------------------------------------------------------------- #
 
-#: Per-pc columns of the program image, in their ``emu_new`` slot
-#: order: the first 16 fill slots 10..25, the last 4 slots 32..35.
-_PC_COLUMNS = ("kind", "sidx", "dest", "m0", "i0", "m1", "i1", "m2",
-               "i2", "guard", "cond", "spec", "buid", "tgt_pc",
-               "tgt_chain", "callee", "pdp", "nxt_pc", "nxt_chain",
-               "fn_of_pc")
-#: Pointer slots of ``emu_new`` (see the C source).
+#: Pointer slots of ``emu_new`` (see the C source).  Slots 10..25 and
+#: 32..35 are the image's per-pc columns, in ``IMAGE_ROW`` order.
 _NSLOTS = 52
 _SLOT_MEM = 36       # 36: memory, 37..43: the chunk buffers
 _SLOT_RESULTS = 44   # 44..49: profile counters and the out vectors
@@ -216,197 +176,70 @@ def _addr(a: np.ndarray) -> int:
 
 
 class NativeProgram:
-    """Flat array image of a :class:`DecodedProgram` (+ resolved
-    constants) for one native run.
+    """The decoded :class:`~repro.fastpath.decode.ProgramImage` with its
+    constants resolved against one run's global layout, packed for the
+    kernel.
 
-    Every section (a per-pc column, a CSR table, ...) is gathered as a
-    Python list, and the sections are packed into one array per dtype
-    (``arrays``).  ``ptrs`` holds the image's slots of the ``emu_new``
-    pointer vector, which each run copies and completes.
+    The per-pc columns become the rows of one int32 table, and the
+    other sections (a CSR table, the constants, ...) are packed into
+    one array per dtype; ``arrays`` keeps them alive.  ``ptrs`` holds
+    the image's slots of the ``emu_new`` pointer vector, which each run
+    copies and completes.
     """
 
-    __slots__ = (
-        "arrays", "ptrs", "nfuncs", "ncode", "entry_fid", "nkeys",
-        "nbuids", "max_call_args", "keys_list", "uids", "names",
-        "branch_msgs", "jump_msgs")
+    __slots__ = ("decoded", "names", "entry_fid", "arrays", "ptrs")
 
     def __init__(self, decoded: DecodedProgram, layout: dict[str, int]):
+        self.decoded = decoded
+        image = decoded.image
         fns = list(decoded.functions.values())
-        fid_of = {fn.name: i for i, fn in enumerate(fns)}
-        self.nfuncs = len(fns)
         self.names = [fn.name for fn in fns]
-        self.entry_fid = fid_of[decoded.entry]
-
-        # Shared namespaces: block-profile keys, chains, branch uids.
-        key_id: dict[tuple, int] = {}
-        keys_list: list[tuple] = []
-        chain_id: dict[tuple, int] = {}
-        chain_off = [0]
-        chain_keys: list[int] = []
-
-        def intern_chain(keys: tuple) -> int:
-            ci = chain_id.get(keys)
-            if ci is None:
-                ci = chain_id[keys] = len(chain_off) - 1
-                for k in keys:
-                    i = key_id.get(k)
-                    if i is None:
-                        i = key_id[k] = len(keys_list)
-                        keys_list.append(k)
-                    chain_keys.append(i)
-                chain_off.append(len(chain_keys))
-            return ci
-
-        uid_id: dict[int, int] = {}
-        uids: list[int] = []
-
-        fn_nregs: list[int] = []
-        fn_npregs: list[int] = []
-        fn_entry_pc: list[int] = []
-        fn_entry_chain: list[int] = []
-        fn_params_off = [0]
-        fn_const_off = [0]
-        params_flat: list[int] = []
-        const_i: list[int] = []
-        const_f: list[float] = []
-        const_isf: list[int] = []
-        # The per-pc columns, interleaved one pc after another.  Each
-        # row tuple is freed as soon as it is appended, so building the
-        # image leaves the cyclic GC nothing new to track.
-        flat: list[int] = []
-        ncode = 0
-        cargs_off = [0]
-        cargs_mode: list[int] = []
-        cargs_idx: list[int] = []
-        pd_off = [0]
-        pd_pidx: list[int] = []
-        pd_table: list[int] = []
-        branch_msgs: dict[int, str] = {}
-        jump_msgs: dict[int, str] = {}
-        max_call_args = 1
-
-        for fid, fn in enumerate(fns):
-            base = ncode
-            fn_nregs.append(fn.nregs)
-            fn_npregs.append(fn.npregs)
-            ek, epc = fn.entry
-            fn_entry_pc.append(base + epc if epc >= 0 else -1)
-            fn_entry_chain.append(intern_chain(ek))
-            params_flat.extend(fn.params)
-            fn_params_off.append(len(params_flat))
-            for cspec in fn.consts_spec:
-                if cspec[0] == "imm":
-                    v = cspec[1]
-                else:
-                    v = layout[cspec[1]] + cspec[2]
-                if isinstance(v, float):
-                    const_i.append(0)
-                    const_f.append(v)
-                    const_isf.append(1)
-                else:
-                    const_i.append(int(v))
-                    const_f.append(0.0)
-                    const_isf.append(0)
-            fn_const_off.append(len(const_i))
-            top_reg = max(fn.nregs, 1) - 1
-
-            for t, ne in zip(fn.code, fn.nxt):
-                (kind, sidx, dest, m0, i0, m1, i1, m2, i2, guard,
-                 aux) = t
-                if dest < 0 and kind not in _NO_REG_WRITE:
-                    dest = top_reg
-                cond = spec = buid = tgt_pc = tgt_chain = callee = 0
-                pdp = 0
-                target = None
-                if aux is None:  # a plain op: no payload
-                    pass
-                elif kind == K_CMP:
-                    cond = _CMP_ORD[id(aux)]
-                elif kind == K_BRANCH:
-                    cmpfn, uid, target, label = aux
-                    cond = _CMP_ORD[id(cmpfn)]
-                    buid = uid_id.get(uid)
-                    if buid is None:
-                        buid = uid_id[uid] = len(uids)
-                        uids.append(uid)
-                    if target is None:
-                        tgt_pc = _TGT_UNKNOWN
-                        branch_msgs[ncode] = (
-                            f"{fn.name}: branch to unknown label "
-                            f"{label!r}")
-                elif kind == K_JUMP:
-                    target, label = aux
-                    if target is None:
-                        tgt_pc = _TGT_UNKNOWN
-                        jump_msgs[ncode] = (
-                            f"{fn.name}: jump to unknown label "
-                            f"{label!r}")
-                elif kind == K_CALL:
-                    callee_name, argspec = aux
-                    callee = fid_of[callee_name]
-                    for m, i in argspec:
-                        cargs_mode.append(m)
-                        cargs_idx.append(i)
-                    if len(argspec) > max_call_args:
-                        max_call_args = len(argspec)
-                elif kind == K_PREDDEF:
-                    cmpfn, pdp, pdspec = aux
-                    cond = _CMP_ORD[id(cmpfn)]
-                    for pidx, table in pdspec:
-                        pd_pidx.append(pidx)
-                        pd_table.extend(-1 if nv is None else int(nv)
-                                        for nv in table)
-                elif kind == K_PREDSET:
-                    spec = aux
-                else:  # ret, cmov and the speculative ops: a flag
-                    spec = 1 if aux else 0
-                if target is not None:
-                    tk, tpc = target
-                    tgt_pc = base + tpc if tpc >= 0 else -1
-                    tgt_chain = intern_chain(tk)
-                cargs_off.append(len(cargs_mode))
-                pd_off.append(len(pd_pidx))
-
-                if ne is None:
-                    nxt_pc, nxt_chain = _NXT_NONE, 0
-                else:
-                    nk, npc = ne
-                    nxt_pc = base + npc if npc >= 0 else -1
-                    nxt_chain = intern_chain(nk)
-                flat += (kind, sidx, dest, m0, i0, m1, i1, m2, i2, guard,
-                         cond, spec, buid, tgt_pc, tgt_chain, callee, pdp,
-                         nxt_pc, nxt_chain, fid)
-                ncode += 1
-
-        self.ncode = ncode
-        self.keys_list = keys_list
-        self.uids = uids
-        self.nkeys = len(keys_list)
-        self.nbuids = len(uids)
-        self.max_call_args = max_call_args
-        self.branch_msgs = branch_msgs
-        self.jump_msgs = jump_msgs
+        self.entry_fid = self.names.index(decoded.entry)
+        consts = [spec[1] if spec[0] == "imm"
+                  else layout[spec[1]] + spec[2]
+                  for fn in fns for spec in fn.consts_spec]
+        const_isf = [isinstance(v, float) for v in consts]
+        const_i = [0 if f else int(v) for v, f in zip(consts, const_isf)]
+        const_f = [v if f else 0.0 for v, f in zip(consts, const_isf)]
 
         i32 = np.int32
-        ncols = len(_PC_COLUMNS)
-        cols = [flat[j::ncols] for j in range(ncols)]
-        # Slot order must match emu_new in the C source.
-        self.arrays, addrs = _pack_sections([
-            (i32, fn_nregs), (i32, fn_npregs), (i32, fn_entry_pc),
-            (i32, fn_entry_chain), (i32, fn_params_off),
-            (i32, params_flat), (i32, fn_const_off),
+        # The per-pc columns, one row each; the last two rows are the
+        # CSR tables' row lengths, which give their offsets.
+        rows = image.rows
+        ncols = len(IMAGE_ROW) - 2
+        table = np.fromiter(rows, i32, len(rows)).reshape(
+            -1, len(IMAGE_ROW)).T.copy()
+        offsets = np.zeros((2, table.shape[1] + 1), i32)
+        np.cumsum(table[ncols:], axis=1, out=offsets[:, 1:])
+        small, addrs = _pack_sections([
+            (i32, [fn.nregs for fn in fns]),
+            (i32, [fn.npregs for fn in fns]),
+            (i32, image.fn_entry_pc), (i32, image.fn_entry_chain),
+            (i32, list(accumulate((len(fn.params) for fn in fns),
+                                  initial=0))),
+            (i32, [p for fn in fns for p in fn.params]),
+            (i32, list(accumulate((len(fn.consts_spec) for fn in fns),
+                                  initial=0))),
             (np.int64, const_i), (np.float64, const_f),
             (np.uint8, const_isf),
-            *[(i32, c) for c in cols[:16]],
-            (i32, cargs_off), (i32, cargs_mode), (i32, cargs_idx),
-            (i32, pd_off), (i32, pd_pidx), (np.int8, pd_table),
-            *[(i32, c) for c in cols[16:]],
-            (i32, chain_off), (i32, chain_keys),
+            (i32, image.cargs_mode), (i32, image.cargs_idx),
+            (i32, image.pd_pidx), (np.int8, image.pd_table),
+            (i32, image.chain_off), (i32, image.chain_keys),
         ])
-        # Slots 36..49 are the run's own and stay 0 here.
-        self.ptrs = np.zeros(_NSLOTS, np.int64)
-        self.ptrs[:_SLOT_MEM] = addrs[:-2]
-        self.ptrs[_SLOT_CHAIN:] = addrs[-2:]
+        self.arrays = [table, offsets, *small]
+        column = range(_addr(table),
+                       _addr(table) + ncols * table.strides[0],
+                       table.strides[0])
+        # Slot order must match emu_new in the C source; slots 36..49
+        # are the run's own and stay 0 here.
+        ptrs = self.ptrs = np.zeros(_NSLOTS, np.int64)
+        ptrs[:10] = addrs[:10]
+        ptrs[10:26] = column[:16]
+        ptrs[26:29] = (_addr(offsets), addrs[10], addrs[11])
+        ptrs[29:32] = (_addr(offsets) + offsets.strides[0], addrs[12],
+                       addrs[13])
+        ptrs[32:_SLOT_MEM] = column[16:]
+        ptrs[_SLOT_CHAIN:] = addrs[14:]
 
 
 def _pack_sections(sections) -> tuple[list[np.ndarray], list[int]]:
@@ -514,10 +347,10 @@ def _raise_fault(nprog: NativeProgram, out: np.ndarray,
         raise StepLimitExceeded(f"exceeded {max_steps} steps in {name}")
     if code == _FLT_FELL_OFF:
         raise EmulationFault(f"fell off the end of function {name}")
-    if code == _FLT_BRANCH_LABEL:
-        raise EmulationFault(nprog.branch_msgs[pc])
-    if code == _FLT_JUMP_LABEL:
-        raise EmulationFault(nprog.jump_msgs[pc])
+    if code == _FLT_BRANCH_LABEL or code == _FLT_JUMP_LABEL:
+        what = "branch" if code == _FLT_BRANCH_LABEL else "jump"
+        label = nprog.decoded.instructions[pc].target
+        raise EmulationFault(f"{name}: {what} to unknown label {label!r}")
     if code == _FLT_LOAD:
         raise EmulationFault(f"illegal load at {addr:#x}")
     if code == _FLT_LOAD_B:
@@ -595,8 +428,10 @@ def _run_kernel(lib, buffers: _ChunkBuffers, program: "Program",
                      default=GLOBAL_BASE)
     nprog = NativeProgram(decoded, layout)
 
-    nkeys = max(nprog.nkeys, 1)
-    nbuids = max(nprog.nbuids, 1)
+    keys_list = decoded.image.keys
+    uids = decoded.image.branch_uids
+    nkeys = max(len(keys_list), 1)
+    nbuids = max(len(uids), 1)
     site_counts = np.zeros(nkeys, np.int64)
     site_order = np.zeros(nkeys, np.int32)
     branch_counts = np.zeros(2 * nbuids, np.int64)
@@ -609,9 +444,11 @@ def _run_kernel(lib, buffers: _ChunkBuffers, program: "Program",
     ptrs[_SLOT_RESULTS:_SLOT_CHAIN] = [_addr(a) for a in (
         site_counts, site_order, branch_counts, branch_order, out,
         out_f)]
-    cfg = np.array([nprog.nfuncs, nprog.ncode, memory.size, max_steps,
-                    buffers.events, nprog.entry_fid, nprog.nkeys,
-                    nprog.nbuids, nprog.max_call_args], dtype=np.int64)
+    cfg = np.array([len(nprog.names), len(decoded.instructions),
+                    memory.size, max_steps, buffers.events,
+                    nprog.entry_fid, len(keys_list), len(uids),
+                    decoded.image.max_call_args],
+                   dtype=np.int64)
     p64 = ctypes.POINTER(ctypes.c_int64)
 
     started = time.monotonic()
@@ -639,12 +476,10 @@ def _run_kernel(lib, buffers: _ChunkBuffers, program: "Program",
     wall_time = time.monotonic() - started
 
     block_counts: dict[tuple, int] = {}
-    keys_list = nprog.keys_list
     counts = site_counts.tolist()
     for kid in site_order[:int(out[7])].tolist():
         block_counts[keys_list[kid]] = counts[kid]
     branch_outcomes: dict[int, list[int]] = {}
-    uids = nprog.uids
     counts = branch_counts.tolist()
     for bi in branch_order[:int(out[8])].tolist():
         branch_outcomes[uids[bi]] = counts[2 * bi:2 * bi + 2]
@@ -669,33 +504,32 @@ def _run_kernel(lib, buffers: _ChunkBuffers, program: "Program",
 # ----------------------------------------------------------------- #
 
 class NativeSimTables:
-    """Flat per-sidx arrays + CSR reg lists for the C ``sim_scan``."""
+    """A :class:`~repro.fastpath.simulate.SimPrep` as the C ``sim_scan``
+    reads it: flat per-sidx arrays, and the register lists as CSR."""
 
     __slots__ = ("pc_addr", "lat", "flags", "pred", "used_off",
                  "used_idx", "dests_off", "dests_idx", "nregs")
 
     def __init__(self, prep: "SimPrep"):
-        n = len(prep.pc_addr)
         self.nregs = prep.nregs
         self.pc_addr = np.array(prep.pc_addr, dtype=np.int64)
         self.lat = np.array(prep.lat, dtype=np.int32)
         self.flags = np.array(prep.flags, dtype=np.uint8)
         self.pred = np.array(prep.pred, dtype=np.int32)
-        used_off = np.zeros(n + 1, np.int32)
-        used_idx: list[int] = []
-        dests_off = np.zeros(n + 1, np.int32)
-        dests_idx: list[int] = []
-        for i in range(n):
-            used_idx.extend(prep.used[i])
-            used_off[i + 1] = len(used_idx)
-            dests_idx.extend(prep.dests[i])
-            dests_off[i + 1] = len(dests_idx)
-        self.used_off = used_off
-        self.used_idx = np.array(used_idx, dtype=np.int32) \
-            if used_idx else np.zeros(1, np.int32)
-        self.dests_off = dests_off
-        self.dests_idx = np.array(dests_idx, dtype=np.int32) \
-            if dests_idx else np.zeros(1, np.int32)
+        self.used_off, self.used_idx = _csr(prep.used)
+        self.dests_off, self.dests_idx = _csr(prep.dests)
+
+
+def _csr(rows: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets and concatenated values of ``rows``; the values array
+    keeps one element when every row is empty."""
+    off = np.zeros(len(rows) + 1, np.int32)
+    np.cumsum(np.fromiter(map(len, rows), np.int32, len(rows)),
+              out=off[1:])
+    total = int(off[-1])
+    idx = np.fromiter(chain.from_iterable(rows), np.int32, total) \
+        if total else np.zeros(1, np.int32)
+    return off, idx
 
 
 def sim_scan_chunk(tables: NativeSimTables,

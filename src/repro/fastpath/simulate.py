@@ -1,33 +1,31 @@
 """Columnar cycle simulation — the fastpath half of Section 4.1.
 
-:func:`prepare_sim` lowers a decoded program once into per-static-
-instruction arrays (byte address, latency, behaviour flags, dense
-source/destination register ids); :class:`StreamSimulator` then assigns
-issue cycles to :class:`TraceColumns` chunks with the exact model of
-``sim.pipeline.simulate_trace`` (in-order k-issue, register interlocks,
-BTB, optional blocking I/D caches) but no per-event attribute lookups.
+:func:`prepare_sim` completes a decoded program's machine-independent
+simulator columns (:class:`~repro.fastpath.decode.SimColumns`: behaviour
+flags, dense source/destination register ids, guard) with one
+machine's byte addresses and latencies; :class:`StreamSimulator` then
+assigns issue cycles to :class:`TraceColumns` chunks with the exact
+model of ``sim.pipeline.simulate_trace`` (in-order k-issue, register
+interlocks, BTB, optional blocking I/D caches) but no per-event
+attribute lookups.
 
 Because the simulator is incremental (``feed`` chunks, then ``finish``),
 it composes with the streaming emulator: :func:`emulate_and_simulate_stream`
 runs emulate→simulate with the trace never materialized.  Both are the
 pure-Python rung of the ``vector`` engine (:mod:`repro.fastpath.vector`),
-which hands its carried state to a ``StreamSimulator`` whenever the
-native scan kernel is unavailable or faults.
-
-Register identity note: the legacy simulator keys its ``ready`` table by
-register *objects* across the whole trace, so equal ``VReg``/``PReg``
-values from different functions alias one scoreboard entry.  ``prepare_sim``
-reproduces this with one program-wide object→dense-id map.
+which runs a ``StreamSimulator`` whenever the native scan kernel is
+unavailable or switched off.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING
+from itertools import repeat
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.fastpath.columns import TraceColumns
-from repro.fastpath.decode import DecodedProgram, decode_program
-from repro.ir.opcodes import OpCategory
+from repro.fastpath.decode import (F_CONTROL, F_DYNBRANCH, F_JUMP, F_LOAD,
+                                   F_STORE, DecodedProgram)
 from repro.machine.descriptor import MachineDescription
 from repro.machine.latencies import PA7100_LATENCY
 from repro.sim.btb import BranchTargetBuffer
@@ -38,40 +36,31 @@ if TYPE_CHECKING:
     from repro.emu.trace import ExecutionResult
     from repro.ir.function import Program
 
-# Per-static-instruction behaviour flags.
-F_CONTROL = 1    # branch/jump/call/ret: occupies a branch issue slot
-F_LOAD = 2
-F_STORE = 4
-F_DYNBRANCH = 8  # dynamically conditional: predicted at fetch
-F_JUMP = 16      # jump flavour of a dynamic branch (outcome = executed)
 _F_MEM = F_LOAD | F_STORE
 
-_CONTROL_CATS = (OpCategory.BRANCH, OpCategory.JUMP, OpCategory.CALL,
-                 OpCategory.RET)
 
+class SimPrep(NamedTuple):
+    """Per-program arrays the column simulator indexes by ``sidx``: one
+    machine's addresses and latencies beside the decoded
+    :class:`~repro.fastpath.decode.SimColumns`."""
 
-class SimPrep:
-    """Per-program arrays the column simulator indexes by ``sidx``."""
-
-    __slots__ = ("pc_addr", "lat", "flags", "used", "dests", "pred",
-                 "nregs")
-
-    def __init__(self, pc_addr, lat, flags, used, dests, pred, nregs):
-        self.pc_addr = pc_addr
-        self.lat = lat
-        self.flags = flags
-        #: dense ids of all registers read (guard included) — interlocks
-        self.used = used
-        #: dense ids of all registers written (dest + pdests)
-        self.dests = dests
-        #: dense id of the guard predicate, -1 when unguarded
-        self.pred = pred
-        self.nregs = nregs
+    pc_addr: list[int]
+    lat: list[int]
+    flags: list[int]
+    #: dense ids of all registers read (guard included) — interlocks
+    used: list[tuple[int, ...]]
+    #: dense ids of all registers written (dest + pdests)
+    dests: list[tuple[int, ...]]
+    #: dense id of the guard predicate, -1 when unguarded
+    pred: list[int]
+    nregs: int
 
 
 def prepare_sim(decoded: DecodedProgram, addresses: dict[int, int],
                 machine: MachineDescription | None = None) -> SimPrep:
-    """Lower static instructions to simulator arrays.
+    """One machine's simulator arrays for a decoded program: each
+    instruction's byte address and latency, beside the decoded
+    machine-independent columns (shared, not copied).
 
     ``machine`` supplies the latency table (PA-7100 defaults plus any
     ``latency_overrides``); omitting it keeps the plain PA-7100 table.
@@ -80,43 +69,11 @@ def prepare_sim(decoded: DecodedProgram, addresses: dict[int, int],
     """
     latency_of = (PA7100_LATENCY if machine is None
                   else machine.latency_table).__getitem__
-    regmap: dict = {}
-
-    def rid(r) -> int:
-        i = regmap.get(r)
-        if i is None:
-            i = regmap[r] = len(regmap)
-        return i
-
-    get_addr = addresses.get
-    pc_addr: list[int] = []
-    lat: list[int] = []
-    flags: list[int] = []
-    used: list[tuple[int, ...]] = []
-    dests: list[tuple[int, ...]] = []
-    pred: list[int] = []
-    for inst in decoded.instructions:
-        cat = inst.cat
-        f = 0
-        if cat in _CONTROL_CATS:
-            f |= F_CONTROL
-        if cat is OpCategory.LOAD:
-            f |= F_LOAD
-        elif cat is OpCategory.STORE:
-            f |= F_STORE
-        if cat is OpCategory.BRANCH:
-            f |= F_DYNBRANCH
-        elif cat is OpCategory.JUMP and inst.pred is not None:
-            f |= F_DYNBRANCH | F_JUMP
-        pc_addr.append(get_addr(inst.uid, 0))
-        lat.append(latency_of(inst.op))
-        flags.append(f)
-        used.append(tuple(rid(r) for r in inst.used_regs()))
-        d = [] if inst.dest is None else [rid(inst.dest)]
-        d.extend(rid(pd.reg) for pd in inst.pdests)
-        dests.append(tuple(d))
-        pred.append(-1 if inst.pred is None else rid(inst.pred))
-    return SimPrep(pc_addr, lat, flags, used, dests, pred, len(regmap))
+    cols = decoded.sim
+    return SimPrep(
+        list(map(addresses.get, cols.uids, repeat(0))),
+        list(map(latency_of, cols.ops)),
+        cols.flags, cols.used, cols.dests, cols.pred, cols.nregs)
 
 
 class StreamSimulator:
@@ -340,41 +297,13 @@ def emulate_and_simulate_stream(
         prep: SimPrep | None = None,
         metrics=None
 ) -> "tuple[ExecutionResult, SimulationStats]":
-    """Streaming emulate→simulate: the trace is consumed chunk-by-chunk
-    and never materialized (``ExecutionResult.trace`` is ``None``).
-
-    When a :class:`~repro.engine.metrics.PipelineMetrics` is supplied,
-    the fused run times every simulator feed separately and credits the
-    split to the ``emulate`` and ``simulate`` stages (one invocation
-    each), so streamed runs stay comparable with the unfused engines in
-    the ``--bench-json`` snapshot.
-    """
-    from time import perf_counter
-
-    from repro.fastpath.interp import DEFAULT_CHUNK_EVENTS, \
-        run_program_fast
-    if decoded is None:
-        decoded = decode_program(program)
-    if prep is None:
-        prep = prepare_sim(decoded, addresses, machine)
-    sim = StreamSimulator(prep, machine)
-    sink = sim.feed
-    sim_seconds = [0.0]
-    if metrics is not None:
-        def sink(cols, _feed=sim.feed, _acc=sim_seconds):
-            start = perf_counter()
-            _feed(cols)
-            _acc[0] += perf_counter() - start
-    begin = perf_counter()
-    execution = run_program_fast(
-        program, inputs=inputs, max_steps=max_steps, sink=sink,
-        chunk_events=chunk_events or DEFAULT_CHUNK_EVENTS,
-        decoded=decoded)
-    mid = perf_counter()
-    stats = sim.finish()
-    if metrics is not None:
-        sim_wall = sim_seconds[0] + (perf_counter() - mid)
-        metrics.record_stage("emulate", max(mid - begin - sim_seconds[0],
-                                            0.0))
-        metrics.record_stage("simulate", sim_wall)
-    return execution, stats
+    """Streaming emulate→simulate on the Python rung: the trace is
+    consumed chunk-by-chunk and never materialized
+    (``ExecutionResult.trace`` is ``None``).  This is
+    :func:`~repro.fastpath.vector.emulate_and_simulate_vector` with the
+    native kernels off, and credits ``metrics`` the same way."""
+    from repro.fastpath.vector import emulate_and_simulate_vector
+    return emulate_and_simulate_vector(
+        program, addresses, machine, inputs=inputs, max_steps=max_steps,
+        chunk_events=chunk_events, decoded=decoded, prep=prep,
+        metrics=metrics, native=False)

@@ -369,9 +369,10 @@ def golden_digest(native: bool) -> str:
         execution = run_program_fast(
             compiled.program, inputs=GOLDEN_INPUTS, collect_trace=True,
             decoded=decoded)
-    from repro.fastpath.vector import VectorSimulator, prepare_vector
-    vprep = prepare_vector(decoded, compiled.addresses, machine)
-    sim = VectorSimulator(vprep, machine, native=native)
+    from repro.fastpath.simulate import prepare_sim
+    from repro.fastpath.vector import VectorSimulator
+    sim = VectorSimulator(prepare_sim(decoded, compiled.addresses, machine),
+                          machine, native=native)
     sim.feed(execution.trace)
     stats = sim.finish()
     trace = execution.trace

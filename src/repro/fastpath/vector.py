@@ -5,10 +5,12 @@ pure-Python rung.
 :class:`VectorSimulator` keeps all carried simulator state — register
 ready times, issue counters, BTB, cache tags — in NumPy arrays that
 the C ``sim_scan`` kernel (:func:`~repro.fastpath.native.sim_scan_chunk`)
-updates in place, one ``feed`` per trace chunk.  When the kernel is
-unavailable or switched off (``REPRO_NATIVE=0``), the simulator runs
-on the ``StreamSimulator`` from the start: results are byte-identical
-at any chunk size.
+updates in place, one ``feed`` per chunk the fused emulator hands over
+and one ``feed`` for a whole emulated trace
+(:func:`simulate_columns_vector`).  When the kernel is unavailable or
+switched off (``REPRO_NATIVE=0``), the simulator runs on the
+``StreamSimulator`` from the start: results are byte-identical however
+the trace is split into feeds.
 
 :func:`emulate_and_simulate_vector` fuses the native emulator
 (:func:`~repro.fastpath.native.run_program_native`) with this
@@ -55,13 +57,6 @@ class VectorSimPrep:
         if isinstance(prep, VectorSimPrep):
             return prep
         return cls(prep)
-
-
-def prepare_vector(decoded: DecodedProgram, addresses: dict[int, int],
-                   machine: MachineDescription | None = None
-                   ) -> VectorSimPrep:
-    """Specialize a decoded program for the vector engine."""
-    return VectorSimPrep(prepare_sim(decoded, addresses, machine))
 
 
 class VectorSimulator:
@@ -149,27 +144,22 @@ class VectorSimulator:
         return self.python.finish()
 
 
-#: default chunk granularity (events per ``feed``)
-DEFAULT_VECTOR_CHUNK = 1 << 16
-
-
 def simulate_columns_vector(cols: TraceColumns,
                             prep: "SimPrep | VectorSimPrep",
                             machine: MachineDescription,
-                            *, chunk_events: int | None = None,
-                            metrics=None,
+                            *, metrics=None,
                             native: bool | None = None
                             ) -> SimulationStats:
-    """Vector-engine equivalent of ``simulate_columns``.
+    """Vector-engine equivalent of ``simulate_columns``: the whole trace
+    in one ``feed`` (the state carried between feeds makes any split
+    give the same stats).
 
     ``native=False`` (from the
     :class:`~repro.engine.stages.PipelineContext`'s once-per-process
     resolution) keeps the scan on the Python rung.
     """
-    size = chunk_events or DEFAULT_VECTOR_CHUNK
     sim = VectorSimulator(prep, machine, native=native is not False)
-    for chunk in cols.chunks(size) if len(cols) > size else (cols,):
-        sim.feed(chunk)
+    sim.feed(cols)
     if metrics is not None:
         metrics.vector_chunks_total += sim.chunks_fed
     return sim.finish()

@@ -8,27 +8,28 @@ extension (Section 2.1 of the paper).
 All operand objects are immutable and hashable so they can be used as
 dictionary keys in dataflow analyses.  Liveness, DCE, copy propagation,
 CSE, the dependence DAG and the reference emulator's register file look
-operands up millions of times per compile, so the two common kinds are
-built on types that hash and compare in C:
+operands up millions of times per compile, so every kind is built on a
+type that hashes and compares in C:
 
 * a register is an ``int`` whose value is ``index << 2 | class``: 0 and
   1 for the :class:`RegClass` ordinals, 3 for a :class:`PReg`.  Registers
   of different kinds never share a value, and each value is the hash the
   register had as a dataclass, so every dict and set of registers keeps
   its iteration order and every pass its output.
-* an :class:`Imm` is the 1-tuple ``(value,)``, which hashes like the
-  frozen dataclass it replaces.
+* an :class:`Imm` is the 1-tuple ``(value,)`` and a :class:`GlobalAddr`
+  the 2-tuple ``(name, offset)``; each hashes like the frozen dataclass
+  it replaces.
 
-Both print, pickle and compare as before: a register never equals an
-immediate or a register of another kind.  Build registers with
-:meth:`~repro.ir.function.Function.new_vreg` and
+All of them print, pickle and compare as before: a register never
+equals an immediate, an address or a register of another kind, and an
+immediate (one element) never equals an address (two).  Build
+registers with :meth:`~repro.ir.function.Function.new_vreg` and
 :meth:`~repro.ir.function.Function.new_preg`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -127,8 +128,7 @@ class Imm(NamedTuple):
         return f"#{self[0]}"
 
 
-@dataclass(frozen=True, slots=True)
-class GlobalAddr:
+class GlobalAddr(NamedTuple):
     """Symbolic address of a global object, resolved at load time.
 
     ``offset`` is a byte offset into the object, used e.g. for the
@@ -139,7 +139,7 @@ class GlobalAddr:
     offset: int = 0
 
     def __reduce__(self):
-        return GlobalAddr, (self.name, self.offset)
+        return GlobalAddr, (self[0], self[1])
 
     def __repr__(self) -> str:
         if self.offset:

@@ -81,13 +81,13 @@ def test_stage_keys_cover_their_inputs():
 
 def test_stored_keys_are_pinned():
     """A warm store serves only while ``compiled`` and ``stats`` keys
-    keep their addresses; these are one triple's, as schema v3 computes
+    keep their addresses; these are one triple's, as schema v4 computes
     them.  Only a deliberate ``SCHEMA_VERSION`` bump or option-digest
     change may move them."""
     from repro.engine.stages import PipelineContext
     ctx = PipelineContext(scale=1.0, native_enabled=False)
     wc = get_workload("wc")
     assert ctx.compile_key(wc, Model.CMOV, fig8_machine()) == \
-        "9bb2773fa40ac56407678136b35e8fa5af384909d5fd03fb02ae97096939308a"
+        "9323ca5e3633f3b186bce32e36af3dfc766ac7fa894c439cf908bd31bb480bad"
     assert ctx.stats_key(wc, Model.CMOV, fig8_machine()) == \
-        "f134c67f61f518e2328481db13bfc5cf99dd48202141fec1ae39b2a13f7c5c8c"
+        "c23f148f8ba14e913c3a8837f879328b2e5f38653a8cdc7edfd1cccb4ff58a5d"

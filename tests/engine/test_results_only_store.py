@@ -96,7 +96,7 @@ def _old_envelope(kind: str, body: bytes) -> bytes:
 
 
 def _seed_old(store_dir, kind: str, key: str, blob: bytes) -> None:
-    path = store_dir / f"v{SCHEMA_VERSION}" / kind / key[:2] / f"{key}.art"
+    path = store_dir / f"v{SCHEMA_VERSION}" / kind / f"{key}.art"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(blob)
 

@@ -149,3 +149,24 @@ def test_fuzz_cases_run_on_the_kernel(kernel, monkeypatch):
     for case in cases:
         report = run_case(case)
         assert report.verdict == "ok", (case.case_id, report.message)
+
+
+@needs_cc
+@pytest.mark.parametrize("category", ["branch", "jump"])
+def test_unknown_labels_fault_alike(category, kernel, monkeypatch):
+    """A branch or jump to a label the function lacks faults with the
+    same message on all three emulators (the kernel's message is built
+    from the faulting instruction's target)."""
+    program = frontend(SPIN)
+    retargeted = 0
+    for fn in program.functions.values():
+        for inst in fn.all_instructions():
+            if inst.op.category.value == category:
+                inst.target = "nowhere"
+                retargeted += 1
+    assert retargeted
+    monkeypatch.setattr(native, "run_program_fast", _no_fallback)
+    outcomes = {_run(emulate, program, {}) for emulate in (
+        run_program, run_program_fast, native.run_program_native)}
+    assert outcomes == {f"EmulationFault: spin: {category} to unknown "
+                        f"label 'nowhere'"}

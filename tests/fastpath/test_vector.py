@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.analysis.profile import Profile
 from repro.emu import run_program
 from repro.emu.memory import EmulationFault
+from repro.engine.metrics import PipelineMetrics
 from repro.engine.stages import PipelineContext
 from repro.fastpath.decode import decode_program
 from repro.fastpath.interp import run_program_fast
@@ -81,12 +82,20 @@ def _assert_stats_equal(a, b, context=""):
 
 # ----- chunk-size invariance ------------------------------------------------
 
+def _simulate_in_chunks(trace, prep, machine, chunk_events, native=True):
+    """Stats of ``trace`` fed to one simulator ``chunk_events`` events
+    at a time."""
+    sim = VectorSimulator(prep, machine, native=native)
+    for chunk in trace.chunks(chunk_events):
+        sim.feed(chunk)
+    return sim.finish()
+
+
 @pytest.mark.parametrize("chunk_events", [1, 7, 4096])
 def test_chunk_size_invariance_native(kernel, chunk_events):
     compiled, _, execution, prep, machine, ref = kernel
-    stats = simulate_columns_vector(execution.trace,
-                                    VectorSimPrep(prep), machine,
-                                    chunk_events=chunk_events)
+    stats = _simulate_in_chunks(execution.trace, VectorSimPrep(prep),
+                                machine, chunk_events)
     _assert_stats_equal(stats, ref, f"chunk={chunk_events}")
 
 
@@ -94,10 +103,20 @@ def test_chunk_size_invariance_native(kernel, chunk_events):
 def test_chunk_size_invariance_python_fallback(kernel, chunk_events):
     """The Python rung (no native kernel) is also chunk-invariant."""
     _, _, execution, prep, machine, ref = kernel
-    stats = simulate_columns_vector(execution.trace, VectorSimPrep(prep),
-                                    machine, chunk_events=chunk_events,
-                                    native=False)
+    stats = _simulate_in_chunks(execution.trace, VectorSimPrep(prep),
+                                machine, chunk_events, native=False)
     _assert_stats_equal(stats, ref, f"fallback chunk={chunk_events}")
+
+
+@pytest.mark.parametrize("native", [True, False])
+def test_stored_trace_is_scanned_in_one_feed(kernel, native):
+    _, _, execution, prep, machine, ref = kernel
+    metrics = PipelineMetrics()
+    stats = simulate_columns_vector(execution.trace, VectorSimPrep(prep),
+                                    machine, metrics=metrics,
+                                    native=native)
+    _assert_stats_equal(stats, ref, f"native={native}")
+    assert metrics.vector_chunks_total == 1
 
 
 def test_boundary_digest_chunk_invariant(kernel):
@@ -261,9 +280,8 @@ def test_vector_matches_legacy_on_fuzz_profiles(seed, index):
                 (field, model, case.case_id)
         for native in (True, False):
             for chunk_events in (7, 4096):
-                chunked = simulate_columns_vector(
-                    fast.trace, prep, machine, chunk_events=chunk_events,
-                    native=native)
+                chunked = _simulate_in_chunks(
+                    fast.trace, prep, machine, chunk_events, native)
                 _assert_stats_equal(
                     chunked, legacy_stats,
                     (model, native, chunk_events, case.case_id))

@@ -145,3 +145,13 @@ def test_registers_equal_no_other_operand():
                     assert reg != other and other != reg
         assert len(set(regs + others)) == len(regs) + len(set(others))
     assert Imm(1) == Imm(1.0)
+
+
+def test_global_addr_hashes_like_its_fields_and_equals_no_other_operand():
+    addr = GlobalAddr("g", 4)
+    assert hash(addr) == hash(("g", 4))
+    assert hash(GlobalAddr("g")) == hash(("g", 0))
+    assert addr == GlobalAddr("g", 4) and addr != GlobalAddr("g")
+    for other in (Imm("g"), Imm(4), Imm(("g", 4)), VReg(4), PReg(4),
+                  VReg(4, RegClass.FLOAT)):
+        assert addr != other and other != addr
